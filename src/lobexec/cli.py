@@ -2,7 +2,7 @@
 
 Subcommands: solve, sweep, replay, oracle-check, ow-compare. Parameters
 resolve as flags > JSON config file > built-in defaults, where the
-defaults are the parameters of the alpha study (x0=100000, q=5000,
+defaults are the baseline of the exponent sweep (x0=100000, q=5000,
 rho=20, T=1, N=10). Console output rounds to 6 significant digits;
 files carry full precision.
 
@@ -175,6 +175,7 @@ def cmd_sweep(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     q = float(cfg["shape"].get("q", 5000.0))
+    solved = {}
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["alpha", "model", "xi0", "xi1", "xiN", "cost", "status"])
@@ -192,6 +193,7 @@ def cmd_sweep(args) -> int:
                     print(f"alpha={alpha} model={model}: numeric failure: {exc}", file=sys.stderr)
                     writer.writerow([alpha, model, "", "", "", "", "numeric"])
                     continue
+                solved[alpha, model] = sched.trades
                 cost = costs.impact_cost(params, shape, sched.strategy)
                 writer.writerow(
                     [
@@ -205,6 +207,21 @@ def cmd_sweep(args) -> int:
                     ]
                 )
     print(f"wrote {out_path}")
+    # how the schedule tilts: first vs last trade, and which model trades
+    # its intermediates harder
+    for alpha in alphas:
+        if (alpha, 1) not in solved or (alpha, 2) not in solved:
+            continue
+        m1, m2 = solved[alpha, 1], solved[alpha, 2]
+        tol = 1e-9 * m1[0]
+        if m1[0] > m1[-1] + tol:
+            tilt = "front-loaded"
+        elif m1[0] < m1[-1] - tol:
+            tilt = "back-loaded"
+        else:
+            tilt = "symmetric"
+        inter = ">" if m1[1] > m2[1] + tol else ("<" if m1[1] < m2[1] - tol else "=")
+        print(f"alpha={alpha:+.1f}: {tilt}; intermediate volume-rec {inter} spread-rec")
     return 0
 
 

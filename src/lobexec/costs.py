@@ -202,12 +202,10 @@ def cost_report(
 ) -> CostReport:
     trades = as_trades(strategy)
     traj = replay(params, shape, trades)
-    per = []
-    for p, x in zip(traj, trades):
-        per.append(a0 * x + shape.premium(p.offset_post) - shape.premium(p.offset_pre))
-    impact = math.fsum(
-        shape.premium(p.offset_post) - shape.premium(p.offset_pre) for p in traj
-    )
+    # premium pairs, not differences: per-trade cash then rounds as order_cost does
+    prem = [(shape.premium(p.offset_post), shape.premium(p.offset_pre)) for p in traj]
+    per = [a0 * x + post - pre for x, (post, pre) in zip(trades, prem)]
+    impact = math.fsum(post - pre for post, pre in prem)
     base = a0 * math.fsum(trades)
     resid, _ = lagrange_residual(params, shape, trades)
     return CostReport(

@@ -56,10 +56,7 @@ class Shape:
         raise NotImplementedError
 
     def _slope(self, t: float) -> float:
-        # central difference fallback for families without a closed form
-        h = 1e-6 * (1.0 + abs(t))
-        lo = max(t - h, 0.0)
-        return (self._density(t + h) - self._density(lo)) / (t + h - lo)
+        raise NotImplementedError
 
     # signed API ------------------------------------------------------
 

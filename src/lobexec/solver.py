@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .costs import Strategy, lagrange_residual
 from .dynamics import MarketParams, Resilience
-from .errors import InvalidParam, OutOfDomain, PreconditionFailed
+from .errors import InvalidParam, PreconditionFailed
 from .numerics import bracketed_root
 from .shapes import (
     BlockShape,
@@ -132,14 +132,9 @@ def solve_model1(
             )
 
     def gap(y: float) -> float:
-        # shapes with finite covered mass have no value at some probe
-        # points; NaN lets the bracketing scan step over them
-        try:
-            return volume_recovery_gap(shape, a, y) - (1.0 - a) * shape.offset(
-                x0 - n * y * (1.0 - a)
-            )
-        except OutOfDomain:
-            return math.nan
+        return volume_recovery_gap(shape, a, y) - (1.0 - a) * shape.offset(
+            x0 - n * y * (1.0 - a)
+        )
 
     eps = 1e-12 * x0
     xi0 = bracketed_root(gap, eps, x0 - eps)
@@ -172,13 +167,10 @@ def solve_model2(
             )
 
     def gap(y: float) -> float:
-        try:
-            x = shape.offset(y)
-            return spread_recovery_gap(shape, a, x) - shape.offset(
-                x0 - n * (y - shape.volume(a * x))
-            )
-        except OutOfDomain:
-            return math.nan
+        x = shape.offset(y)
+        return spread_recovery_gap(shape, a, x) - shape.offset(
+            x0 - n * (y - shape.volume(a * x))
+        )
 
     eps = 1e-12 * x0
     xi0 = bracketed_root(gap, eps, x0 - eps)
@@ -286,30 +278,20 @@ def continuous_limit(
     if mode is Resilience.VOLUME:
 
         def gap(y: float) -> float:
-            try:
-                x = shape.offset(y)
-                return x + y / shape.density(x) - shape.offset(x0 - rt * y)
-            except OutOfDomain:
-                return math.nan
+            x = shape.offset(y)
+            return x + y / shape.density(x) - shape.offset(x0 - rt * y)
 
     else:
 
         def gap(y: float) -> float:
-            try:
-                x = shape.offset(y)
-                f = shape.density(x)
-                fp = shape.density_slope(x)
-            except OutOfDomain:
-                return math.nan
-            den = f + x * fp
+            x = shape.offset(y)
+            f = shape.density(x)
+            den = f + x * shape.density_slope(x)
             if den <= 0.0:
                 raise InvalidParam(
                     f"premium is not convex at offset {x}; no spread-recovery limit"
                 )
-            try:
-                return x * (1.0 + f / den) - shape.offset(x0 - rt * x * f)
-            except OutOfDomain:
-                return math.nan
+            return x * (1.0 + f / den) - shape.offset(x0 - rt * x * f)
 
     eps = 1e-12 * x0
     y_star = bracketed_root(gap, eps, x0 - eps)

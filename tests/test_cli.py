@@ -101,6 +101,13 @@ def test_sweep_marks_failures_instead_of_dropping(tmp_path):
     assert bad[-1] in ("precondition", "numeric")
 
 
+def test_sweep_prints_orderings(tmp_path, capsys):
+    assert run(["sweep", "--alphas=-2,0.5", "--out-dir", tmp_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "alpha=+0.5: front-loaded; intermediate volume-rec > spread-rec" in lines
+    assert "alpha=-2.0: back-loaded; intermediate volume-rec < spread-rec" in lines
+
+
 def test_ow_compare(tmp_path, capsys):
     assert run(["ow-compare", "--out-dir", tmp_path]) == 0
     out = capsys.readouterr().out

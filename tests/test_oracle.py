@@ -10,6 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import lobexec.numerics
+import lobexec.oracle
+import lobexec.shapes
+import lobexec.solver
 from lobexec import (
     BlockShape,
     BudgetExceeded,
@@ -18,6 +22,7 @@ from lobexec import (
     MarketParams,
     PowerLawShape,
     Resilience,
+    TabulatedShape,
     gradient_check,
     grid_search,
     impact_cost,
@@ -114,3 +119,40 @@ def test_descent_confirms_forced_counterexample_root():
     # iterations; the minimum itself is reached long before the cap
     oracle = minimize_cost(p, sh, starts=8, max_iter=3000)
     assert oracle.best_cost <= forced_cost + 1e-9 * abs(forced_cost)
+
+
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_descent_on_a_table_with_finite_mass(mode):
+    # 401 knots of q/sqrt(1+|x|) cover about 1.32e5 shares a side, so descent
+    # probes can push the book past the table; they must cost inf, not
+    # abort the referee
+    offsets = np.arange(-200.0, 201.0)
+    sh = TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+    p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=20.0, mode=mode)
+    sched = solve(p, sh)
+    got = minimize_cost(p, sh, starts=8, seed=0)
+    for g, w in zip(got.best_strategy.trades, sched.trades):
+        assert abs(g - w) <= 1e-5 * X0
+    want = impact_cost(p, sh, sched.trades)
+    assert abs(got.best_cost - want) <= 1e-7 * abs(want)
+
+
+def test_referee_stays_independent_of_the_root_path():
+    # the referees may see the cost and its gradient only: no solver, no
+    # root finder, no characteristic map or validator
+    forbidden = {
+        "bracketed_root",
+        "validate_model1",
+        "validate_model2",
+        "volume_recovery_gap",
+        "spread_recovery_gap",
+        "injectivity_margin",
+    }
+    forbidden_objects = [lobexec.solver, lobexec.numerics, lobexec.numerics.bracketed_root]
+    forbidden_objects += [getattr(lobexec.shapes, n) for n in forbidden - {"bracketed_root"}]
+    forbidden_objects += [v for n, v in vars(lobexec.solver).items() if n.startswith("solve")]
+    for name, value in vars(lobexec.oracle).items():
+        assert not name.startswith("solve"), name
+        assert name not in forbidden, name
+        assert not any(value is obj for obj in forbidden_objects), name
+        assert getattr(value, "__module__", None) not in ("lobexec.solver", "lobexec.numerics"), name
