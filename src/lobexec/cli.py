@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -365,10 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_alphas(argv) -> list[str]:
+    """Pass "--alphas -2,-1" on as "--alphas=-2,-1": argparse takes a value
+    that starts with "-" and is not a single number for a flag."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--alphas" and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_attach_negative_alphas(argv))
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

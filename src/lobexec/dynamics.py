@@ -58,7 +58,11 @@ class MarketParams:
 
     @property
     def decay(self) -> float:
-        """a = exp(-rho tau), the per-step recovery factor, in (0,1)."""
+        """a = exp(-rho tau), the per-step recovery factor, in [0,1).
+
+        It underflows to 0, full recovery between trades, once rho tau
+        exceeds about 745.
+        """
         return math.exp(-self.rho * self.tau)
 
     @property

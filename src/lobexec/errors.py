@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 The split mirrors how callers need to react: bad inputs (InvalidParam),
-evaluation outside a shape's covered domain (OutOfDomain), a model
-assumption that fails a preflight check (PreconditionFailed), and
-numerical machinery giving up (NoRootInBracket, BudgetExceeded).
+evaluation outside a shape's covered domain or beyond float range
+(OutOfDomain), a model assumption that fails a preflight check
+(PreconditionFailed), and numerical machinery giving up
+(NoRootInBracket, BudgetExceeded).
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ class InvalidParam(LobExecError):
 
 
 class OutOfDomain(LobExecError):
-    """A shape transform was evaluated outside its covered domain."""
+    """A shape transform was evaluated outside its covered domain, or its
+    value overflowed there."""
 
 
 class PreconditionFailed(LobExecError):

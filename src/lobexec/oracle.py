@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .costs import Strategy, analytic_gradient, as_trades, impact_cost
 from .dynamics import MarketParams
@@ -61,6 +60,10 @@ def _safe_cost(params, shape, x) -> float:
 
 def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
     """L-BFGS-B in the reduced coordinates (last trade eliminated)."""
+    # imported here so that solving, which never needs scipy, does not
+    # pay its import time
+    from scipy.optimize import minimize
+
     x0 = params.x0
     n_free = params.steps
 

@@ -502,10 +502,12 @@ def validate_model1(
     """Scan the working volume range for failures of l(y) > 0.
 
     A nonpositive margin anywhere means h1 is not one-to-one there, and
-    the volume-recovery solver must refuse the shape.
+    the volume-recovery solver must refuse the shape. Where the offset
+    overflows, the margin says nothing about the shape: the reason is
+    then "offset_not_finite", a numeric failure.
     """
-    if not (0.0 < a < 1.0):
-        raise InvalidParam(f"decay factor must lie in (0,1), got {a}")
+    if not (0.0 <= a < 1.0):
+        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if not x0 > 0.0:
         raise InvalidParam(f"working size must be positive, got {x0}")
     pos, neg, clamped = _volume_scan_grid(shape, x0, coverage, points)
@@ -513,9 +515,10 @@ def validate_model1(
     for grid in (pos, neg):
         for y in grid:
             if not injectivity_margin(shape, a, float(y)) > 0.0:
+                finite = math.isfinite(shape.offset(float(y)))
                 return ValidationReport(
                     ok=False,
-                    reason="h1_not_injective",
+                    reason="h1_not_injective" if finite else "offset_not_finite",
                     witness=float(y),
                     scan_lo=float(neg[-1]) if neg.size else 0.0,
                     scan_hi=float(pos[-1]) if pos.size else 0.0,
@@ -547,8 +550,8 @@ def validate_model2(
     keeps rising toward the scan edges (a necessary sample of the
     explosion condition, not a proof of it).
     """
-    if not (0.0 < a < 1.0):
-        raise InvalidParam(f"decay factor must lie in (0,1), got {a}")
+    if not (0.0 <= a < 1.0):
+        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if not x0 > 0.0:
         raise InvalidParam(f"working size must be positive, got {x0}")
     pos_v, neg_v, clamped = _volume_scan_grid(shape, x0, coverage, points)

@@ -18,9 +18,9 @@ passes, which is why the solvers refuse shapes that fail it: on such
 shapes the root equation can have several solutions and picking one
 silently can cost real money (the counterexample shape demonstrates it).
 
-The scalar equations are solved by a bracketed hybrid (scipy's Brent
-method) on (eps, X0 - eps) with a geometric subdivision fallback; both
-endpoints have provably opposite signs for valid shapes.
+The scalar equations are solved by Brent's method on (eps, X0 - eps)
+with a geometric subdivision fallback; both endpoints have provably
+opposite signs for valid shapes.
 
 The block book admits closed forms for everything, including the
 continuous-trading limit, and the square-root family admits a closed
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 from .costs import Strategy, lagrange_residual
 from .dynamics import MarketParams, Resilience
-from .errors import InvalidParam, PreconditionFailed
+from .errors import InvalidParam, OutOfDomain, PreconditionFailed
 from .numerics import bracketed_root
 from .shapes import (
     BlockShape,
@@ -126,6 +126,8 @@ def solve_model1(
     report = None
     if not skip_validation:
         report = validate_model1(shape, a, x0, coverage=coverage)
+        if report.reason == "offset_not_finite":
+            raise OutOfDomain(f"offset overflows at volume {report.witness}")
         if not report.ok:
             raise PreconditionFailed(
                 f"h1 injectivity scan failed at volume {report.witness}", report
@@ -216,8 +218,8 @@ def sqrt_shape_xi0(q: float, mu: float, x0: float, n_steps: int, a: float) -> fl
     """
     if not q > 0.0 or mu < 0.0 or not x0 > 0.0:
         raise InvalidParam("need q > 0, mu >= 0, x0 > 0")
-    if not (0.0 < a < 1.0):
-        raise InvalidParam(f"decay factor must lie in (0,1), got {a}")
+    if not (0.0 <= a < 1.0):
+        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if int(n_steps) != n_steps or n_steps < 1:
         raise InvalidParam(f"steps must be an integer >= 1, got {n_steps}")
     n = float(n_steps)

@@ -108,6 +108,12 @@ def test_sweep_prints_orderings(tmp_path, capsys):
     assert "alpha=-2.0: back-loaded; intermediate volume-rec < spread-rec" in lines
 
 
+def test_sweep_takes_a_leading_negative_alpha(tmp_path):
+    assert run(["sweep", "--alphas", "-2,-1", "--out-dir", tmp_path]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["-2.0", "-2.0", "-1.0", "-1.0"]
+
+
 def test_ow_compare(tmp_path, capsys):
     assert run(["ow-compare", "--out-dir", tmp_path]) == 0
     out = capsys.readouterr().out
@@ -160,6 +166,23 @@ def test_numeric_failure_is_exit_3(tmp_path):
     # alpha=3 book holds only q/2 = 2500 shares on the ask side
     assert run(["solve", "--shape", "power", "--alpha", 3.0, "--x0", 1e5,
                 "--out-dir", tmp_path]) == 3
+
+
+def test_offset_overflow_is_exit_3(tmp_path):
+    # at x0 = 1e15 the log-law offset overflows inside the validator scan
+    argv = ["--shape", "power", "--alpha", 1.0, "--x0", 1e15, "--model", 1, "--out-dir", tmp_path]
+    assert run(["solve"] + argv) == 3
+    assert run(["sweep", "--alphas", "1"] + argv) == 0
+    lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert lines[1].split(",")[-1] == "numeric"
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_decay_that_underflows_solves(tmp_path, model):
+    # rho tau = 1000: exp(-1000) underflows to 0, full recovery between trades
+    argv = ["solve", "--n", 1, "--rho", 1000.0, "--model", model, "--out-dir", tmp_path]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "schedule.json").read_text())["trades"] == [50000.0, 50000.0]
 
 
 def test_tabulated_shape_through_cli(tmp_path, capsys):

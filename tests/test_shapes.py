@@ -226,6 +226,15 @@ def test_validator_rejects_step_density_model1():
     assert rep.reason == "h1_not_injective"
 
 
+def test_validator_model1_names_an_overflowing_offset():
+    # offset = expm1(y/q) overflows past y = 709 q: that is a numeric
+    # failure, not a non-injective h1
+    rep = validate_model1(PowerLawShape(Q, 1.0), math.exp(-2.0), 1e15)
+    assert not rep.ok
+    assert rep.reason == "offset_not_finite"
+    assert rep.witness > 709 * Q
+
+
 def test_tabulated_matches_block():
     t = TabulatedShape(offsets=(-30.0, 30.0), densities=(Q, Q))
     b = BlockShape(Q)

@@ -81,6 +81,14 @@ def test_full_resilience_limit_is_uniform(block):
         assert x == pytest.approx(X0 / 11, rel=1e-6)
 
 
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_decay_that_underflows_is_full_recovery(mode, block):
+    # rho tau = 1000: a = exp(-1000) underflows to 0, the book heals fully
+    p = MarketParams(x0=X0, horizon=1.0, steps=1, rho=1000.0, mode=mode)
+    assert p.decay == 0.0
+    assert solve(p, block).trades == solve_block(p, Q).trades == (X0 / 2, X0 / 2)
+
+
 def test_no_resilience_limit_is_two_blocks(block):
     # rho -> 0: nothing recovers; only the first and last trades survive
     p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=1e-7)
@@ -140,6 +148,10 @@ def test_sqrt_xi0_matches_root_solver():
         want = solve_model1(p, sh).xi0
         got = sqrt_shape_xi0(Q, mu, X0, 10, math.exp(-2.0))
         assert got == pytest.approx(want, rel=1e-10)
+    # a = 0: the decay underflows, full recovery
+    p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=1e4)
+    want = solve_model1(p, SqrtShape(Q, 1.0)).xi0
+    assert sqrt_shape_xi0(Q, 1.0, X0, 10, p.decay) == pytest.approx(want, rel=1e-12)
 
 
 def test_sqrt_xi0_recovers_block_at_mu_zero():
