@@ -14,6 +14,7 @@ from .costs import (
     cost_report,
     impact_cost,
     impact_cost_gform,
+    impact_costs,
     lagrange_residual,
     order_cost,
     ow_cost,
@@ -108,6 +109,7 @@ __all__ = [
     "grid_search",
     "impact_cost",
     "impact_cost_gform",
+    "impact_costs",
     "injectivity_margin",
     "lagrange_residual",
     "load_tabulated_csv",

@@ -77,6 +77,37 @@ def impact_cost(params: MarketParams, shape: Shape, strategy) -> float:
     )
 
 
+def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
+    """impact_cost of each row of an (M, steps+1) trade array, as an (M,) array.
+
+    The rows are replayed together, column by column, with the decay in
+    the mode's native variable and the operations in the order replay
+    uses, through the shape's array maps. A row costs inf where
+    impact_cost raises or is not finite. The sum is a plain one, not
+    fsum, so a finite cost may differ from impact_cost's in the last few
+    bits.
+    """
+    x = np.asarray(trades, dtype=float)
+    if x.ndim != 2 or x.shape[1] != params.steps + 1:
+        raise InvalidParam(f"expected an (M, {params.steps + 1}) trade array, got {x.shape}")
+    a = params.decay
+    volume_mode = params.mode is Resilience.VOLUME
+    e_pre = d_pre = 0.0  # the book starts flat
+    total = np.zeros(x.shape[0])
+    with np.errstate(all="ignore"):
+        for n in range(x.shape[1]):
+            if n > 0 and volume_mode:
+                e_pre = a * e_post
+                d_pre = shape.offset_array(e_pre)
+            elif n > 0:
+                d_pre = a * d_post
+                e_pre = shape.volume_array(d_pre)
+            e_post = e_pre + x[:, n]
+            d_post = shape.offset_array(e_post)
+            total += shape.premium_array(d_post) - shape.premium_array(d_pre)
+    return np.where(np.isfinite(total), total, np.inf)
+
+
 def impact_cost_gform(params: MarketParams, shape: Shape, strategy) -> float:
     """Cross-check form of impact_cost via the volume potential G.
 

@@ -25,6 +25,7 @@ the growth condition that makes the schedule characterization sound.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +34,18 @@ import numpy as np
 from .errors import InvalidParam, OutOfDomain
 
 _EXP_CAP = 700.0  # exp overflows doubles just above this
+
+
+def _quiet(array_map):
+    """Run an array map on a float array with numpy's floating-point
+    warnings off: the NaN and inf it returns are answers, not accidents."""
+
+    @functools.wraps(array_map)
+    def wrapper(self, x):
+        with np.errstate(all="ignore"):
+            return array_map(self, np.asarray(x, dtype=float))
+
+    return wrapper
 
 
 class Shape:
@@ -58,6 +71,21 @@ class Shape:
     def _slope(self, t: float) -> float:
         raise NotImplementedError
 
+    # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
+    # where the scalar map raises OutOfDomain, inf where it overflows
+
+    def _density_array(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _volume_array(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _offset_array(self, v: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _premium_array(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     # signed API ------------------------------------------------------
 
     def density(self, x: float) -> float:
@@ -81,6 +109,24 @@ class Shape:
     def density_slope(self, x: float) -> float:
         s = self._slope(abs(x))
         return s if x >= 0.0 else -s
+
+    # signed array API: density, volume, offset and premium elementwise
+
+    @_quiet
+    def density_array(self, x) -> np.ndarray:
+        return self._density_array(np.abs(x))
+
+    @_quiet
+    def volume_array(self, x) -> np.ndarray:
+        return np.where(x != 0.0, np.copysign(self._volume_array(np.abs(x)), x), 0.0)
+
+    @_quiet
+    def offset_array(self, y) -> np.ndarray:
+        return np.where(y != 0.0, np.copysign(self._offset_array(np.abs(y)), y), 0.0)
+
+    @_quiet
+    def premium_array(self, x) -> np.ndarray:
+        return self._premium_array(np.abs(x))
 
     # domain ------------------------------------------------------------
 
@@ -122,6 +168,14 @@ class BlockShape(Shape):
     def _slope(self, t):
         return 0.0
 
+    def _density_array(self, t):
+        return np.full_like(t, self.q)
+
+    # the closed forms above are polynomial, so they already map arrays
+    _volume_array = _volume
+    _offset_array = _offset
+    _premium_array = _premium
+
 
 @dataclass(frozen=True)
 class PowerLawShape(Shape):
@@ -141,8 +195,15 @@ class PowerLawShape(Shape):
         if not self.q > 0.0:
             raise InvalidParam(f"power-law depth must be positive, got {self.q}")
 
+    # a float ** that overflows raises OverflowError; each map returns
+    # inf there instead, the limit it overflows toward and what numpy's **
+    # gives in the array forms
+
     def _density(self, t):
-        return self.q * (t + 1.0) ** (-self.alpha)
+        try:
+            return self.q * (t + 1.0) ** (-self.alpha)
+        except OverflowError:
+            return math.inf
 
     def _volume(self, t):
         a = self.alpha
@@ -150,7 +211,10 @@ class PowerLawShape(Shape):
             return self.q * math.log1p(t)
         if a == 0.0:
             return self.q * t
-        return self.q / (1.0 - a) * ((t + 1.0) ** (1.0 - a) - 1.0)
+        try:
+            return self.q / (1.0 - a) * ((t + 1.0) ** (1.0 - a) - 1.0)
+        except OverflowError:
+            return math.inf
 
     def _offset(self, v):
         a = self.alpha
@@ -165,7 +229,10 @@ class PowerLawShape(Shape):
             raise OutOfDomain(
                 f"volume {v} exceeds the book's total depth (alpha={a}, q={self.q})"
             )
-        return base ** (1.0 / (1.0 - a)) - 1.0
+        try:
+            return base ** (1.0 / (1.0 - a)) - 1.0
+        except OverflowError:
+            return math.inf
 
     def _premium(self, t):
         a, q, u = self.alpha, self.q, t + 1.0
@@ -175,10 +242,48 @@ class PowerLawShape(Shape):
             return 0.5 * q * t * t
         if a == 2.0:
             return q * (math.log1p(t) + 1.0 / u - 1.0)
-        return q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
+        try:
+            return q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
+        except OverflowError:
+            return math.inf
 
     def _slope(self, t):
-        return -self.alpha * self.q * (t + 1.0) ** (-self.alpha - 1.0)
+        try:
+            return -self.alpha * self.q * (t + 1.0) ** (-self.alpha - 1.0)
+        except OverflowError:
+            return math.inf
+
+    def _density_array(self, t):
+        return self.q * (t + 1.0) ** (-self.alpha)
+
+    def _volume_array(self, t):
+        a = self.alpha
+        if a == 1.0:
+            return self.q * np.log1p(t)
+        if a == 0.0:
+            return self.q * t
+        return self.q / (1.0 - a) * ((t + 1.0) ** (1.0 - a) - 1.0)
+
+    def _offset_array(self, v):
+        a = self.alpha
+        if a == 1.0:
+            e = v / self.q
+            return np.where(e <= _EXP_CAP, np.expm1(e), np.inf)
+        if a == 0.0:
+            return v / self.q
+        base = 1.0 + (1.0 - a) * v / self.q
+        # NaN beyond the saturation bound, where the scalar map raises
+        return np.where(base > 0.0, base ** (1.0 / (1.0 - a)) - 1.0, np.nan)
+
+    def _premium_array(self, t):
+        a, q, u = self.alpha, self.q, t + 1.0
+        if a == 1.0:
+            return q * (t - np.log1p(t))
+        if a == 0.0:
+            return 0.5 * q * t * t
+        if a == 2.0:
+            return q * (np.log1p(t) + 1.0 / u - 1.0)
+        return q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
 
     def volume_bounds(self):
         if self.alpha > 1.0:
@@ -224,6 +329,19 @@ class SqrtShape(Shape):
 
     def _slope(self, t):
         return -0.5 * self.q * self.mu * (1.0 + self.mu * t) ** (-1.5)
+
+    def _density_array(self, t):
+        return self.q / np.sqrt(1.0 + self.mu * t)
+
+    def _volume_array(self, t):
+        return 2.0 * self.q * t / (1.0 + np.sqrt(1.0 + self.mu * t))
+
+    _offset_array = _offset
+
+    def _premium_array(self, t):
+        r = np.sqrt(1.0 + self.mu * t)
+        w = self.mu * t / (1.0 + r)
+        return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
 
 
 @dataclass(frozen=True)
@@ -305,6 +423,54 @@ class CounterexampleShape(Shape):
         if t < 1.0 / n or t > 1.0:
             return 0.0
         return -self._s
+
+    # the array forms evaluate every piece and select per element, so a
+    # piece may see arguments outside its own range (the root below goes
+    # NaN past v_one); np.select keeps only the piece the scalar takes
+
+    def _density_array(self, t):
+        n = self.n
+        return np.select(
+            [t < 1.0 / n, t <= 1.0], [n + 1.0, (n + 1.0) - self._s * (t - 1.0 / n)], 1.0
+        )
+
+    def _volume_array(self, t):
+        n = self.n
+        w = t - 1.0 / n
+        return np.select(
+            [t <= 1.0 / n, t <= 1.0],
+            [(n + 1.0) * t, (n + 1.0) / n + (n + 1.0) * w - 0.5 * self._s * w * w],
+            0.5 * (n + 3.0) + (t - 1.0),
+        )
+
+    def _offset_array(self, v):
+        n = self.n
+        v_knee = (n + 1.0) / n
+        v_one = 0.5 * (n + 3.0)
+        d = v - v_knee
+        w = 2.0 * d / ((n + 1.0) + np.sqrt((n + 1.0) ** 2 - 2.0 * self._s * d))
+        return np.select([v <= v_knee, v <= v_one], [v / (n + 1.0), 1.0 / n + w], 1.0 + (v - v_one))
+
+    def _premium_array(self, t):
+        n = self.n
+        t_knee = 1.0 / n
+        p_knee = 0.5 * (n + 1.0) / (n * n)
+        c = (n + 1.0) + self._s / n
+        p1 = (
+            p_knee
+            + 0.5 * c * (1.0 - t_knee * t_knee)
+            - self._s / 3.0 * (1.0 - t_knee ** 3)
+        )
+        return np.select(
+            [t <= t_knee, t <= 1.0],
+            [
+                0.5 * (n + 1.0) * t * t,
+                p_knee
+                + 0.5 * c * (t * t - t_knee * t_knee)
+                - self._s / 3.0 * (t ** 3 - t_knee ** 3),
+            ],
+            p1 + 0.5 * (t * t - 1.0),
+        )
 
 
 class TabulatedShape(Shape):
@@ -404,6 +570,48 @@ class TabulatedShape(Shape):
     def density_slope(self, x: float) -> float:
         i = self._seg_index(x)
         return float(self._seg_slope[i])
+
+    # signed array API: NaN outside the covered offsets or mass, where the
+    # scalar maps raise OutOfDomain
+
+    def _segments(self, edges, x):
+        """Index of the segment holding each x, for the knots or the
+        cumulative volumes at them as edges."""
+        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, self.knots.size - 2)
+
+    @staticmethod
+    def _covered(x, lo, hi, value):
+        return np.where((x >= lo) & (x <= hi), value, np.nan)
+
+    @_quiet
+    def density_array(self, x) -> np.ndarray:
+        i = self._segments(self.knots, x)
+        f = self.dens[i] + self._seg_slope[i] * (x - self.knots[i])
+        return self._covered(x, self.knots[0], self.knots[-1], f)
+
+    @_quiet
+    def volume_array(self, x) -> np.ndarray:
+        i = self._segments(self.knots, x)
+        w = x - self.knots[i]
+        cum = self._cum_vol_raw[i] + self.dens[i] * w + 0.5 * self._seg_slope[i] * w * w
+        return self._covered(x, self.knots[0], self.knots[-1], cum - self._vol0)
+
+    @_quiet
+    def offset_array(self, y) -> np.ndarray:
+        lo, hi = self.volume_bounds()
+        target = y + self._vol0
+        i = self._segments(self._cum_vol_raw, target)
+        dv = target - self._cum_vol_raw[i]
+        c, m = self.dens[i], self._seg_slope[i]
+        disc = c * c + 2.0 * m * dv
+        w = 2.0 * dv / (c + np.sqrt(np.maximum(disc, 0.0)))
+        return self._covered(y, lo, hi, self.knots[i] + w)
+
+    @_quiet
+    def premium_array(self, x) -> np.ndarray:
+        i = self._segments(self.knots, x)
+        prem = self._cum_prem_raw[i] + self._seg_premium_raw(i, x)
+        return self._covered(x, self.knots[0], self.knots[-1], prem - self._prem0)
 
     def volume_bounds(self):
         return (

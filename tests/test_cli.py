@@ -177,6 +177,15 @@ def test_offset_overflow_is_exit_3(tmp_path):
     assert lines[1].split(",")[-1] == "numeric"
 
 
+def test_sweep_marks_a_power_overflow_numeric(tmp_path):
+    # at alpha = 0.99 the offset's float ** overflows inside the validator
+    # scan: the cell reads numeric and the sweep finishes
+    argv = ["--alphas", 0.99, "--models", 1, "--x0", 1e15, "--out-dir", tmp_path]
+    assert run(["sweep"] + argv) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert rows[1].split(",") == ["0.99", "1", "", "", "", "", "numeric"]
+
+
 @pytest.mark.parametrize("model", [1, 2])
 def test_decay_that_underflows_solves(tmp_path, model):
     # rho tau = 1000: exp(-1000) underflows to 0, full recovery between trades

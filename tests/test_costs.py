@@ -13,23 +13,28 @@ from hypothesis import strategies as st
 
 from lobexec import (
     BlockShape,
+    CounterexampleShape,
     InvalidParam,
     MarketParams,
     PowerLawShape,
     Resilience,
     SqrtShape,
     Strategy,
+    TabulatedShape,
     analytic_gradient,
     cost_report,
     gradient_check,
     impact_cost,
     impact_cost_gform,
+    impact_costs,
     lagrange_residual,
     order_cost,
     ow_cost,
     solve,
     solve_block,
+    replay,
 )
+from lobexec.oracle import _safe_cost
 
 Q = 5000.0
 
@@ -194,3 +199,62 @@ def test_round_trip_not_free(fig3_params, block):
     # buy then sell nets zero shares but the premium paid is positive
     x = [10_000.0, -10_000.0] + [0.0] * 9
     assert impact_cost(fig3_params, block, x) > 0.0
+
+
+# --- the batched cost -----------------------------------------------------
+
+
+def _table_401():
+    offsets = np.arange(-200.0, 201.0)
+    return TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+
+
+BATCH_SHAPES = [
+    BlockShape(Q),
+    PowerLawShape(Q, -2.0),
+    PowerLawShape(Q, 0.5),
+    PowerLawShape(Q, 1.0),
+    PowerLawShape(Q, 1.5),
+    SqrtShape(Q, 1.0),
+    CounterexampleShape(3),
+    _table_401(),
+]
+BATCH_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in BATCH_SHAPES]
+
+
+def _summed_size(p, shape, row):
+    """Sum of the premiums impact_cost adds and subtracts: the size its
+    rounding is relative to."""
+    return math.fsum(
+        abs(shape.premium(t.offset_post)) + abs(shape.premium(t.offset_pre))
+        for t in replay(p, shape, row)
+    )
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
+    rng = np.random.default_rng(23)
+    x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
+    for steps in (1, 2, 5):
+        p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+        x = rng.uniform(-0.5, 1.5, (150, steps + 1)) * x0
+        # rows far off the book: past the alpha = 1.5 saturation, the
+        # table's mass, or into overflow
+        x[:30] *= 10.0 ** rng.uniform(0.0, 300.0, (30, 1))
+        got = impact_costs(p, shape, x)
+        want = np.array([_safe_cost(p, shape, row) for row in x])
+        assert got.shape == (150,)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        assert not np.isnan(got).any() and (got[np.isinf(got)] > 0).all()
+        for g, w, row in zip(got, want, x):
+            if math.isfinite(w):
+                assert abs(g - w) <= 1e-14 * _summed_size(p, shape, row), row
+
+
+def test_impact_costs_rejects_a_wrong_width():
+    p = MarketParams(x0=1e5, horizon=1.0, steps=2, rho=20.0)
+    with pytest.raises(InvalidParam):
+        impact_costs(p, BlockShape(Q), np.zeros((4, 2)))
+    with pytest.raises(InvalidParam):
+        impact_costs(p, BlockShape(Q), np.zeros(3))

@@ -5,11 +5,13 @@ code paths with them; the tests here pin their own behavior down before they
 are trusted in test_acceptance.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import lobexec.costs
 import lobexec.numerics
 import lobexec.oracle
 import lobexec.shapes
@@ -22,6 +24,7 @@ from lobexec import (
     MarketParams,
     PowerLawShape,
     Resilience,
+    SqrtShape,
     TabulatedShape,
     gradient_check,
     grid_search,
@@ -31,6 +34,7 @@ from lobexec import (
     solve_block,
     solve_model2,
 )
+from lobexec.oracle import _safe_cost
 
 Q = 5000.0
 X0 = 100_000.0
@@ -151,8 +155,94 @@ def test_referee_stays_independent_of_the_root_path():
     forbidden_objects = [lobexec.solver, lobexec.numerics, lobexec.numerics.bracketed_root]
     forbidden_objects += [getattr(lobexec.shapes, n) for n in forbidden - {"bracketed_root"}]
     forbidden_objects += [v for n, v in vars(lobexec.solver).items() if n.startswith("solve")]
-    for name, value in vars(lobexec.oracle).items():
-        assert not name.startswith("solve"), name
-        assert name not in forbidden, name
-        assert not any(value is obj for obj in forbidden_objects), name
-        assert getattr(value, "__module__", None) not in ("lobexec.solver", "lobexec.numerics"), name
+    # the lattice's batched kernel lives in costs: that module is held to
+    # the same rule
+    assert lobexec.oracle.impact_costs is lobexec.costs.impact_costs
+    for module in (lobexec.oracle, lobexec.costs):
+        for name, value in vars(module).items():
+            assert not name.startswith("solve"), name
+            assert name not in forbidden, name
+            assert not any(value is obj for obj in forbidden_objects), name
+            assert getattr(value, "__module__", None) not in ("lobexec.solver", "lobexec.numerics"), name
+    for name in lobexec.costs.impact_costs.__code__.co_names:
+        assert name not in forbidden and not name.startswith("solve"), name
+
+
+def _lattice_point_by_point(params, shape, resolution):
+    """The point-by-point scan grid_search ran before it was batched: its
+    body verbatim, kept here as the reference."""
+    x0 = params.x0
+    lo, hi = -0.25 * x0, 1.25 * x0
+    if hi <= lo:
+        pts = np.array([0.0])
+    else:
+        count = int(math.floor((hi - lo) / resolution)) + 1
+        pts = lo + resolution * np.arange(count)
+    slack = 1e-9 * max(1.0, abs(x0))
+    best_x, best_f = None, math.inf
+    for head in itertools.product(pts, repeat=params.steps):
+        tail = x0 - math.fsum(head)
+        if tail < lo - slack or tail > hi + slack:
+            continue
+        x = list(head) + [tail]
+        f = _safe_cost(params, shape, x)
+        if f < best_f:
+            best_x, best_f = x, f
+    return best_x, best_f
+
+
+def _table_401():
+    offsets = np.arange(-200.0, 201.0)
+    return TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+
+
+LATTICE_BOOKS = [
+    (BlockShape(Q), X0),
+    (PowerLawShape(Q, -2.0), X0),
+    (PowerLawShape(Q, 0.5), X0),
+    (PowerLawShape(Q, 1.0), X0),
+    # alpha = 1.5 holds 1e4 shares a side: at x0 = 5000 part of the lattice is finite
+    (PowerLawShape(Q, 1.5), 5000.0),
+    (SqrtShape(Q, 1.0), X0),
+    # the counterexample's knees sit at volumes 4/3 and 3
+    (CounterexampleShape(3), 4.0),
+    (_table_401(), X0),
+]
+LATTICE_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s, _ in LATTICE_BOOKS]
+# coarse lattices of 901, 46^2 and 14^3 points
+LATTICE_STEPS = {1: 600, 2: 30, 3: 9}
+
+
+@pytest.mark.parametrize("steps", sorted(LATTICE_STEPS))
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+@pytest.mark.parametrize("shape,x0", LATTICE_BOOKS, ids=LATTICE_IDS)
+def test_grid_search_equals_the_point_by_point_scan(shape, x0, mode, steps, monkeypatch):
+    p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+    res = x0 / LATTICE_STEPS[steps]
+    want_x, want_f = _lattice_point_by_point(p, shape, res)
+    # one slab, then slabs of 97 points that end mid-row
+    for slab in (lobexec.oracle._SLAB_POINTS, 97):
+        monkeypatch.setattr(lobexec.oracle, "_SLAB_POINTS", slab)
+        got = grid_search(p, shape, res)
+        assert [v.hex() for v in got.best_strategy.trades] == [float(v).hex() for v in want_x]
+        assert got.best_cost.hex() == want_f.hex()
+
+
+def test_grid_search_keeps_the_first_of_tied_points():
+    # full recovery (exp(-1000) = 0) makes the N = 1 cost symmetric in the
+    # two trades; the integer lattice straddles x0/2, so (49400, 50600) and
+    # (50600, 49400) tie exactly and the scan keeps the first
+    p = MarketParams(x0=X0, horizon=1.0, steps=1, rho=1000.0)
+    for shape in (BlockShape(Q), PowerLawShape(Q, 0.5)):
+        got = grid_search(p, shape, 1200.0)
+        assert got.best_strategy.trades == (49400.0, 50600.0)
+        assert got.best_cost == impact_cost(p, shape, (50600.0, 49400.0))
+        assert _lattice_point_by_point(p, shape, 1200.0) == ([49400.0, 50600.0], got.best_cost)
+
+
+def test_grid_search_refuses_a_lattice_of_infinite_costs():
+    # x0 = 1e5 overruns the 1e4 shares a side of alpha = 1.5 at every point
+    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0)
+    assert _lattice_point_by_point(p, PowerLawShape(Q, 1.5), X0 / 20) == (None, math.inf)
+    with pytest.raises(InvalidParam):
+        grid_search(p, PowerLawShape(Q, 1.5), X0 / 20)

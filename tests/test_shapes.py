@@ -296,3 +296,90 @@ def test_validation_report_scan_covers_requested_range():
     rep = validate_model1(BlockShape(Q), 0.5, 1000.0)
     assert rep.ok
     assert rep.scan_hi >= 2 * 1000.0 * 0.999  # coverage factor 2 by default
+
+
+# ---------------------------------------------------------------------------
+# array maps against the scalar ones
+# ---------------------------------------------------------------------------
+
+
+def _table_401():
+    offsets = np.arange(-200.0, 201.0)
+    return TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+
+
+ARRAY_FAMILIES = (
+    [BlockShape(Q)]
+    + [PowerLawShape(Q, al) for al in (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0)]
+    + [SqrtShape(Q, 0.0), SqrtShape(Q, 1.0), CounterexampleShape(3), _table_401()]
+)
+ARRAY_IDS = [f"{s.name}{getattr(s, 'alpha', getattr(s, 'mu', ''))}" for s in ARRAY_FAMILIES]
+
+# the closed forms are written in 1 + |x|, so they round relative to their
+# size at unit offset: q for density, volume and premium, 1 for offset
+MAP_SCALE = {"density": Q, "volume": Q, "premium": Q, "offset": 1.0}
+# +-0 and the counterexample knees at 1/n and 1, in offset and in volume
+SPECIAL_OFFSETS = [0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 1.0, -1.0]
+SPECIAL_VOLUMES = [0.0, -0.0, 4.0 / 3.0, -4.0 / 3.0, 3.0, -3.0]
+
+
+def _scalar_or_nan(fn, v):
+    try:
+        return fn(float(v))
+    except OutOfDomain:
+        return math.nan
+
+
+def assert_array_map_matches_scalar(shape, name, args):
+    args = np.asarray(args, dtype=float)
+    want = np.array([_scalar_or_nan(getattr(shape, name), v) for v in args])
+    got = getattr(shape, name + "_array")(args)
+    assert got.shape == args.shape
+    # NaN exactly where the scalar map raises OutOfDomain, inf where it overflows
+    assert np.array_equal(np.isnan(got), np.isnan(want)), (name, args[np.isnan(got) != np.isnan(want)])
+    assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)]), name
+    fin = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), fin), name
+    gap = np.abs(got[fin] - want[fin])
+    assert np.all(gap <= 1e-15 * np.maximum(np.abs(want[fin]), MAP_SCALE[name])), (
+        name, args[fin][np.argmax(gap)])
+    zero = want == 0.0
+    assert np.array_equal(np.signbit(got[zero]), np.signbit(want[zero])), name
+
+
+@pytest.mark.parametrize("shape", ARRAY_FAMILIES, ids=ARRAY_IDS)
+@given(xs=st.lists(st.floats(min_value=-1e4, max_value=1e4), max_size=40),
+       ys=st.lists(st.floats(min_value=-1e7, max_value=1e7), max_size=40))
+@settings(max_examples=40, deadline=None)
+def test_array_maps_match_scalar_maps(shape, xs, ys):
+    for name in ("density", "volume", "premium"):
+        assert_array_map_matches_scalar(shape, name, SPECIAL_OFFSETS + xs)
+    assert_array_map_matches_scalar(shape, "offset", SPECIAL_VOLUMES + ys)
+
+
+def test_array_maps_out_of_domain():
+    # the alpha > 1 saturation and the table's edges are NaN in the array maps
+    for al in (1.5, 2.0):
+        cap = Q / (al - 1.0)
+        sh = PowerLawShape(Q, al)
+        assert np.isnan(sh.offset_array([cap, -cap, 2.0 * cap])).all()
+        assert_array_map_matches_scalar(sh, "offset", [cap * (1 - 1e-12), cap, -3.0 * cap])
+    table = _table_401()
+    lo, hi = table.volume_bounds()
+    edges = [-200.0, 200.0, np.nextafter(200.0, 300.0), -201.0, 1e6]
+    for name in ("density", "volume", "premium"):
+        assert_array_map_matches_scalar(table, name, edges)
+        assert np.isnan(getattr(table, name + "_array")(edges[2:])).all()
+    assert_array_map_matches_scalar(table, "offset", [lo, hi, np.nextafter(hi, 2 * hi), 2 * lo])
+    assert np.isnan(table.offset_array([np.nextafter(hi, 2 * hi), 2 * lo])).all()
+
+
+def test_power_law_overflow_is_inf():
+    # a float ** that overflows gives inf, as numpy's ** does in the array
+    # maps, and at alpha = 1 the offset is inf past exp(700), short of overflow
+    for al, name, arg in ((0.99, "offset", 1e15), (-2.0, "density", 1e200),
+                          (-2.0, "volume", 1e200), (-2.0, "premium", 1e100),
+                          (1.0, "offset", 705.0 * Q)):
+        sh = PowerLawShape(Q, al)
+        assert getattr(sh, name)(arg) == math.inf
+        assert getattr(sh, name + "_array")([arg])[0] == math.inf
