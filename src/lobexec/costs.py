@@ -4,7 +4,7 @@ The cash paid for one market order that moves the ask offset from D_pre
 to D_post is A0 x + premium(D_post) - premium(D_pre): the shares times
 the unaffected price plus the price-weighted depth eaten. Summing over
 trade nodes gives the total cost, so the impact part of any schedule is
-a telescoping sum of premium differences along the replayed trajectory.
+a telescoping sum of premium differences along the walked trajectory.
 That F-tilde-difference sum is the reference implementation here; the
 expanded forms in terms of the volume potential G (premium as a function
 of volume) are kept as independent cross-checks, one per model.
@@ -18,6 +18,13 @@ partial derivatives of the impact cost in both resilience models. At an
 optimum all components agree (the Lagrange multiplier of the volume
 constraint); the residual spread of the components is the cheapest
 stationarity certificate available, and CostReport carries it.
+
+Each of impact_cost, analytic_gradient, cost_and_gradient (both at once,
+for the descent referee), lagrange_residual and cost_report walks the
+schedule once: dynamics.walk runs the book on plain floats and returns
+the pre- and post-trade offsets, and everything here is read off those
+lists. impact_costs runs the same recursion on (M,) columns through the
+shape's array maps.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import MarketParams, Resilience, replay
+# replay stays bound here: benchmarks/tracing.py times costs.replay
+from .dynamics import MarketParams, Resilience, node_states, replay, walk
 from .errors import InvalidParam
 from .shapes import Shape
 
@@ -71,40 +79,32 @@ def impact_cost(params: MarketParams, shape: Shape, strategy) -> float:
     Defined for any trade vector of the right length, feasible or not;
     the optimizers rely on off-constraint evaluations.
     """
-    traj = replay(params, shape, as_trades(strategy))
-    return math.fsum(
-        shape.premium(p.offset_post) - shape.premium(p.offset_pre) for p in traj
-    )
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
+    return _impact(shape, d_pre, d_post)
+
+
+def _impact(shape: Shape, d_pre, d_post) -> float:
+    premium = shape.premium
+    return math.fsum(premium(post) - premium(pre) for pre, post in zip(d_pre, d_post))
 
 
 def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
     """impact_cost of each row of an (M, steps+1) trade array, as an (M,) array.
 
-    The rows are replayed together, column by column, with the decay in
-    the mode's native variable and the operations in the order replay
-    uses, through the shape's array maps. A row costs inf where
-    impact_cost raises or is not finite. The sum is a plain one, not
-    fsum, so a finite cost may differ from impact_cost's in the last few
-    bits.
+    The rows are replayed together, column by column, by the recursion
+    impact_cost walks, through the shape's array maps. A row costs inf
+    where impact_cost raises or is not finite. The sum is a plain one,
+    not fsum, so a finite cost may differ from impact_cost's in the last
+    few bits.
     """
     x = np.asarray(trades, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.steps + 1:
         raise InvalidParam(f"expected an (M, {params.steps + 1}) trade array, got {x.shape}")
-    a = params.decay
-    volume_mode = params.mode is Resilience.VOLUME
-    e_pre = d_pre = 0.0  # the book starts flat
     total = np.zeros(x.shape[0])
     with np.errstate(all="ignore"):
-        for n in range(x.shape[1]):
-            if n > 0 and volume_mode:
-                e_pre = a * e_post
-                d_pre = shape.offset_array(e_pre)
-            elif n > 0:
-                d_pre = a * d_post
-                e_pre = shape.volume_array(d_pre)
-            e_post = e_pre + x[:, n]
-            d_post = shape.offset_array(e_post)
-            total += shape.premium_array(d_post) - shape.premium_array(d_pre)
+        _, d_pre, _, d_post = node_states(params, x.T, shape.volume_array, shape.offset_array)
+        for pre, post in zip(d_pre, d_post):
+            total += shape.premium_array(post) - shape.premium_array(pre)
     return np.where(np.isfinite(total), total, np.inf)
 
 
@@ -168,41 +168,52 @@ def ow_cost(q: float, lam: float, params: MarketParams, strategy, a0: float = 0.
 def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarray:
     """Exact partials of impact_cost with respect to each trade.
 
-    Backward recursions along the replayed path. Volume recovery:
+    Backward recursions along the walked path, with D_n and Dp_n the
+    pre- and post-trade offsets at node n. Volume recovery, where
+    F^{-1}(a (E_n + x_n)) is the next pre-trade offset D_{n+1}:
 
-        g_N = F^{-1}(E_N + x_N)
-        g_n = a (g_{n+1} - F^{-1}(a (E_n + x_n))) + F^{-1}(E_n + x_n)
+        g_N = Dp_N
+        g_n = a (g_{n+1} - D_{n+1}) + Dp_n
 
-    Spread recovery, writing Dp_n = F^{-1}(x_n + F(D_n)) for the
-    post-trade offset and D_{n+1} = a Dp_n:
+    Spread recovery, where D_{n+1} = a Dp_n:
 
         g_N = Dp_N
         g_n = Dp_n + a f(D_{n+1}) / f(Dp_n) * (g_{n+1} - D_{n+1})
     """
-    trades = as_trades(strategy)
-    traj = replay(params, shape, trades)
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
+    return _gradient(params, shape, d_pre, d_post)
+
+
+def _gradient(params: MarketParams, shape: Shape, d_pre, d_post) -> np.ndarray:
     a = params.decay
-    n_last = params.steps
-    g = np.empty(n_last + 1)
+    g = d_post[-1]
+    out = [g]
+    nodes = zip(reversed(d_pre[1:]), reversed(d_post[:-1]))
     if params.mode is Resilience.VOLUME:
-        g[n_last] = shape.offset(traj[n_last].volume_post)
-        for n in range(n_last - 1, -1, -1):
-            e_post = traj[n].volume_post
-            g[n] = a * (g[n + 1] - shape.offset(a * e_post)) + shape.offset(e_post)
+        for d_next, post in nodes:
+            g = a * (g - d_next) + post
+            out.append(g)
     else:
-        g[n_last] = traj[n_last].offset_post
-        for n in range(n_last - 1, -1, -1):
-            d_post = traj[n].offset_post
-            d_next = traj[n + 1].offset_pre
-            g[n] = d_post + a * shape.density(d_next) / shape.density(d_post) * (
-                g[n + 1] - d_next
-            )
-    return g
+        density = shape.density
+        for d_next, post in nodes:
+            g = post + a * density(d_next) / density(post) * (g - d_next)
+            out.append(g)
+    out.reverse()
+    return np.array(out)
+
+
+def cost_and_gradient(params: MarketParams, shape: Shape, strategy) -> tuple[float, np.ndarray]:
+    """(impact_cost, analytic_gradient) of one schedule from one walk."""
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
+    return _impact(shape, d_pre, d_post), _gradient(params, shape, d_pre, d_post)
 
 
 def lagrange_residual(params: MarketParams, shape: Shape, strategy) -> tuple[float, float]:
     """(max |g_i - mean|, mean) over the gradient components."""
-    g = analytic_gradient(params, shape, strategy)
+    return _spread(analytic_gradient(params, shape, strategy))
+
+
+def _spread(g: np.ndarray) -> tuple[float, float]:
     mean = float(g.mean())
     return float(np.max(np.abs(g - mean))), mean
 
@@ -232,13 +243,14 @@ def cost_report(
     params: MarketParams, shape: Shape, strategy, a0: float = 0.0
 ) -> CostReport:
     trades = as_trades(strategy)
-    traj = replay(params, shape, trades)
-    # premium pairs, not differences: per-trade cash then rounds as order_cost does
-    prem = [(shape.premium(p.offset_post), shape.premium(p.offset_pre)) for p in traj]
-    per = [a0 * x + post - pre for x, (post, pre) in zip(trades, prem)]
-    impact = math.fsum(post - pre for post, pre in prem)
+    _, d_pre, _, d_post = walk(params, shape, trades)
+    # per-trade cash adds the two premiums in turn, as order_cost does
+    high = [shape.premium(d) for d in d_post]
+    low = [shape.premium(d) for d in d_pre]
+    per = [a0 * x + hi - lo for x, hi, lo in zip(trades, high, low)]
+    impact = math.fsum(hi - lo for hi, lo in zip(high, low))
     base = a0 * math.fsum(trades)
-    resid, _ = lagrange_residual(params, shape, trades)
+    resid, _ = _spread(_gradient(params, shape, d_pre, d_post))
     return CostReport(
         total=base + impact,
         base_term=base,

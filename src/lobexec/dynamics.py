@@ -7,6 +7,11 @@ rate rho, either in volume (E decays) or in spread (D decays). State is
 stored in both variables but every update is computed from the variable
 native to the mode, so repeated decays never accumulate F round trips.
 
+node_states is that recursion, written once: on plain floats through a
+shape's scalar maps it is walk, which the cost functionals, their
+gradients and replay all read, and on (M,) columns through the array
+maps it prices a batch of schedules (costs.impact_costs).
+
 The full two-sided book keeps independent ask and bid states: buys eat
 the ask side only, sells the bid side only. The simplified single-state
 book lets signed trades cancel; it is the state the cost functional and
@@ -151,30 +156,61 @@ class TrajectoryPoint:
     offset_post: float
 
 
-def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:
-    """Run a trade list through the simplified book at the node times.
+def node_states(params: MarketParams, trades, volume, offset):
+    """Pre- and post-trade volumes and offsets at each node of a trade run.
 
-    Returns one point per node with the pre/post state. Trades must have
-    length steps+1.
+    The one recursion of the simplified book: the book starts flat, each
+    trade moves the volume and the offset follows through offset, and
+    between trades the mode's native variable decays by params.decay
+    while the other is recomputed. The maps are the shape's scalar ones
+    with a float per trade, or its array ones with an (M,) column per
+    node, which runs M schedules at once. Returns the lists (E_pre,
+    D_pre, E_post, D_post), indexed by node.
+    """
+    a = params.decay
+    volume_mode = params.mode is Resilience.VOLUME
+    states = e_pre, d_pre, e_post, d_post = [], [], [], []
+    e = d = 0.0  # the book starts flat
+    for n, x in enumerate(trades):
+        if n > 0 and volume_mode:
+            e = a * e
+            d = offset(e)
+        elif n > 0:
+            d = a * d
+            e = volume(d)
+        e_pre.append(e)
+        d_pre.append(d)
+        e = e + x
+        d = offset(e)
+        e_post.append(e)
+        d_post.append(d)
+    return states
+
+
+def walk(params: MarketParams, shape: Shape, trades):
+    """node_states on plain floats through the shape's scalar maps.
+
+    Trades must have length steps+1.
     """
     trades = list(trades)
     if len(trades) != params.steps + 1:
         raise InvalidParam(
             f"expected {params.steps + 1} trades, got {len(trades)}"
         )
-    state = SimplifiedState.initial()
-    out = []
-    for n, x in enumerate(trades):
-        if n > 0:
-            state = decay(state, shape, params.mode, params.rho, params.tau)
-        pre = state
-        state = apply_order(state, shape, x)
-        out.append(
-            TrajectoryPoint(
-                n, n * params.tau, pre.volume, pre.offset, state.volume, state.offset
-            )
-        )
-    return out
+    return node_states(params, trades, shape.volume, shape.offset)
+
+
+def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:
+    """Run a trade list through the simplified book at the node times.
+
+    Returns one point per node with the pre/post state. Trades must have
+    length steps+1.
+    """
+    tau = params.tau
+    return [
+        TrajectoryPoint(n, n * tau, *state)
+        for n, state in enumerate(zip(*walk(params, shape, trades)))
+    ]
 
 
 def replay_book(

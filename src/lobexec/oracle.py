@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Strategy, analytic_gradient, as_trades, impact_cost, impact_costs
+from .costs import (
+    Strategy,
+    analytic_gradient,
+    as_trades,
+    cost_and_gradient,
+    impact_cost,
+    impact_costs,
+)
 from .dynamics import MarketParams
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 from .shapes import Shape
@@ -81,11 +88,14 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
         return np.append(z, x0 - z.sum())
 
     def value_grad(z):
-        xfull = full(z)
-        f = _safe_cost(params, shape, xfull)
+        try:
+            f, g = cost_and_gradient(params, shape, full(z))
+        except (OverflowError, ValueError, ZeroDivisionError, OutOfDomain):
+            # an iterate off the book: past the saturation or the table,
+            # or where a density underflows to 0 in the gradient
+            return math.inf, np.zeros(n_free)
         if not math.isfinite(f):
             return math.inf, np.zeros(n_free)
-        g = analytic_gradient(params, shape, xfull)
         return f, g[:n_free] - g[n_free]
 
     # scipy's default ftol/gtol stop with trades still ~1e-6 x0 off the

@@ -22,6 +22,7 @@ from lobexec import (
     Strategy,
     TabulatedShape,
     analytic_gradient,
+    cost_and_gradient,
     cost_report,
     gradient_check,
     impact_cost,
@@ -34,6 +35,9 @@ from lobexec import (
     solve_block,
     replay,
 )
+from lobexec.costs import CostReport, as_trades
+from lobexec.dynamics import SimplifiedState, TrajectoryPoint, apply_order, decay
+from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
 
 Q = 5000.0
@@ -258,3 +262,150 @@ def test_impact_costs_rejects_a_wrong_width():
         impact_costs(p, BlockShape(Q), np.zeros((4, 2)))
     with pytest.raises(InvalidParam):
         impact_costs(p, BlockShape(Q), np.zeros(3))
+
+
+# --- the walk against the replay forms it replaced --------------------------
+#
+# Until the certificate, the costs and replay shared one walk, each cost
+# form replayed the schedule on its own through a SimplifiedState per
+# step and a TrajectoryPoint per node. Those bodies are kept here
+# verbatim as the reference; the walk must reproduce them bit for bit.
+
+
+def _replay_by_states(params, shape, trades):
+    trades = list(trades)
+    if len(trades) != params.steps + 1:
+        raise InvalidParam(
+            f"expected {params.steps + 1} trades, got {len(trades)}"
+        )
+    state = SimplifiedState.initial()
+    out = []
+    for n, x in enumerate(trades):
+        if n > 0:
+            state = decay(state, shape, params.mode, params.rho, params.tau)
+        pre = state
+        state = apply_order(state, shape, x)
+        out.append(
+            TrajectoryPoint(
+                n, n * params.tau, pre.volume, pre.offset, state.volume, state.offset
+            )
+        )
+    return out
+
+
+def _impact_cost_by_replay(params, shape, strategy):
+    traj = _replay_by_states(params, shape, as_trades(strategy))
+    return math.fsum(
+        shape.premium(p.offset_post) - shape.premium(p.offset_pre) for p in traj
+    )
+
+
+def _analytic_gradient_by_replay(params, shape, strategy):
+    trades = as_trades(strategy)
+    traj = _replay_by_states(params, shape, trades)
+    a = params.decay
+    n_last = params.steps
+    g = np.empty(n_last + 1)
+    if params.mode is Resilience.VOLUME:
+        g[n_last] = shape.offset(traj[n_last].volume_post)
+        for n in range(n_last - 1, -1, -1):
+            e_post = traj[n].volume_post
+            g[n] = a * (g[n + 1] - shape.offset(a * e_post)) + shape.offset(e_post)
+    else:
+        g[n_last] = traj[n_last].offset_post
+        for n in range(n_last - 1, -1, -1):
+            d_post = traj[n].offset_post
+            d_next = traj[n + 1].offset_pre
+            g[n] = d_post + a * shape.density(d_next) / shape.density(d_post) * (
+                g[n + 1] - d_next
+            )
+    return g
+
+
+def _lagrange_residual_by_replay(params, shape, strategy):
+    g = _analytic_gradient_by_replay(params, shape, strategy)
+    mean = float(g.mean())
+    return float(np.max(np.abs(g - mean))), mean
+
+
+def _cost_report_by_replay(params, shape, strategy, a0=0.0):
+    trades = as_trades(strategy)
+    traj = _replay_by_states(params, shape, trades)
+    prem = [(shape.premium(p.offset_post), shape.premium(p.offset_pre)) for p in traj]
+    per = [a0 * x + post - pre for x, (post, pre) in zip(trades, prem)]
+    impact = math.fsum(post - pre for post, pre in prem)
+    base = a0 * math.fsum(trades)
+    resid, _ = _lagrange_residual_by_replay(params, shape, trades)
+    return CostReport(
+        total=base + impact,
+        base_term=base,
+        impact_term=impact,
+        per_trade=tuple(per),
+        lagrange_residual=resid,
+    )
+
+
+def _hex(value):
+    """Every float of a result in hex, and an exception as its class."""
+    if isinstance(value, type):
+        return value
+    if isinstance(value, CostReport):
+        return _hex(tuple(value.to_dict().values()))
+    if isinstance(value, TrajectoryPoint):
+        return _hex((value.n, value.t, value.volume_pre, value.offset_pre,
+                     value.volume_post, value.offset_post))
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_hex(v) for v in value]
+    return float(value).hex()
+
+
+def _outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):
+            return _hex(fn(*args))
+    except (OutOfDomain, InvalidParam, OverflowError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+WALK_SHAPES = [BlockShape(Q)] + [PowerLawShape(Q, al) for al in (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5)] + [
+    SqrtShape(Q, 1.0),
+    CounterexampleShape(3),
+    _table_401(),
+]
+WALK_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in WALK_SHAPES]
+# these two books end: a volume past the alpha = 1.5 saturation q/(alpha-1)
+# or past the table's mass has no offset
+BOUNDED = {"power1.5", "tabulated"}
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES, ids=WALK_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_walk_matches_the_replay_forms(shape, mode):
+    rng = np.random.default_rng(31)
+    x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
+    bounded = f"{shape.name}{getattr(shape, 'alpha', '')}" in BOUNDED
+    for steps in (1, 2, 10, 1000):
+        p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+        count = 1 if steps == 1000 else 4
+        # signed and off the constraint: totals from 1e-3 x0 to about 3 x0
+        rows = rng.uniform(-0.5, 1.5, (count, steps + 1)) * (
+            x0 / (steps + 1) * 10.0 ** rng.uniform(-3.0, 0.5, (count, 1))
+        )
+        if steps <= 10:
+            far = np.full(steps + 1, x0 / (steps + 1))
+            far[0] = 50.0 * x0  # past the saturation and the table's mass
+            rows = list(rows) + [far]
+        for i, row in enumerate(rows):
+            cases = [
+                (replay, _replay_by_states),
+                (impact_cost, _impact_cost_by_replay),
+                (analytic_gradient, _analytic_gradient_by_replay),
+                (lagrange_residual, _lagrange_residual_by_replay),
+                (lambda *a: cost_report(*a, a0=2.5), lambda *a: _cost_report_by_replay(*a, a0=2.5)),
+            ]
+            for new, old in cases:
+                assert _outcome(new, p, shape, row) == _outcome(old, p, shape, row), (steps, row)
+            pair = _outcome(cost_and_gradient, p, shape, row)
+            assert pair == _outcome(lambda *a: (impact_cost(*a), analytic_gradient(*a)), p, shape, row)
+            if i == count and bounded:  # the far row
+                assert pair is OutOfDomain

@@ -210,6 +210,16 @@ def test_discrete_converges_at_rate_one_over_n(mode, block):
     assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("mode, alpha", [(Resilience.VOLUME, 1.0), (Resilience.SPREAD, 0.5)])
+def test_large_n_certifies(mode, alpha):
+    # N = 1e5: the certificate walks the schedule once, in well under a second
+    p = MarketParams(x0=X0, horizon=1.0, steps=100_000, rho=20.0, mode=mode)
+    sched = solve(p, PowerLawShape(Q, alpha))
+    assert len(sched.trades) == 100_001
+    assert math.fsum(sched.trades) == pytest.approx(X0, rel=1e-12)
+    assert sched.diagnostics.lagrange_residual <= 1e-6 * abs(sched.diagnostics.lagrange_mean)
+
+
 def test_schedule_serialization(fig3_params, block):
     d = solve_model1(fig3_params, block).to_dict()
     assert d["model"] == 1
