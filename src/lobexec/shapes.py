@@ -34,6 +34,9 @@ import numpy as np
 from .errors import InvalidParam, OutOfDomain
 
 _EXP_CAP = 700.0  # exp overflows doubles just above this
+# terms of the power-law premium's series near the quote: at the
+# crossover offset they leave about 2e-16 relative for |alpha| <= 50
+_SERIES_TERMS = 20
 
 
 def _quiet(array_map):
@@ -194,6 +197,19 @@ class PowerLawShape(Shape):
     def __post_init__(self):
         if not self.q > 0.0:
             raise InvalidParam(f"power-law depth must be positive, got {self.q}")
+        # near the quote the closed premium subtracts two terms of about t
+        # to leave q t^2/2 (5e-4 relative off at t = 1e-6), so below the
+        # crossover it is the Taylor series
+        #   q t^2 sum_k binom(-alpha, k) t^k / (k + 2)
+        #   = q (t^2/2 - alpha t^3/3 + alpha (alpha+1) t^4/8 - ...),
+        # whose terms shrink like (|alpha| t)^k; past the crossover the
+        # closed form is within 1e-14 relative
+        coeffs, binom = [], 1.0
+        for k in range(_SERIES_TERMS):
+            coeffs.append(binom / (k + 2))
+            binom *= -(self.alpha + k) / (k + 1)
+        object.__setattr__(self, "_series", tuple(reversed(coeffs)))
+        object.__setattr__(self, "_crossover", 0.5 / max(5.0, abs(self.alpha)))
 
     # a float ** that overflows raises OverflowError; each map returns
     # inf there instead, the limit it overflows toward and what numpy's **
@@ -234,12 +250,22 @@ class PowerLawShape(Shape):
         except OverflowError:
             return math.inf
 
+    def _near_quote(self, t):
+        """The premium's series below the crossover, by Horner; t a float
+        or an array."""
+        s = 0.0
+        for c in self._series:
+            s = s * t + c
+        return self.q * t * t * s
+
     def _premium(self, t):
         a, q, u = self.alpha, self.q, t + 1.0
-        if a == 1.0:
-            return q * (t - math.log1p(t))
         if a == 0.0:
             return 0.5 * q * t * t
+        if t < self._crossover:
+            return self._near_quote(t)
+        if a == 1.0:
+            return q * (t - math.log1p(t))
         if a == 2.0:
             return q * (math.log1p(t) + 1.0 / u - 1.0)
         try:
@@ -277,13 +303,19 @@ class PowerLawShape(Shape):
 
     def _premium_array(self, t):
         a, q, u = self.alpha, self.q, t + 1.0
-        if a == 1.0:
-            return q * (t - np.log1p(t))
         if a == 0.0:
             return 0.5 * q * t * t
-        if a == 2.0:
-            return q * (np.log1p(t) + 1.0 / u - 1.0)
-        return q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
+        if a == 1.0:
+            p = q * (t - np.log1p(t))
+        elif a == 2.0:
+            p = q * (np.log1p(t) + 1.0 / u - 1.0)
+        else:
+            p = q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
+        p, t = np.array(p), np.asarray(t)
+        near = t < self._crossover
+        if near.any():
+            p[near] = self._near_quote(t[near])
+        return p
 
     def volume_bounds(self):
         if self.alpha > 1.0:

@@ -383,3 +383,39 @@ def test_power_law_overflow_is_inf():
         sh = PowerLawShape(Q, al)
         assert getattr(sh, name)(arg) == math.inf
         assert getattr(sh, name + "_array")([arg])[0] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the power-law premium near the quote
+# ---------------------------------------------------------------------------
+
+
+def _premium_by_quadrature(alpha, t):
+    """int_0^t u q (1+u)^-alpha du by 20-point Gauss-Legendre: the integrand
+    is analytic well past [0, t] for t <= 0.1, so this is exact to roundoff."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    u = 0.5 * t * (x + 1.0)
+    return 0.5 * t * float(np.dot(w, u * Q * (1.0 + u) ** -alpha))
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+def test_power_premium_near_the_quote(alpha, t):
+    # the closed form subtracts two terms of about t: at t = 1e-6 it was
+    # 5e-4 relative off, and at 1e-8 it read 0 or 1.85x the premium
+    sh = PowerLawShape(Q, alpha)
+    want = _premium_by_quadrature(alpha, t)
+    assert abs(sh.premium(t) - want) <= 1e-14 * want
+    assert sh.premium(-t) == sh.premium(t)
+    assert np.all(np.abs(sh.premium_array([t, -t]) - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
+def test_power_premium_is_continuous_across_the_crossover(alpha):
+    sh = PowerLawShape(Q, alpha)
+    # the crossover sits at 0.1 for |alpha| <= 5 and shrinks like 1/alpha
+    edge = 0.5 / max(5.0, abs(alpha))
+    for t in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+        want = _premium_by_quadrature(alpha, float(t))
+        assert abs(sh.premium(float(t)) - want) <= 2e-14 * want, t
+        assert abs(sh.premium_array([t])[0] - want) <= 2e-14 * want, t
