@@ -10,7 +10,10 @@ from the unaffected best quote. Everything downstream needs four maps:
 
 plus premium_by_volume(y) = premium(offset(y)), the sweep premium as a
 function of executed volume. Its derivative is offset(y), which is what
-makes it the natural cost potential for the execution problem.
+makes it the natural cost potential for the execution problem. The
+premium's second derivative f(x) + x f'(x), premium_curvature, decides
+whether the spread-recovery continuous limit exists; each family gives
+it in closed form, so it does not cancel where f and x f' nearly do.
 
 Built-in families carry closed forms. The sell side is handled by the
 antisymmetric extension F(x) = -F(-x) (densities are even in the offset),
@@ -71,7 +74,7 @@ class Shape:
     def _premium(self, t: float) -> float:
         raise NotImplementedError
 
-    def _slope(self, t: float) -> float:
+    def _premium_curvature(self, t: float) -> float:
         raise NotImplementedError
 
     # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
@@ -109,9 +112,9 @@ class Shape:
     def premium_by_volume(self, y: float) -> float:
         return self.premium(self.offset(y))
 
-    def density_slope(self, x: float) -> float:
-        s = self._slope(abs(x))
-        return s if x >= 0.0 else -s
+    def premium_curvature(self, x: float) -> float:
+        """f(x) + x f'(x), the premium's second derivative; even in x."""
+        return self._premium_curvature(abs(x))
 
     # signed array API: density, volume, offset and premium elementwise
 
@@ -168,8 +171,8 @@ class BlockShape(Shape):
     def _premium(self, t):
         return 0.5 * self.q * t * t
 
-    def _slope(self, t):
-        return 0.0
+    def _premium_curvature(self, t):
+        return self.q
 
     def _density_array(self, t):
         return np.full_like(t, self.q)
@@ -273,11 +276,9 @@ class PowerLawShape(Shape):
         except OverflowError:
             return math.inf
 
-    def _slope(self, t):
-        try:
-            return -self.alpha * self.q * (t + 1.0) ** (-self.alpha - 1.0)
-        except OverflowError:
-            return math.inf
+    def _premium_curvature(self, t):
+        # q (1 + (1-alpha) t) / (1+t)^(alpha+1)
+        return self._density(t) * (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
     def _density_array(self, t):
         return self.q * (t + 1.0) ** (-self.alpha)
@@ -359,8 +360,9 @@ class SqrtShape(Shape):
         w = self.mu * t / (1.0 + r)
         return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
 
-    def _slope(self, t):
-        return -0.5 * self.q * self.mu * (1.0 + self.mu * t) ** (-1.5)
+    def _premium_curvature(self, t):
+        # q (1 + mu t/2) / (1 + mu t)^(3/2)
+        return self._density(t) * (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
 
     def _density_array(self, t):
         return self.q / np.sqrt(1.0 + self.mu * t)
@@ -450,11 +452,13 @@ class CounterexampleShape(Shape):
         )
         return p1 + 0.5 * (t * t - 1.0)
 
-    def _slope(self, t):
+    def _premium_curvature(self, t):
         n = self.n
-        if t < 1.0 / n or t > 1.0:
-            return 0.0
-        return -self._s
+        if t < 1.0 / n:
+            return n + 1.0
+        if t <= 1.0:
+            return (n + 1.0) - self._s * (2.0 * t - 1.0 / n)
+        return 1.0
 
     # the array forms evaluate every piece and select per element, so a
     # piece may see arguments outside its own range (the root below goes
@@ -599,9 +603,10 @@ class TabulatedShape(Shape):
         # signed cumulative of u f(u) is already the right thing for x < 0
         return self._prem_at(x) - self._prem0
 
-    def density_slope(self, x: float) -> float:
+    def premium_curvature(self, x: float) -> float:
+        # c + m (x - x_i) + x m on the segment from knot x_i
         i = self._seg_index(x)
-        return float(self._seg_slope[i])
+        return float(self.dens[i] + self._seg_slope[i] * (2.0 * x - self.knots[i]))
 
     # signed array API: NaN outside the covered offsets or mass, where the
     # scalar maps raise OutOfDomain

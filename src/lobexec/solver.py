@@ -288,7 +288,7 @@ def continuous_limit(
         def gap(y: float) -> float:
             x = shape.offset(y)
             f = shape.density(x)
-            den = f + x * shape.density_slope(x)
+            den = shape.premium_curvature(x)
             if den <= 0.0:
                 raise InvalidParam(
                     f"premium is not convex at offset {x}; no spread-recovery limit"

@@ -419,3 +419,29 @@ def test_power_premium_is_continuous_across_the_crossover(alpha):
         want = _premium_by_quadrature(alpha, float(t))
         assert abs(sh.premium(float(t)) - want) <= 2e-14 * want, t
         assert abs(sh.premium_array([t])[0] - want) <= 2e-14 * want, t
+
+
+# ---------------------------------------------------------------------------
+# premium curvature f + x f'
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", FAMILIES + [_table_401()], ids=_ids(FAMILIES) + ["tabulated"])
+@pytest.mark.parametrize("x", [0.3, 0.7, 7.5, 40.5])
+def test_premium_curvature_is_the_derivative_of_x_f(shape, x):
+    # central difference of x f(x), away from the counterexample's knees
+    # and inside one segment of the table
+    h = 1e-6 * x
+    fd = ((x + h) * shape.density(x + h) - (x - h) * shape.density(x - h)) / (2 * h)
+    assert abs(shape.premium_curvature(x) - fd) <= 1e-6 * shape.density(x)
+    if not isinstance(shape, TabulatedShape):
+        assert shape.premium_curvature(-x) == shape.premium_curvature(x)
+
+
+def test_power_premium_curvature_far_from_the_quote():
+    # f + x f' = q/(1+x)^2 at alpha = 1; formed as f + x f' it cancelled to
+    # 0 at x = 6.4e24, and alpha = 1.5 turns concave past x = 2
+    x = 6.4e24
+    assert PowerLawShape(Q, 1.0).premium_curvature(x) == pytest.approx(Q / (1 + x) ** 2, rel=1e-15)
+    sh = PowerLawShape(Q, 1.5)
+    assert sh.premium_curvature(1.9) > 0.0 > sh.premium_curvature(2.1)

@@ -198,6 +198,23 @@ def test_continuous_limit_modes_coincide_on_block(block):
     assert l1.initial_block == pytest.approx(l2.initial_block, rel=1e-10)
 
 
+def test_spread_limit_far_from_the_quote():
+    # the bracket's end sits at offset 6.4e24, where f + x f' = q/(1+x)^2
+    # used to cancel to 0 and the limit was refused as not convex
+    sh = PowerLawShape(9005.38, 1.0)
+    lim = continuous_limit(Resilience.SPREAD, sh, 514419.38, 0.957, 1.0)
+    assert abs(lim.initial_block + lim.rate + lim.final_block - 514419.38) <= 1e-9 * 514419.38
+    assert 0.0 < lim.initial_block < 514419.38
+    # the gap's terms grow like x^2 at the root
+    assert lim.root_residual <= 1e-9 * sh.offset(lim.initial_block) ** 2
+
+
+def test_spread_limit_refuses_a_concave_premium():
+    # alpha = 1.5: the premium is concave past offset 2
+    with pytest.raises(InvalidParam):
+        continuous_limit(Resilience.SPREAD, PowerLawShape(Q, 1.5), Q, 20.0, 1.0)
+
+
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 def test_discrete_converges_at_rate_one_over_n(mode, block):
     # halving check: the xi0 gap to the limit shrinks by 2 when N doubles
