@@ -141,6 +141,17 @@ def test_descent_on_a_table_with_finite_mass(mode):
     assert abs(got.best_cost - want) <= 1e-7 * abs(want)
 
 
+def test_descent_prices_a_start_that_overflows_at_inf():
+    # all at once, 720 q shares push the alpha = 1 offset past exp(700) to
+    # inf: the cost is NaN and the spread-recovery gradient divides by the
+    # density there, 0. That start is priced at inf and the other one wins
+    p = MarketParams(x0=3.6e6, horizon=1.0, steps=1, rho=200.0, mode=Resilience.SPREAD)
+    res = minimize_cost(p, PowerLawShape(Q, 1.0), starts=2)
+    assert not res.converged
+    assert math.isfinite(res.best_cost)
+    assert res.best_strategy.trades == pytest.approx((1.8e6, 1.8e6), rel=1e-9)
+
+
 def test_referee_stays_independent_of_the_root_path():
     # the referees may see the cost and its gradient only: no solver, no
     # root finder, no characteristic map or validator

@@ -399,7 +399,7 @@ def _premium_by_quadrature(alpha, t):
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8])
+@pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-8])
 def test_power_premium_near_the_quote(alpha, t):
     # the closed form subtracts two terms of about t: at t = 1e-6 it was
     # 5e-4 relative off, and at 1e-8 it read 0 or 1.85x the premium
