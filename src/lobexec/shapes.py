@@ -206,7 +206,7 @@ class PowerLawShape(Shape):
         #   q t^2 sum_k binom(-alpha, k) t^k / (k + 2)
         #   = q (t^2/2 - alpha t^3/3 + alpha (alpha+1) t^4/8 - ...),
         # whose terms shrink like (|alpha| t)^k; past the crossover the
-        # closed form is within 1e-14 relative
+        # closed form is within 1e-14 relative, 1e-12 for alpha near 1
         coeffs, binom = [], 1.0
         for k in range(_SERIES_TERMS):
             coeffs.append(binom / (k + 2))
