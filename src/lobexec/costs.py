@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 # replay stays bound here: benchmarks/tracing.py times costs.replay
-from .dynamics import MarketParams, Resilience, node_states, replay, walk
+from .dynamics import MarketParams, Resilience, equal_run, node_states, replay, walk
 from .errors import InvalidParam
 from .shapes import Shape
 
@@ -48,7 +49,7 @@ class Strategy:
     trades: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "trades", tuple(float(x) for x in self.trades))
+        object.__setattr__(self, "trades", tuple(map(float, self.trades)))
 
     @property
     def total(self) -> float:
@@ -61,10 +62,12 @@ class Strategy:
             )
 
 
-def as_trades(strategy) -> list[float]:
+def as_trades(strategy) -> Sequence[float]:
+    """The trades of a Strategy (its tuple, not a copy) or of any
+    iterable of numbers, as floats."""
     if isinstance(strategy, Strategy):
-        return list(strategy.trades)
-    return [float(x) for x in strategy]
+        return strategy.trades
+    return list(map(float, strategy))
 
 
 def order_cost(shape: Shape, d_pre: float, d_post: float, a0: float = 0.0) -> float:
@@ -185,21 +188,49 @@ def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarra
 
 
 def _gradient(params: MarketParams, shape: Shape, d_pre, d_post) -> np.ndarray:
+    """The backward recursion of analytic_gradient over walked offsets.
+
+    Each step maps g to a new g through the node's inputs (D_{n+1},
+    Dp_n) alone, so where those repeat (the steady stretch of a walk)
+    spread recovery reuses its coefficient a f(D_{n+1}) / f(Dp_n), and
+    once a step also returns the g it found, every further node with the
+    same inputs returns it too: the rest of that run is filled with it,
+    by np.repeat rather than by converting a float per node. As in
+    node_states, the values must be nonzero for equal to mean equal bits.
+    """
     a = params.decay
+    volume_mode = params.mode is Resilience.VOLUME
+    density = shape.density
+    nexts, posts = d_pre[:0:-1], d_post[-2::-1]  # nodes N-1 down to 0
     g = d_post[-1]
     out = [g]
-    nodes = zip(reversed(d_pre[1:]), reversed(d_post[:-1]))
-    if params.mode is Resilience.VOLUME:
-        for d_next, post in nodes:
-            g = a * (g - d_next) + post
-            out.append(g)
-    else:
-        density = shape.density
-        for d_next, post in nodes:
-            g = post + a * density(d_next) / density(post) * (g - d_next)
-            out.append(g)
+    fills = []  # (j, k): out[j] also stands for the k nodes after it
+    u = v = c = None  # spread recovery: c is a f(u) / f(v)
+    i, end = 0, len(posts)
+    while i < end:
+        d_next, post = nexts[i], posts[i]
+        if volume_mode:
+            g_new = a * (g - d_next) + post
+        else:
+            if not (d_next == u and post == v and d_next and post):
+                # left to right, as g = post + a f(d_next) / f(post) * (g - d_next)
+                c = a * density(d_next) / density(post)
+                u, v = d_next, post
+            g_new = post + c * (g - d_next)
+        out.append(g_new)
+        if g_new == g and 0.0 not in (g, d_next, post):
+            k = min(equal_run(nexts, i + 1), equal_run(posts, i + 1))
+            fills.append((len(out) - 1, k))
+            i += k
+        g = g_new
+        i += 1
     out.reverse()
-    return np.array(out)
+    if not fills:
+        return np.array(out)
+    counts = np.ones(len(out), dtype=np.intp)
+    for j, k in fills:
+        counts[-1 - j] += k
+    return np.repeat(out, counts)
 
 
 def cost_and_gradient(params: MarketParams, shape: Shape, strategy) -> tuple[float, np.ndarray]:

@@ -10,7 +10,9 @@ native to the mode, so repeated decays never accumulate F round trips.
 node_states is that recursion, written once: on plain floats through a
 shape's scalar maps it is walk, which the cost functionals, their
 gradients and replay all read, and on (M,) columns through the array
-maps it prices a batch of schedules (costs.impact_costs).
+maps it prices a batch of schedules (costs.impact_costs). On floats it
+walks a run of equal trades whose state has settled once (see
+node_states), which is most of an optimal schedule.
 
 The full two-sided book keeps independent ask and bid states: buys eat
 the ask side only, sells the bid side only. The simplified single-state
@@ -166,12 +168,26 @@ def node_states(params: MarketParams, trades, volume, offset):
     with a float per trade, or its array ones with an (M,) column per
     node, which runs M schedules at once. Returns the lists (E_pre,
     D_pre, E_post, D_post), indexed by node.
+
+    On a list or tuple of trades, runs of equal trades are walked once.
+    The step from one node to the next is a pure function of the state
+    (E, D) it starts from and of the trade. So once a step returns the
+    state it found, and the trades after it equal the one it used, each
+    of those steps returns that state again, bit for bit: the lists are
+    extended with the node's four values to the end of the run, and the
+    maps are not called there. Equal floats are equal bits except 0.0
+    and -0.0, so the trade and the state must also be nonzero. The
+    (M,) columns of impact_costs come as an array and never skip.
     """
     a = params.decay
     volume_mode = params.mode is Resilience.VOLUME
+    runs = isinstance(trades, (list, tuple))
     states = e_pre, d_pre, e_post, d_post = [], [], [], []
     e = d = 0.0  # the book starts flat
-    for n, x in enumerate(trades):
+    x_prev = None
+    n, end = 0, len(trades)
+    while n < end:
+        x = trades[n]
         if n > 0 and volume_mode:
             e = a * e
             d = offset(e)
@@ -184,15 +200,36 @@ def node_states(params: MarketParams, trades, volume, offset):
         d = offset(e)
         e_post.append(e)
         d_post.append(d)
+        if (runs and x == x_prev and e == e_post[-2] and d == d_post[-2]
+                and 0.0 not in (x, e, d)):
+            k = equal_run(trades, n + 1)
+            for values in states:
+                values.extend([values[-1]] * k)
+            n += k
+        x_prev = x
+        n += 1
     return states
+
+
+def equal_run(values, start: int) -> int:
+    """How many entries of a list or tuple, from index start on, equal
+    the one before start without a break."""
+    x = values[start - 1]
+    rest = values[start:]
+    k = rest.count(x)
+    if rest[:k].count(x) != k:  # x comes back after the run ends
+        k = 0
+        while rest[k] == x:
+            k += 1
+    return k
 
 
 def walk(params: MarketParams, shape: Shape, trades):
     """node_states on plain floats through the shape's scalar maps.
 
-    Trades must have length steps+1.
+    Trades is a sequence (a list, a tuple or an array row) of length
+    steps+1; it is read in place.
     """
-    trades = list(trades)
     if len(trades) != params.steps + 1:
         raise InvalidParam(
             f"expected {params.steps + 1} trades, got {len(trades)}"

@@ -96,7 +96,7 @@ def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
             "model assumptions do not hold at these parameters",
             report,
         )
-    strat = Strategy(tuple(trades))
+    strat = Strategy(trades)
     resid, mean = lagrange_residual(params, shape, strat)
     return OptimalSchedule(
         strategy=strat,

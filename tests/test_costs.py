@@ -36,7 +36,7 @@ from lobexec import (
     replay,
 )
 from lobexec.costs import CostReport, as_trades
-from lobexec.dynamics import SimplifiedState, TrajectoryPoint, apply_order, decay
+from lobexec.dynamics import SimplifiedState, TrajectoryPoint, apply_order, decay, walk
 from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
 
@@ -409,3 +409,120 @@ def test_walk_matches_the_replay_forms(shape, mode):
             assert pair == _outcome(lambda *a: (impact_cost(*a), analytic_gradient(*a)), p, shape, row)
             if i == count and bounded:  # the far row
                 assert pair is OutOfDomain
+
+
+# --- the fast-forward through runs of equal trades -------------------------
+#
+# walk and the backward gradient skip the nodes of a run of equal trades
+# once the state (or g) they carry repeats. The replay forms above take
+# every step; on schedules with runs, settled or not, both must agree bit
+# for bit.
+
+
+class _CountingShape:
+    """A shape that counts its scalar map calls."""
+
+    def __init__(self, shape):
+        self.shape, self.calls = shape, 0
+
+    def __getattr__(self, name):
+        return getattr(self.shape, name)
+
+    def _count(self, fn, x):
+        self.calls += 1
+        return fn(x)
+
+    def volume(self, x):
+        return self._count(self.shape.volume, x)
+
+    def offset(self, y):
+        return self._count(self.shape.offset, y)
+
+    def density(self, x):
+        return self._count(self.shape.density, x)
+
+
+def _assert_replay_forms(p, shape, trades):
+    cases = [
+        (replay, _replay_by_states),
+        (impact_cost, _impact_cost_by_replay),
+        (analytic_gradient, _analytic_gradient_by_replay),
+        (lagrange_residual, _lagrange_residual_by_replay),
+        (lambda *a: cost_report(*a, a0=2.5), lambda *a: _cost_report_by_replay(*a, a0=2.5)),
+    ]
+    want = [_outcome(old, p, shape, trades) for _, old in cases]
+    for strategy in (list(trades), tuple(trades), Strategy(trades)):
+        for (new, _), w in zip(cases, want):
+            arg = strategy.trades if new is replay and isinstance(strategy, Strategy) else strategy
+            assert _outcome(new, p, shape, arg) == w
+        assert _outcome(cost_and_gradient, p, shape, strategy) == [want[1], want[2]]
+
+
+RUN_SHAPES = [BlockShape(Q), PowerLawShape(Q, 0.5), PowerLawShape(Q, -2.0), SqrtShape(Q, 1.0)]
+RUN_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in RUN_SHAPES]
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES[:2], ids=RUN_IDS[:2])
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_solver_schedules_walk_as_the_replay_forms(shape, mode):
+    # N = 1e4: xi0, then 9999 equal trades, then the last one
+    p = MarketParams(x0=1e5, horizon=1.0, steps=10_000, rho=20.0, mode=mode)
+    trades = solve(p, shape).trades
+    assert len(set(trades[1:-1])) == 1
+    _assert_replay_forms(p, shape, trades)
+
+
+def _run_schedules(steps, x0):
+    u = x0 / (steps + 1)
+    interrupted = [u] * (steps + 1)
+    interrupted[steps // 3] = 2.0 * u  # the run resumes and settles again
+    interrupted[2 * steps // 3] = 0.5 * u
+    short = [u, u, 2.0 * u, u, 3.0 * u, 3.0 * u, u] * (steps // 7 + 1)
+    zeros = [4.0 * u] + [0.0] * 4 + [-0.0] * 3 + [u] * (steps // 2) + [0.0] * steps
+    flip = [u] * (steps // 2) + [-u] * (steps // 2) + [u] * steps
+    return {
+        "interrupted": interrupted,
+        "runs of 1 and 2": short[: steps + 1],
+        "zeros": zeros[: steps + 1],
+        "sign change": flip[: steps + 1],
+        "all zeros": [0.0] * (steps + 1),
+    }
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES, ids=RUN_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+@pytest.mark.parametrize("kind", ["interrupted", "runs of 1 and 2", "zeros", "sign change", "all zeros"])
+def test_runs_walk_as_the_replay_forms(shape, mode, kind):
+    # a = exp(-0.2): a run's state settles in about 200 nodes
+    p = MarketParams(x0=1e5, horizon=1.0, steps=1000, rho=200.0, mode=mode)
+    trades = _run_schedules(p.steps, p.x0)[kind]
+    assert len(trades) == p.steps + 1
+    _assert_replay_forms(p, shape, trades)
+    counting = _CountingShape(shape)
+    walk(p, counting, trades)
+    skips = kind in ("interrupted", "zeros", "sign change")
+    assert (counting.calls < 2 * len(trades) - 1) == skips
+
+
+@pytest.mark.parametrize("shape", RUN_SHAPES, ids=RUN_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_run_that_never_settles_walks_as_the_replay_forms(shape, mode):
+    # a = 1 - 1e-9: the book barely recovers, so a run's state keeps growing
+    p = MarketParams(x0=1e5, horizon=1.0, steps=1000, rho=1e-6, mode=mode)
+    trades = [p.x0 / 1001] * 1001
+    _assert_replay_forms(p, shape, trades)
+    counting = _CountingShape(shape)
+    walk(p, counting, trades)
+    assert counting.calls == 2 * len(trades) - 1
+
+
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_the_certificate_walks_the_steady_stretch_once(mode):
+    # N = 1e5: the walk and the gradient call the maps a fixed number of
+    # times, not twice per node
+    shape = PowerLawShape(Q, 0.5)
+    p = MarketParams(x0=1e5, horizon=1.0, steps=100_000, rho=20.0, mode=mode)
+    trades = solve(p, shape).trades
+    counting = _CountingShape(shape)
+    assert lagrange_residual(p, counting, trades) == lagrange_residual(p, shape, trades)
+    assert counting.calls <= 20
