@@ -14,6 +14,8 @@ makes it the natural cost potential for the execution problem. The
 premium's second derivative f(x) + x f'(x), premium_curvature, decides
 whether the spread-recovery continuous limit exists; each family gives
 it in closed form, so it does not cancel where f and x f' nearly do.
+The limit reads it as relative_curvature, (f + x f')/f, which keeps its
+sign and stays finite where both underflow far from the quote.
 
 Built-in families carry closed forms. The sell side is handled by the
 antisymmetric extension F(x) = -F(-x) (densities are even in the offset),
@@ -115,6 +117,16 @@ class Shape:
     def premium_curvature(self, x: float) -> float:
         """f(x) + x f'(x), the premium's second derivative; even in x."""
         return self._premium_curvature(abs(x))
+
+    def relative_curvature(self, x: float) -> float:
+        """(f(x) + x f'(x)) / f(x), the premium's curvature over the density.
+
+        It has the curvature's sign, since f > 0, and is the reciprocal
+        of the ratio f / (f + x f') the spread-recovery limit needs. A
+        family whose f underflows far from the quote gives it in closed
+        form, where it stays finite.
+        """
+        return self.premium_curvature(x) / self.density(x)
 
     # signed array API: density, volume, offset and premium elementwise
 
@@ -278,7 +290,11 @@ class PowerLawShape(Shape):
 
     def _premium_curvature(self, t):
         # q (1 + (1-alpha) t) / (1+t)^(alpha+1)
-        return self._density(t) * (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
+        return self._density(t) * self.relative_curvature(t)
+
+    def relative_curvature(self, x):
+        t = abs(x)
+        return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
     def _density_array(self, t):
         return self.q * (t + 1.0) ** (-self.alpha)

@@ -287,13 +287,13 @@ def continuous_limit(
 
         def gap(y: float) -> float:
             x = shape.offset(y)
-            f = shape.density(x)
-            den = shape.premium_curvature(x)
-            if den <= 0.0:
+            # f / (f + x f') as 1 / r: r stays finite where f and f + x f' underflow
+            r = shape.relative_curvature(x)
+            if r <= 0.0:
                 raise InvalidParam(
                     f"premium is not convex at offset {x}; no spread-recovery limit"
                 )
-            return x * (1.0 + f / den) - shape.offset(x0 - rt * x * f)
+            return x * (1.0 + 1.0 / r) - shape.offset(x0 - rt * x * shape.density(x))
 
     eps = 1e-12 * x0
     y_star = bracketed_root(gap, eps, x0 - eps)

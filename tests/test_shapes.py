@@ -438,6 +438,24 @@ def test_premium_curvature_is_the_derivative_of_x_f(shape, x):
         assert shape.premium_curvature(-x) == shape.premium_curvature(x)
 
 
+@pytest.mark.parametrize("shape", FAMILIES + [_table_401()], ids=_ids(FAMILIES) + ["tabulated"])
+@pytest.mark.parametrize("x", [0.3, 0.7, 7.5, 40.5])
+def test_relative_curvature_is_the_curvature_over_the_density(shape, x):
+    want = shape.premium_curvature(x) / shape.density(x)
+    assert shape.relative_curvature(x) == pytest.approx(want, rel=1e-15)
+
+
+def test_power_relative_curvature_stays_finite_far_from_the_quote():
+    # at alpha = 1 it is 1/(1+x), which stays normal where f + x f' =
+    # q/(1+x)^2 has underflowed to 0; alpha = 1.5 turns negative past x = 2
+    x = 5.2e173
+    assert PowerLawShape(Q, 1.0).premium_curvature(x) == 0.0
+    assert PowerLawShape(Q, 1.0).relative_curvature(x) == pytest.approx(1.0 / (1.0 + x), rel=1e-15)
+    sh = PowerLawShape(Q, 1.5)
+    assert sh.relative_curvature(1.9) > 0.0 > sh.relative_curvature(2.1)
+    assert sh.relative_curvature(-2.1) == sh.relative_curvature(2.1)
+
+
 def test_power_premium_curvature_far_from_the_quote():
     # f + x f' = q/(1+x)^2 at alpha = 1; formed as f + x f' it cancelled to
     # 0 at x = 6.4e24, and alpha = 1.5 turns concave past x = 2

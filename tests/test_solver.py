@@ -209,6 +209,18 @@ def test_spread_limit_far_from_the_quote():
     assert lim.root_residual <= 1e-9 * sh.offset(lim.initial_block) ** 2
 
 
+def test_spread_limit_where_the_curvature_underflows():
+    # x0 = 400 q: the bracket's end sits at offset 5.2e173, where
+    # f + x f' = q/(1+x)^2 underflows to 0 and the limit was refused as
+    # not convex; the ratio f / (f + x f') = 1 + x is finite there
+    x0 = 2e6
+    lim = continuous_limit(Resilience.SPREAD, PowerLawShape(Q, 1.0), x0, 20.0, 1.0)
+    assert abs(lim.initial_block + lim.rate + lim.final_block - x0) <= 1e-9 * x0
+    assert 0.0 < lim.initial_block < x0
+    with pytest.raises(InvalidParam, match="not convex"):
+        continuous_limit(Resilience.SPREAD, PowerLawShape(Q, 1.5), x0, 20.0, 1.0)
+
+
 def test_spread_limit_refuses_a_concave_premium():
     # alpha = 1.5: the premium is concave past offset 2
     with pytest.raises(InvalidParam):
