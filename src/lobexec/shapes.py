@@ -218,13 +218,26 @@ class PowerLawShape(Shape):
         #   q t^2 sum_k binom(-alpha, k) t^k / (k + 2)
         #   = q (t^2/2 - alpha t^3/3 + alpha (alpha+1) t^4/8 - ...),
         # whose terms shrink like (|alpha| t)^k; past the crossover the
-        # closed form is within 1e-14 relative, 1e-12 for alpha near 1
+        # closed form is within 1e-14 relative
         coeffs, binom = [], 1.0
         for k in range(_SERIES_TERMS):
             coeffs.append(binom / (k + 2))
             binom *= -(self.alpha + k) / (k + 1)
         object.__setattr__(self, "_series", tuple(reversed(coeffs)))
         object.__setattr__(self, "_crossover", 0.5 / max(5.0, abs(self.alpha)))
+        # past it the closed form subtracts 1 from (1+t)^p, p = 2 - alpha
+        # and 1 - alpha, which cancels where the power is near 1, and the
+        # 1/p in front magnifies the loss as p nears 0 (alpha near 1 or 2:
+        # 1.4e-12 relative at alpha = 0.99). Below |p log1p(t)| = 0.5, i.e.
+        # t < expm1(0.5/|p|), the term is expm1(p log1p(t)) instead; above
+        # it the power is exact to rounding, while expm1 would magnify
+        # log1p's rounding by |p log1p(t)|. alpha = 0, 1 and 2 have their
+        # own closed forms; the array form recomputes the offsets below
+        # _near_edge
+        below = (0.0, 0.0) if self.alpha in (0.0, 1.0, 2.0) else tuple(
+            math.expm1(min(0.5 / abs(p), _EXP_CAP)) for p in (2.0 - self.alpha, 1.0 - self.alpha))
+        object.__setattr__(self, "_expm1_below", below)
+        object.__setattr__(self, "_near_edge", max(self._crossover, *below))
 
     # a float ** that overflows raises OverflowError; each map returns
     # inf there instead, the limit it overflows toward and what numpy's **
@@ -283,10 +296,14 @@ class PowerLawShape(Shape):
             return q * (t - math.log1p(t))
         if a == 2.0:
             return q * (math.log1p(t) + 1.0 / u - 1.0)
+        b, c = 2.0 - a, 1.0 - a
+        tb, tc = self._expm1_below
         try:
-            return q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
+            ub = math.expm1(b * math.log1p(t)) if t < tb else u ** b - 1.0
+            uc = math.expm1(c * math.log1p(t)) if t < tc else u ** c - 1.0
         except OverflowError:
             return math.inf
+        return q * (ub / b - uc / c)
 
     def _premium_curvature(self, t):
         # q (1 + (1-alpha) t) / (1+t)^(alpha+1)
@@ -329,10 +346,23 @@ class PowerLawShape(Shape):
         else:
             p = q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
         p, t = np.array(p), np.asarray(t)
+        band = (t >= self._crossover) & (t < self._near_edge)
+        if band.any():
+            p[band] = self._expm1_terms(t[band])
         near = t < self._crossover
         if near.any():
             p[near] = self._near_quote(t[near])
         return p
+
+    def _expm1_terms(self, t):
+        """The closed premium on an array of offsets between the crossover
+        and _near_edge, with each term as _premium takes it."""
+        b, c = 2.0 - self.alpha, 1.0 - self.alpha
+        tb, tc = self._expm1_below
+        lt = np.log1p(t)
+        ub = np.where(t < tb, np.expm1(b * lt), (t + 1.0) ** b - 1.0)
+        uc = np.where(t < tc, np.expm1(c * lt), (t + 1.0) ** c - 1.0)
+        return self.q * (ub / b - uc / c)
 
     def volume_bounds(self):
         if self.alpha > 1.0:

@@ -392,7 +392,8 @@ def test_power_law_overflow_is_inf():
 
 def _premium_by_quadrature(alpha, t):
     """int_0^t u q (1+u)^-alpha du by 20-point Gauss-Legendre: the integrand
-    is analytic well past [0, t] for t <= 0.1, so this is exact to roundoff."""
+    is analytic well past [0, t] for t <= 1 (its one singularity is at
+    u = -1), so this is exact to roundoff."""
     x, w = np.polynomial.legendre.leggauss(20)
     u = 0.5 * t * (x + 1.0)
     return 0.5 * t * float(np.dot(w, u * Q * (1.0 + u) ** -alpha))
@@ -408,6 +409,18 @@ def test_power_premium_near_the_quote(alpha, t):
     assert abs(sh.premium(t) - want) <= 1e-14 * want
     assert sh.premium(-t) == sh.premium(t)
     assert np.all(np.abs(sh.premium_array([t, -t]) - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 1.01, 1.99, 2.01])
+@pytest.mark.parametrize("t", [0.11, 0.3, 1.0])
+def test_power_premium_near_alpha_one_and_two(alpha, t):
+    # (1+t)^p - 1 with p = 1 - alpha or 2 - alpha near 0 cancels, and the
+    # 1/p in front magnifies the loss: alpha = 0.99 read 1.4e-12 relative
+    # off at t = 0.11 before the closed form used expm1(p log1p(t))
+    sh = PowerLawShape(Q, alpha)
+    want = _premium_by_quadrature(alpha, t)
+    assert abs(sh.premium(t) - want) <= 1e-14 * want
+    assert abs(sh.premium_array([t])[0] - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
