@@ -513,7 +513,7 @@ def test_runs_walk_as_the_replay_forms(shape, mode, kind):
 @pytest.mark.parametrize("shape", RUN_SHAPES, ids=RUN_IDS)
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 def test_a_run_that_never_settles_walks_as_the_replay_forms(shape, mode):
-    # a = 1 - 1e-9: the book barely recovers, so a run's state keeps growing
+    # a = exp(-2.5e-9): the book barely recovers, so a run's state keeps growing
     p = MarketParams(x0=1e5, horizon=1.0, steps=400, rho=1e-6, mode=mode)
     trades = [p.x0 / 401] * 401
     _assert_replay_forms(p, shape, trades)
