@@ -11,6 +11,7 @@ from .errors import NoRootInBracket, OutOfDomain
 
 _RTOL = 4 * sys.float_info.epsilon
 _MAXITER = 100
+_SUBDIVISIONS = 64  # points of the fallback scan's geometric grid
 
 
 def _brent(value, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
@@ -69,7 +70,7 @@ def _brent(value, xpre: float, xcur: float, fpre: float, fcur: float, xtol: floa
     raise NoRootInBracket(f"Brent's method did not converge in {_MAXITER} steps (last {xcur})")
 
 
-def bracketed_root(fn, lo: float, hi: float, subdivisions: int = 64) -> float:
+def bracketed_root(fn, lo: float, hi: float) -> float:
     """Root of fn on (lo, hi), 0 < lo < hi.
 
     Tries the full bracket first; if the endpoint signs agree, scans a
@@ -98,7 +99,7 @@ def bracketed_root(fn, lo: float, hi: float, subdivisions: int = 64) -> float:
         return hi
     if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0:
         return _brent(value, lo, hi, flo, fhi, xtol)
-    grid = np.geomspace(lo, hi, subdivisions)
+    grid = np.geomspace(lo, hi, _SUBDIVISIONS)
     fprev, xprev = flo, lo
     for x in grid[1:]:
         fx = value(float(x))
@@ -108,5 +109,5 @@ def bracketed_root(fn, lo: float, hi: float, subdivisions: int = 64) -> float:
             return _brent(value, xprev, float(x), fprev, fx, xtol)
         fprev, xprev = fx, float(x)
     raise NoRootInBracket(
-        f"no sign change on ({lo}, {hi}) across {subdivisions} geometric points"
+        f"no sign change on ({lo}, {hi}) across {_SUBDIVISIONS} geometric points"
     )

@@ -19,8 +19,14 @@ sign and stays finite where both underflow far from the quote.
 
 Built-in families carry closed forms. The sell side is handled by the
 antisymmetric extension F(x) = -F(-x) (densities are even in the offset),
-so volume and premium work for signed arguments throughout. Tabulated
-densities integrate their linear interpolant exactly, segment by segment.
+so volume and premium work for signed arguments throughout.
+
+The piecewise-linear books are one private ramp: a one-sided
+piecewise-linear density on knots from the quote outward, whose volume
+and premium are the exact integrals of its interpolant, summed from the
+quote, so near it they stay exact relative to their size. The
+counterexample is one ramp, mirrored like the closed forms; a table is
+two, one per side of the quote.
 
 The module also hosts the preflight validators for the two resilience
 models: scans that check the injectivity of the characteristic maps and
@@ -32,6 +38,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,11 +240,16 @@ class PowerLawShape(Shape):
         # it the power is exact to rounding, while expm1 would magnify
         # log1p's rounding by |p log1p(t)|. alpha = 0, 1 and 2 have their
         # own closed forms; the array form recomputes the offsets below
-        # _near_edge
+        # _near_edge. The volume is q uc/c with the same term for p = c =
+        # 1 - alpha, and the offset inverts it on the same offsets, below
+        # the volume at t_c, as expm1(log1p(c v/q)/c)
         below = (0.0, 0.0) if self.alpha in (0.0, 1.0, 2.0) else tuple(
             math.expm1(min(0.5 / abs(p), _EXP_CAP)) for p in (2.0 - self.alpha, 1.0 - self.alpha))
         object.__setattr__(self, "_expm1_below", below)
         object.__setattr__(self, "_near_edge", max(self._crossover, *below))
+        c = 1.0 - self.alpha
+        near_volume = self.q / c * math.expm1(c * math.log1p(below[1])) if below[1] else 0.0
+        object.__setattr__(self, "_near_volume", near_volume)
 
     # a float ** that overflows raises OverflowError; each map returns
     # inf there instead, the limit it overflows toward and what numpy's **
@@ -255,8 +267,11 @@ class PowerLawShape(Shape):
             return self.q * math.log1p(t)
         if a == 0.0:
             return self.q * t
+        c = 1.0 - a
+        if t < self._expm1_below[1]:
+            return self.q / c * math.expm1(c * math.log1p(t))
         try:
-            return self.q / (1.0 - a) * ((t + 1.0) ** (1.0 - a) - 1.0)
+            return self.q / c * ((t + 1.0) ** c - 1.0)
         except OverflowError:
             return math.inf
 
@@ -267,14 +282,18 @@ class PowerLawShape(Shape):
             return math.expm1(e) if e <= _EXP_CAP else math.inf
         if a == 0.0:
             return v / self.q
-        base = 1.0 + (1.0 - a) * v / self.q
+        c = 1.0 - a
+        z = c * v / self.q
+        if v < self._near_volume:
+            return math.expm1(math.log1p(z) / c)
+        base = 1.0 + z
         if base <= 0.0:
             # volume beyond the saturation bound q/(alpha-1)
             raise OutOfDomain(
                 f"volume {v} exceeds the book's total depth (alpha={a}, q={self.q})"
             )
         try:
-            return base ** (1.0 / (1.0 - a)) - 1.0
+            return base ** (1.0 / c) - 1.0
         except OverflowError:
             return math.inf
 
@@ -322,7 +341,15 @@ class PowerLawShape(Shape):
             return self.q * np.log1p(t)
         if a == 0.0:
             return self.q * t
-        return self.q / (1.0 - a) * ((t + 1.0) ** (1.0 - a) - 1.0)
+        # the expm1 form below t_c, as the scalar map; where every offset
+        # is below it (decayed volumes), the power is not formed at all
+        c = 1.0 - a
+        near = np.flatnonzero(t < self._expm1_below[1])
+        if near.size == t.size:
+            return self.q / c * np.expm1(c * np.log1p(t))
+        uc = np.asarray((t + 1.0) ** c - 1.0)
+        uc.put(near, np.expm1(c * np.log1p(t.take(near))))
+        return self.q / c * uc
 
     def _offset_array(self, v):
         a = self.alpha
@@ -331,9 +358,16 @@ class PowerLawShape(Shape):
             return np.where(e <= _EXP_CAP, np.expm1(e), np.inf)
         if a == 0.0:
             return v / self.q
-        base = 1.0 + (1.0 - a) * v / self.q
+        c = 1.0 - a
+        z = c * v / self.q
+        near = np.flatnonzero(v < self._near_volume)
+        if near.size == v.size:
+            return np.expm1(np.log1p(z) / c)
+        base = 1.0 + z
         # NaN beyond the saturation bound, where the scalar map raises
-        return np.where(base > 0.0, base ** (1.0 / (1.0 - a)) - 1.0, np.nan)
+        x = np.where(base > 0.0, base ** (1.0 / c) - 1.0, np.nan)
+        x.put(near, np.expm1(np.log1p(z.take(near)) / c))
+        return x
 
     def _premium_array(self, t):
         a, q, u = self.alpha, self.q, t + 1.0
@@ -424,15 +458,141 @@ class SqrtShape(Shape):
         return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
 
 
+def _segment_volume(c, m, w):
+    """int_0^w (c + m s) ds: the volume a segment holds up to w past its
+    start knot, for density c there and slope m; floats or arrays."""
+    return w * (c + 0.5 * m * w)
+
+
+def _segment_premium(t0, c, m, w):
+    """int_0^w (t0 + s)(c + m s) ds, the same segment's premium. The
+    brackets are the density at w/2 and half the density at 2w/3, both
+    positive, so the sum has no cancelling terms."""
+    return w * (t0 * (c + 0.5 * m * w) + w * (0.5 * c + m * w / 3.0))
+
+
+def _running_sums(terms):
+    """0 and the partial sums of terms, each from a compensated total
+    (Neumaier), so that a sum far from the quote is still exact to about
+    one rounding."""
+    sums, total, carry = [0.0], 0.0, 0.0
+    for x in terms:
+        s = total + x
+        carry += (total - s) + x if abs(total) >= abs(x) else (x - s) + total
+        total = s
+        sums.append(total + carry)
+    return sums
+
+
+class _Ramp(Shape):
+    """A one-sided piecewise-linear density on knots 0 = t_0 < ... < t_K.
+
+    The density is linear between knots and right-continuous at each.
+    Volume and premium are the exact integrals of the interpolant,
+    accumulated outward from the quote, so near it they are the first
+    segment's own integrals, exact relative to their size. A last knot
+    at inf makes the last segment a flat tail; past a finite last knot
+    the maps raise OutOfDomain (NaN in the array forms). A lone knot at 0
+    covers the quote only. The maps are written once for floats, with
+    bisect on tuples, and once for arrays, with np.searchsorted.
+    """
+
+    def __init__(self, knots, densities):
+        self._build(knots, densities)
+
+    def _build(self, knots, densities):
+        t = np.asarray(knots, dtype=float)
+        f = np.asarray(densities, dtype=float)
+        # segment i runs from knot i to knot i+1 (a lone knot: from 0 to 0)
+        slopes = np.diff(f) / np.diff(t) if t.size > 1 else np.zeros(1)
+        segs = slopes.size
+        start, c, end = t[:segs], f[:segs], float(t[-1])
+        # the segments whose far knot is finite hold finite volume
+        full = segs if math.isfinite(end) else segs - 1
+        w = np.diff(t)[:full]
+        vol = _running_sums(_segment_volume(c[:full], slopes[:full], w).tolist())
+        prem = _running_sums(_segment_premium(start[:full], c[:full], slopes[:full], w).tolist())
+        depth = vol[-1] if math.isfinite(end) else math.inf
+        # vars(): the frozen dataclass subclasses build through here too
+        vars(self).update(
+            _end=end, _depth=depth,
+            _t=tuple(start.tolist()), _c=tuple(c.tolist()), _m=tuple(slopes.tolist()),
+            _v=tuple(vol[:segs]), _p=tuple(prem[:segs]),
+            _ta=start, _ca=c, _ma=slopes, _va=np.array(vol[:segs]), _pa=np.array(prem[:segs]),
+        )
+
+    def _locate(self, t):
+        """The segment holding offset t >= 0, and t's distance into it."""
+        if t > self._end:
+            raise OutOfDomain(f"offset {t} from the quote is past the last knot at {self._end}")
+        i = bisect_right(self._t, t) - 1
+        return i, t - self._t[i]
+
+    def _density(self, t):
+        i, w = self._locate(t)
+        return self._c[i] + self._m[i] * w
+
+    def _volume(self, t):
+        i, w = self._locate(t)
+        return self._v[i] + _segment_volume(self._c[i], self._m[i], w)
+
+    def _offset(self, v):
+        if v > self._depth:
+            raise OutOfDomain(f"volume {v} from the quote is past the covered {self._depth}")
+        i = bisect_right(self._v, v) - 1
+        d, c = v - self._v[i], self._c[i]
+        # smaller root of m/2 w^2 + c w = d, rationalized
+        return self._t[i] + 2.0 * d / (c + math.sqrt(max(c * c + 2.0 * self._m[i] * d, 0.0)))
+
+    def _premium(self, t):
+        i, w = self._locate(t)
+        return self._p[i] + _segment_premium(self._t[i], self._c[i], self._m[i], w)
+
+    def _premium_curvature(self, t):
+        # c + m w + t m on the segment
+        i, w = self._locate(t)
+        return self._c[i] + self._m[i] * (t + w)
+
+    def _locate_array(self, t):
+        i = np.searchsorted(self._ta, t, side="right") - 1
+        return i, t - self._ta[i]
+
+    @staticmethod
+    def _upto(arg, bound, value):
+        """value, NaN where arg is past bound (where the scalar map raises)."""
+        return value if bound == math.inf else np.where(arg <= bound, value, np.nan)
+
+    def _density_array(self, t):
+        i, w = self._locate_array(t)
+        return self._upto(t, self._end, self._ca[i] + self._ma[i] * w)
+
+    def _volume_array(self, t):
+        i, w = self._locate_array(t)
+        return self._upto(t, self._end, self._va[i] + _segment_volume(self._ca[i], self._ma[i], w))
+
+    def _offset_array(self, v):
+        i = np.searchsorted(self._va, v, side="right") - 1
+        d, c = v - self._va[i], self._ca[i]
+        w = 2.0 * d / (c + np.sqrt(np.maximum(c * c + 2.0 * self._ma[i] * d, 0.0)))
+        return self._upto(v, self._depth, self._ta[i] + w)
+
+    def _premium_array(self, t):
+        i, w = self._locate_array(t)
+        prem = self._pa[i] + _segment_premium(self._ta[i], self._ca[i], self._ma[i], w)
+        return self._upto(t, self._end, prem)
+
+
 @dataclass(frozen=True)
-class CounterexampleShape(Shape):
+class CounterexampleShape(_Ramp):
     """Piecewise-linear density built to defeat the spread-recovery
     characteristic map when the decay factor per step is 1/n.
 
     f = n+1 near the quote, falls with slope -n^2/(n-1) on [1/n, 1], and
-    is 1 beyond. The map h2 then takes the value (n^2-(n+1))/(-n) < 0 at
-    x = 1, so it cannot be one-to-one and the spread-recovery root
-    equation admits suboptimal solutions.
+    is 1 beyond: the ramp on knots (0, 1/n, 1, inf). The map h2 then
+    takes the value (n^2-(n+1))/(-n) < 0 at x = 1, so it cannot be
+    one-to-one and the spread-recovery root equation admits suboptimal
+    solutions. As at every ramp knot, f' at 1/n and 1 is the slope to
+    the right.
     """
 
     n: int
@@ -441,129 +601,22 @@ class CounterexampleShape(Shape):
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise InvalidParam(f"counterexample index must be an integer >= 2, got {self.n}")
-
-    @property
-    def _s(self) -> float:
         n = self.n
-        return n * n / (n - 1.0)
-
-    def _density(self, t):
-        n = self.n
-        if t < 1.0 / n:
-            return n + 1.0
-        if t <= 1.0:
-            return (n + 1.0) - self._s * (t - 1.0 / n)
-        return 1.0
-
-    def _volume(self, t):
-        n = self.n
-        if t <= 1.0 / n:
-            return (n + 1.0) * t
-        if t <= 1.0:
-            w = t - 1.0 / n
-            return (n + 1.0) / n + (n + 1.0) * w - 0.5 * self._s * w * w
-        return 0.5 * (n + 3.0) + (t - 1.0)
-
-    def _offset(self, v):
-        n = self.n
-        v_knee = (n + 1.0) / n
-        v_one = 0.5 * (n + 3.0)
-        if v <= v_knee:
-            return v / (n + 1.0)
-        if v <= v_one:
-            d = v - v_knee
-            # smaller root of s/2 w^2 - (n+1) w + d = 0, rationalized
-            w = 2.0 * d / ((n + 1.0) + math.sqrt((n + 1.0) ** 2 - 2.0 * self._s * d))
-            return 1.0 / n + w
-        return 1.0 + (v - v_one)
-
-    def _premium(self, t):
-        n = self.n
-        t_knee = 1.0 / n
-        if t <= t_knee:
-            return 0.5 * (n + 1.0) * t * t
-        p_knee = 0.5 * (n + 1.0) / (n * n)
-        # f(u) = c - s u on the ramp, with c = (n+1) + s/n
-        c = (n + 1.0) + self._s / n
-        if t <= 1.0:
-            return (
-                p_knee
-                + 0.5 * c * (t * t - t_knee * t_knee)
-                - self._s / 3.0 * (t ** 3 - t_knee ** 3)
-            )
-        p1 = (
-            p_knee
-            + 0.5 * c * (1.0 - t_knee * t_knee)
-            - self._s / 3.0 * (1.0 - t_knee ** 3)
-        )
-        return p1 + 0.5 * (t * t - 1.0)
-
-    def _premium_curvature(self, t):
-        n = self.n
-        if t < 1.0 / n:
-            return n + 1.0
-        if t <= 1.0:
-            return (n + 1.0) - self._s * (2.0 * t - 1.0 / n)
-        return 1.0
-
-    # the array forms evaluate every piece and select per element, so a
-    # piece may see arguments outside its own range (the root below goes
-    # NaN past v_one); np.select keeps only the piece the scalar takes
-
-    def _density_array(self, t):
-        n = self.n
-        return np.select(
-            [t < 1.0 / n, t <= 1.0], [n + 1.0, (n + 1.0) - self._s * (t - 1.0 / n)], 1.0
-        )
-
-    def _volume_array(self, t):
-        n = self.n
-        w = t - 1.0 / n
-        return np.select(
-            [t <= 1.0 / n, t <= 1.0],
-            [(n + 1.0) * t, (n + 1.0) / n + (n + 1.0) * w - 0.5 * self._s * w * w],
-            0.5 * (n + 3.0) + (t - 1.0),
-        )
-
-    def _offset_array(self, v):
-        n = self.n
-        v_knee = (n + 1.0) / n
-        v_one = 0.5 * (n + 3.0)
-        d = v - v_knee
-        w = 2.0 * d / ((n + 1.0) + np.sqrt((n + 1.0) ** 2 - 2.0 * self._s * d))
-        return np.select([v <= v_knee, v <= v_one], [v / (n + 1.0), 1.0 / n + w], 1.0 + (v - v_one))
-
-    def _premium_array(self, t):
-        n = self.n
-        t_knee = 1.0 / n
-        p_knee = 0.5 * (n + 1.0) / (n * n)
-        c = (n + 1.0) + self._s / n
-        p1 = (
-            p_knee
-            + 0.5 * c * (1.0 - t_knee * t_knee)
-            - self._s / 3.0 * (1.0 - t_knee ** 3)
-        )
-        return np.select(
-            [t <= t_knee, t <= 1.0],
-            [
-                0.5 * (n + 1.0) * t * t,
-                p_knee
-                + 0.5 * c * (t * t - t_knee * t_knee)
-                - self._s / 3.0 * (t ** 3 - t_knee ** 3),
-            ],
-            p1 + 0.5 * (t * t - 1.0),
-        )
+        self._build((0.0, 1.0 / n, 1.0, math.inf), (n + 1.0, n + 1.0, 1.0, 1.0))
 
 
 class TabulatedShape(Shape):
     """Density given by (offset, density) samples, linearly interpolated.
 
-    The knot grid must be strictly increasing, contain 0 in its hull, and
-    carry positive densities. Volume and premium are the exact integrals
-    of the interpolant, so a constant table reproduces BlockShape to
-    roundoff. Evaluation outside the covered offsets (or volume beyond
-    the covered mass) raises OutOfDomain: a table never certifies the
-    unbounded-volume assumption, and volume_bounds() says what it covers.
+    The knot grid must be finite and strictly increasing, contain 0 in
+    its hull, and carry positive densities. Each side of the quote is a
+    ramp measured outward from it, with the quote as a knot (at its
+    interpolated density if the table has no knot there). Volume and
+    premium are the exact integrals of the interpolant, so a constant
+    table reproduces BlockShape to roundoff. Evaluation outside the
+    covered offsets (or volume beyond the covered mass) raises
+    OutOfDomain: a table never certifies the unbounded-volume
+    assumption, and volume_bounds() says what it covers.
     """
 
     name = "tabulated"
@@ -573,6 +626,8 @@ class TabulatedShape(Shape):
         f = np.asarray(densities, dtype=float)
         if x.ndim != 1 or x.shape != f.shape or x.size < 2:
             raise InvalidParam("tabulated shape needs matching 1-d offset/density arrays, >= 2 points")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(f))):
+            raise InvalidParam("tabulated offsets and densities must be finite")
         if not np.all(np.diff(x) > 0.0):
             raise InvalidParam("tabulated offsets must be strictly increasing")
         if not np.all(f > 0.0):
@@ -581,126 +636,62 @@ class TabulatedShape(Shape):
             raise InvalidParam("tabulated offsets must straddle 0")
         self.knots = x
         self.dens = f
-        slopes = np.diff(f) / np.diff(x)
-        self._seg_slope = slopes
-        # exact integrals of the interpolant, cumulative from the left edge
-        seg_vol = 0.5 * (f[:-1] + f[1:]) * np.diff(x)
-        cum = np.concatenate(([0.0], np.cumsum(seg_vol)))
-        self._cum_vol_raw = cum
-        # premium integrand u*f(u): cubic per segment, integrate exactly
-        seg_prem = np.empty(x.size - 1)
-        for i in range(x.size - 1):
-            seg_prem[i] = self._seg_premium_raw(i, x[i + 1])
-        self._cum_prem_raw = np.concatenate(([0.0], np.cumsum(seg_prem)))
-        self._vol0 = self._cum_at(0.0)
-        self._prem0 = self._prem_at(0.0)
+        f0 = [float(np.interp(0.0, x, f))]
+        self._pos = _Ramp([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
+        self._neg = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
 
-    # raw (from left edge) helpers --------------------------------------
-
-    def _seg_index(self, x: float) -> int:
-        if x < self.knots[0] or x > self.knots[-1]:
-            raise OutOfDomain(
-                f"offset {x} outside tabulated range [{self.knots[0]}, {self.knots[-1]}]"
-            )
-        i = int(np.searchsorted(self.knots, x, side="right")) - 1
-        return min(max(i, 0), self.knots.size - 2)
-
-    def _seg_premium_raw(self, i: int, x: float) -> float:
-        x0 = self.knots[i]
-        c, m = self.dens[i], self._seg_slope[i]
-        w = x - x0
-        # int_{x0}^{x} u (c + m (u - x0)) du
-        return c * (x * x - x0 * x0) / 2.0 + m * (
-            (x ** 3 - x0 ** 3) / 3.0 - x0 * (x * x - x0 * x0) / 2.0
-        )
-
-    def _cum_at(self, x: float) -> float:
-        i = self._seg_index(x)
-        w = x - self.knots[i]
-        return self._cum_vol_raw[i] + self.dens[i] * w + 0.5 * self._seg_slope[i] * w * w
-
-    def _prem_at(self, x: float) -> float:
-        i = self._seg_index(x)
-        return self._cum_prem_raw[i] + self._seg_premium_raw(i, x)
-
-    # signed API overrides (tables are not symmetric, so no |x| folding)
+    # signed API overrides (tables are not symmetric): each offset or
+    # volume is evaluated on the ramp of its own side
 
     def density(self, x: float) -> float:
-        i = self._seg_index(x)
-        return float(self.dens[i] + self._seg_slope[i] * (x - self.knots[i]))
+        return self._neg._density(-x) if x < 0.0 else self._pos._density(x)
 
     def volume(self, x: float) -> float:
-        return self._cum_at(x) - self._vol0
+        return -self._neg._volume(-x) if x < 0.0 else self._pos._volume(x)
 
     def offset(self, y: float) -> float:
-        lo, hi = self.volume_bounds()
-        if y < lo or y > hi:
-            raise OutOfDomain(f"volume {y} outside covered mass [{lo}, {hi}]")
-        target = y + self._vol0
-        i = int(np.searchsorted(self._cum_vol_raw, target, side="right")) - 1
-        i = min(max(i, 0), self.knots.size - 2)
-        dv = target - self._cum_vol_raw[i]
-        c, m = self.dens[i], self._seg_slope[i]
-        disc = c * c + 2.0 * m * dv
-        w = 2.0 * dv / (c + math.sqrt(max(disc, 0.0)))
-        return float(self.knots[i] + w)
+        return -self._neg._offset(-y) if y < 0.0 else self._pos._offset(y)
 
     def premium(self, x: float) -> float:
-        # signed cumulative of u f(u) is already the right thing for x < 0
-        return self._prem_at(x) - self._prem0
+        return self._neg._premium(-x) if x < 0.0 else self._pos._premium(x)
 
     def premium_curvature(self, x: float) -> float:
-        # c + m (x - x_i) + x m on the segment from knot x_i
-        i = self._seg_index(x)
-        return float(self.dens[i] + self._seg_slope[i] * (2.0 * x - self.knots[i]))
-
-    # signed array API: NaN outside the covered offsets or mass, where the
-    # scalar maps raise OutOfDomain
-
-    def _segments(self, edges, x):
-        """Index of the segment holding each x, for the knots or the
-        cumulative volumes at them as edges."""
-        return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, self.knots.size - 2)
+        return self._neg._premium_curvature(-x) if x < 0.0 else self._pos._premium_curvature(x)
 
     @staticmethod
-    def _covered(x, lo, hi, value):
-        return np.where((x >= lo) & (x <= hi), value, np.nan)
+    def _sides(x, pos_map, neg_map):
+        """An array map with each element evaluated on its own side of the
+        quote only: pos_map where x >= 0 (and at NaN), neg_map elsewhere.
+        Index arrays with take and put cost about a quarter of boolean
+        masks on 2^14 elements."""
+        neg = x < 0.0
+        ineg = np.flatnonzero(neg)
+        if ineg.size == 0:
+            return pos_map(x)
+        ipos = np.flatnonzero(~neg)
+        out = np.empty(x.shape)
+        out.put(ipos, pos_map(x.take(ipos)))
+        out.put(ineg, neg_map(x.take(ineg)))
+        return out
 
     @_quiet
     def density_array(self, x) -> np.ndarray:
-        i = self._segments(self.knots, x)
-        f = self.dens[i] + self._seg_slope[i] * (x - self.knots[i])
-        return self._covered(x, self.knots[0], self.knots[-1], f)
+        return self._sides(x, self._pos._density_array, lambda t: self._neg._density_array(-t))
 
     @_quiet
     def volume_array(self, x) -> np.ndarray:
-        i = self._segments(self.knots, x)
-        w = x - self.knots[i]
-        cum = self._cum_vol_raw[i] + self.dens[i] * w + 0.5 * self._seg_slope[i] * w * w
-        return self._covered(x, self.knots[0], self.knots[-1], cum - self._vol0)
+        return self._sides(x, self._pos._volume_array, lambda t: -self._neg._volume_array(-t))
 
     @_quiet
     def offset_array(self, y) -> np.ndarray:
-        lo, hi = self.volume_bounds()
-        target = y + self._vol0
-        i = self._segments(self._cum_vol_raw, target)
-        dv = target - self._cum_vol_raw[i]
-        c, m = self.dens[i], self._seg_slope[i]
-        disc = c * c + 2.0 * m * dv
-        w = 2.0 * dv / (c + np.sqrt(np.maximum(disc, 0.0)))
-        return self._covered(y, lo, hi, self.knots[i] + w)
+        return self._sides(y, self._pos._offset_array, lambda v: -self._neg._offset_array(-v))
 
     @_quiet
     def premium_array(self, x) -> np.ndarray:
-        i = self._segments(self.knots, x)
-        prem = self._cum_prem_raw[i] + self._seg_premium_raw(i, x)
-        return self._covered(x, self.knots[0], self.knots[-1], prem - self._prem0)
+        return self._sides(x, self._pos._premium_array, lambda t: self._neg._premium_array(-t))
 
     def volume_bounds(self):
-        return (
-            float(self._cum_vol_raw[0] - self._vol0),
-            float(self._cum_vol_raw[-1] - self._vol0),
-        )
+        return (-self._neg._depth, self._pos._depth)
 
 
 def load_tabulated_csv(path) -> TabulatedShape:
@@ -725,6 +716,13 @@ def load_tabulated_csv(path) -> TabulatedShape:
 # ---------------------------------------------------------------------------
 # characteristic maps and preflight validators
 # ---------------------------------------------------------------------------
+
+# the validators scan _SCAN_POINTS volumes a side, out to _SCAN_COVERAGE
+# times the working size, and take the growth proxy's density minimum
+# over _GROWTH_SAMPLES offsets
+_SCAN_COVERAGE = 2.0
+_SCAN_POINTS = 512
+_GROWTH_SAMPLES = 33
 
 
 def volume_recovery_gap(shape: Shape, a: float, y: float) -> float:
@@ -773,23 +771,21 @@ class ValidationReport:
         }
 
 
-def _volume_scan_grid(shape: Shape, x0: float, coverage: float, points: int):
+def _volume_scan_grid(shape: Shape, x0: float):
     """Log-spaced volume grids per sign, clamped to the covered mass."""
-    hi = coverage * x0
+    hi = _SCAN_COVERAGE * x0
     lo_mag = max(1e-9 * x0, 1e-300)
     vlo, vhi = shape.volume_bounds()
     margin = 1.0 - 1e-12
     pos_hi = min(hi, vhi * margin)
     neg_hi = min(hi, -vlo * margin)
-    pos = np.geomspace(lo_mag, pos_hi, points) if pos_hi > lo_mag else np.array([])
-    neg = -np.geomspace(lo_mag, neg_hi, points) if neg_hi > lo_mag else np.array([])
+    pos = np.geomspace(lo_mag, pos_hi, _SCAN_POINTS) if pos_hi > lo_mag else np.array([])
+    neg = -np.geomspace(lo_mag, neg_hi, _SCAN_POINTS) if neg_hi > lo_mag else np.array([])
     clamped = pos_hi < hi or neg_hi < hi
     return pos, neg, clamped
 
 
-def validate_model1(
-    shape: Shape, a: float, x0: float, coverage: float = 2.0, points: int = 512
-) -> ValidationReport:
+def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
     """Scan the working volume range for failures of l(y) > 0.
 
     A nonpositive margin anywhere means h1 is not one-to-one there, and
@@ -801,7 +797,7 @@ def validate_model1(
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if not x0 > 0.0:
         raise InvalidParam(f"working size must be positive, got {x0}")
-    pos, neg, clamped = _volume_scan_grid(shape, x0, coverage, points)
+    pos, neg, clamped = _volume_scan_grid(shape, x0)
     detail = "scan clamped to covered mass" if clamped else ""
     for grid in (pos, neg):
         for y in grid:
@@ -823,16 +819,14 @@ def validate_model1(
     )
 
 
-def _growth_proxy(shape: Shape, a: float, x: float, samples: int = 33) -> float:
+def _growth_proxy(shape: Shape, a: float, x: float) -> float:
     """x^2 * min f over [a x, x] (or [x, a x] on the sell side)."""
     lo, hi = (a * x, x) if x >= 0.0 else (x, a * x)
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, _GROWTH_SAMPLES)
     return x * x * min(shape.density(float(t)) for t in ts)
 
 
-def validate_model2(
-    shape: Shape, a: float, x0: float, coverage: float = 2.0, points: int = 512
-) -> ValidationReport:
+def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
     """Scan for failures of the spread-recovery assumptions.
 
     Checks, in offset space over the working range: the one-sided gap
@@ -845,7 +839,7 @@ def validate_model2(
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if not x0 > 0.0:
         raise InvalidParam(f"working size must be positive, got {x0}")
-    pos_v, neg_v, clamped = _volume_scan_grid(shape, x0, coverage, points)
+    pos_v, neg_v, clamped = _volume_scan_grid(shape, x0)
     detail = "scan clamped to covered mass" if clamped else ""
     scan_lo = shape.offset(float(neg_v[-1])) if neg_v.size else 0.0
     scan_hi = shape.offset(float(pos_v[-1])) if pos_v.size else 0.0

@@ -116,7 +116,6 @@ def solve_model1(
     shape: Shape,
     *,
     skip_validation: bool = False,
-    coverage: float = 2.0,
 ) -> OptimalSchedule:
     """Optimal schedule under volume recovery."""
     p = replace(params, mode=Resilience.VOLUME)
@@ -125,7 +124,7 @@ def solve_model1(
     a, n, x0 = p.decay, p.steps, p.x0
     report = None
     if not skip_validation:
-        report = validate_model1(shape, a, x0, coverage=coverage)
+        report = validate_model1(shape, a, x0)
         if report.reason == "offset_not_finite":
             raise OutOfDomain(f"offset overflows at volume {report.witness}")
         if not report.ok:
@@ -148,7 +147,6 @@ def solve_model2(
     shape: Shape,
     *,
     skip_validation: bool = False,
-    coverage: float = 2.0,
 ) -> OptimalSchedule:
     """Optimal schedule under spread recovery.
 
@@ -162,7 +160,7 @@ def solve_model2(
     a, n, x0 = p.decay, p.steps, p.x0
     report = None
     if not skip_validation:
-        report = validate_model2(shape, a, x0, coverage=coverage)
+        report = validate_model2(shape, a, x0)
         if not report.ok:
             raise PreconditionFailed(
                 f"h2 scan failed ({report.reason}) at offset {report.witness}", report

@@ -202,6 +202,17 @@ def test_tabulated_shape_through_cli(tmp_path, capsys):
     assert "10222.9" in out  # constant density == block
 
 
+@pytest.mark.parametrize("rows", ["-40,5000\n0,inf\n40,5000", "-40,5000\n0,5000\n40,nan",
+                                  "-40,5000\n0,5000\ninf,5000"],
+                         ids=["inf-density", "nan-density", "inf-offset"])
+def test_tabulated_csv_with_a_non_finite_row_is_exit_2(tmp_path, rows):
+    # an inf density solved to a numeric failure (exit 3) on maps that
+    # were NaN everywhere: a table must be finite, a bad parameter
+    csv = tmp_path / "shape.csv"
+    csv.write_text("offset,density\n" + rows + "\n")
+    assert run(["solve", "--shape", "tabulated", "--csv-path", csv, "--out-dir", tmp_path]) == 2
+
+
 def test_solve_model2_matches_model1_on_block(tmp_path):
     assert run(["solve", "--model", 2, "--out-dir", tmp_path]) == 0
     payload = json.loads((tmp_path / "schedule.json").read_text())

@@ -7,6 +7,8 @@ certify themselves. Round trips and symmetry laws run under hypothesis.
 
 import io
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from lobexec import (
     validate_model2,
     volume_recovery_gap,
 )
+from lobexec.shapes import Shape
 
 Q = 5000.0
 
@@ -278,6 +281,13 @@ def test_tabulated_validation_errors():
         TabulatedShape(offsets=(1.0, 2.0), densities=(1.0, 1.0))  # 0 not in hull
     with pytest.raises(InvalidParam):
         TabulatedShape(offsets=(0.0,), densities=(1.0,))
+    # an inf density gave maps that were NaN everywhere, and an inf offset
+    # was taken with RuntimeWarnings
+    for offsets, densities in (((-1.0, 0.0, 1.0), (5.0, math.inf, 5.0)),
+                               ((-1.0, 0.0, math.inf), (5.0, 5.0, 5.0)),
+                               ((-math.inf, 0.0, 1.0), (5.0, 5.0, 5.0))):
+        with pytest.raises(InvalidParam):
+            TabulatedShape(offsets, densities)
 
 
 def test_load_tabulated_csv(tmp_path):
@@ -295,7 +305,183 @@ def test_load_tabulated_csv(tmp_path):
 def test_validation_report_scan_covers_requested_range():
     rep = validate_model1(BlockShape(Q), 0.5, 1000.0)
     assert rep.ok
-    assert rep.scan_hi >= 2 * 1000.0 * 0.999  # coverage factor 2 by default
+    assert rep.scan_hi >= 2 * 1000.0 * 0.999  # the scan covers twice the working size
+
+
+# ---------------------------------------------------------------------------
+# the piecewise-linear books near the quote and against their old forms
+# ---------------------------------------------------------------------------
+
+
+def _exact_table_integrals(offsets, densities, x):
+    """Volume and premium of the table's linear interpolant from 0 to x,
+    in exact rational arithmetic, segment by segment."""
+    k = [Fraction(float(v)) for v in offsets]
+    f = [Fraction(float(v)) for v in densities]
+    x = Fraction(x)
+    lo_x, hi_x = min(x, Fraction(0)), max(x, Fraction(0))
+    vol = prem = Fraction(0)
+    for i in range(len(k) - 1):
+        lo, hi = max(k[i], lo_x), min(k[i + 1], hi_x)
+        if lo >= hi:
+            continue
+        m = (f[i + 1] - f[i]) / (k[i + 1] - k[i])
+        c = f[i] - m * k[i]  # f(u) = c + m u on the segment
+        vol += c * (hi - lo) + m * (hi * hi - lo * lo) / 2
+        prem += c * (hi * hi - lo * lo) / 2 + m * (hi ** 3 - lo ** 3) / 3
+    sign = 1 if x >= 0 else -1
+    return sign * vol, sign * prem
+
+
+def _wiggly_table(knots):
+    offsets = np.concatenate(([-1.0], np.linspace(0.0, 200.0, knots)))
+    return offsets, Q / np.sqrt(1.0 + np.abs(offsets)) * (1.0 + 0.3 * np.sin(7.0 * offsets))
+
+
+NEAR_QUOTE_TABLES = [
+    (np.arange(-200.0, 201.0), Q / np.sqrt(1.0 + np.abs(np.arange(-200.0, 201.0)))),
+    # no knot at the quote: the ramps start from the interpolated density
+    (np.array([-3.0, -1.5, 0.7, 2.5]), np.array([900.0, 450.0, 520.0, 100.0])),
+    # 4000 segments a side: a plain running sum drifts to 1.7e-15 far out
+    _wiggly_table(4001),
+]
+
+
+@pytest.mark.parametrize("table", NEAR_QUOTE_TABLES, ids=["401", "no-knot-at-0", "4001"])
+@pytest.mark.parametrize("x", [1e-9, 1e-7, 1e-3, 0.37, 1.0, 2.5, 55.5, 199.9, 200.0])
+def test_table_integrals_are_exact_near_the_quote_and_far(table, x):
+    # the integrals were cumulatives from the table's left edge minus
+    # their value at 0: at x = 1e-7 the premium read 100 % off and the
+    # volume 3.9e-9; they are now summed outward from the quote
+    offsets, dens = table
+    sh = TabulatedShape(offsets, dens)
+    for signed in (x, -x):
+        if not offsets[0] <= signed <= offsets[-1]:
+            continue
+        vol, prem = _exact_table_integrals(offsets, dens, signed)
+        for got, want in ((sh.volume(signed), vol), (sh.premium(signed), prem),
+                          (sh.volume_array([signed])[0], vol), (sh.premium_array([signed])[0], prem)):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-15) * abs(want), (signed, got)
+
+
+# The counterexample's maps before it became a ramp, kept verbatim as
+# the reference (its array forms were the same expressions under
+# np.select). The ramp must match them to rounding, with one exception
+# at the knee x = 1, where f' jumps: premium_curvature there took the
+# ramp's slope and now takes the tail's, since every ramp knot is
+# right-continuous.
+
+
+@dataclass(frozen=True)
+class _ClosedFormCounterexample(Shape):
+    n: int
+    name = "closed-form-ce"
+
+    @property
+    def _s(self) -> float:
+        n = self.n
+        return n * n / (n - 1.0)
+
+    def _density(self, t):
+        n = self.n
+        if t < 1.0 / n:
+            return n + 1.0
+        if t <= 1.0:
+            return (n + 1.0) - self._s * (t - 1.0 / n)
+        return 1.0
+
+    def _volume(self, t):
+        n = self.n
+        if t <= 1.0 / n:
+            return (n + 1.0) * t
+        if t <= 1.0:
+            w = t - 1.0 / n
+            return (n + 1.0) / n + (n + 1.0) * w - 0.5 * self._s * w * w
+        return 0.5 * (n + 3.0) + (t - 1.0)
+
+    def _offset(self, v):
+        n = self.n
+        v_knee = (n + 1.0) / n
+        v_one = 0.5 * (n + 3.0)
+        if v <= v_knee:
+            return v / (n + 1.0)
+        if v <= v_one:
+            d = v - v_knee
+            # smaller root of s/2 w^2 - (n+1) w + d = 0, rationalized
+            w = 2.0 * d / ((n + 1.0) + math.sqrt((n + 1.0) ** 2 - 2.0 * self._s * d))
+            return 1.0 / n + w
+        return 1.0 + (v - v_one)
+
+    def _premium(self, t):
+        n = self.n
+        t_knee = 1.0 / n
+        if t <= t_knee:
+            return 0.5 * (n + 1.0) * t * t
+        p_knee = 0.5 * (n + 1.0) / (n * n)
+        # f(u) = c - s u on the ramp, with c = (n+1) + s/n
+        c = (n + 1.0) + self._s / n
+        if t <= 1.0:
+            return (
+                p_knee
+                + 0.5 * c * (t * t - t_knee * t_knee)
+                - self._s / 3.0 * (t ** 3 - t_knee ** 3)
+            )
+        p1 = (
+            p_knee
+            + 0.5 * c * (1.0 - t_knee * t_knee)
+            - self._s / 3.0 * (1.0 - t_knee ** 3)
+        )
+        return p1 + 0.5 * (t * t - 1.0)
+
+    def _premium_curvature(self, t):
+        n = self.n
+        if t < 1.0 / n:
+            return n + 1.0
+        if t <= 1.0:
+            return (n + 1.0) - self._s * (2.0 * t - 1.0 / n)
+        return 1.0
+
+
+def _knee_offsets(n):
+    knees = [1.0 / n, 1.0]
+    near = [float(np.nextafter(k, d)) for k in knees for d in (0.0, 2.0)]
+    return [s * x for s in (1.0, -1.0) for x in [0.0, 1e-9] + knees + near + [7.0, 1e6]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50])
+def test_counterexample_ramp_matches_its_closed_forms(n):
+    ramp, ref = CounterexampleShape(n), _ClosedFormCounterexample(n)
+    xs = _knee_offsets(n) + np.random.default_rng(n).uniform(-3.0, 3.0, 400).tolist()
+    ys = [ref.volume(x) for x in xs]
+    # density, volume and premium round relative to the depth at the quote
+    scale = {"density": n + 1.0, "volume": n + 1.0, "premium": n + 1.0,
+             "premium_curvature": n + 1.0, "offset": 1.0}
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs),
+                       ("premium_curvature", xs), ("offset", ys)):
+        for forms in ("scalar", "array"):
+            if forms == "array" and name == "premium_curvature":
+                continue
+            want = np.array([getattr(ref, name)(v) for v in args])
+            got = (np.array([getattr(ramp, name)(v) for v in args]) if forms == "scalar"
+                   else getattr(ramp, name + "_array")(args))
+            if name == "premium_curvature":
+                knee = np.abs(args) == 1.0
+                got, want = got[~knee], want[~knee]
+            gap = np.abs(got - want)
+            assert np.all(gap <= 1e-15 * np.maximum(np.abs(want), scale[name])), (
+                name, forms, np.asarray(args)[np.argmax(gap)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50])
+def test_counterexample_curvature_at_the_knee_is_the_tails(n):
+    # f' jumps from -n^2/(n-1) to 0 at x = 1; the closed form took the
+    # ramp's side, (n+1) - n(2n-1)/(n-1) < 0, and the ramp takes the tail's
+    ramp, ref = CounterexampleShape(n), _ClosedFormCounterexample(n)
+    for x in (1.0, -1.0):
+        assert ramp.premium_curvature(x) == 1.0
+        assert ref.premium_curvature(x) == pytest.approx((n + 1) - n * (2 * n - 1) / (n - 1))
+        left = float(np.nextafter(x, 0.0))
+        assert ramp.premium_curvature(left) == pytest.approx(ref.premium_curvature(left), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +607,29 @@ def test_power_premium_near_alpha_one_and_two(alpha, t):
     want = _premium_by_quadrature(alpha, t)
     assert abs(sh.premium(t) - want) <= 1e-14 * want
     assert abs(sh.premium_array([t])[0] - want) <= 1e-14 * want
+
+
+def _volume_by_quadrature(alpha, t):
+    """int_0^t q (1+u)^-alpha du by 20-point Gauss-Legendre, exact to
+    roundoff for t <= 1 like the premium's."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    u = 0.5 * t * (x + 1.0)
+    return 0.5 * t * float(np.dot(w, Q * (1.0 + u) ** -alpha))
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.5, 0.99, 1.01, 1.0 - 1e-6])
+@pytest.mark.parametrize("t", [1e-8, 1e-4, 0.11, 0.3, 1.0])
+def test_power_volume_and_offset_near_the_quote_and_alpha_one(alpha, t):
+    # (1+t)^c - 1 and base^(1/c) - 1 cancel where c log1p(t) is small,
+    # with c = 1 - alpha: they were 7.6e-14 relative off at alpha = 0.99,
+    # 7.1e-10 at alpha = 1 - 1e-6, and 3.6e-9 and 6.1e-9 at t = 1e-8 for
+    # alpha = 0.5, before both took the premium's expm1 forms
+    sh = PowerLawShape(Q, alpha)
+    vol = _volume_by_quadrature(alpha, t)
+    assert abs(sh.volume(t) - vol) <= 1e-14 * vol
+    assert abs(sh.volume_array([t])[0] - vol) <= 1e-14 * vol
+    assert abs(sh.offset(vol) - t) <= 1e-14 * t
+    assert abs(sh.offset_array([vol])[0] - t) <= 1e-14 * t
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
