@@ -1,11 +1,14 @@
 """Brute-force certification of schedules, independent of the solver.
 
 minimize_cost eliminates the last trade through the volume constraint
-and runs scipy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) from several
-starts: the uniform split, everything at once at t0, and random
-Dirichlet splits. It touches the cost functional and its gradient only;
-none of the solver's characteristic maps appear here, so agreement
-between the two routes is evidence, not circularity.
+and runs a dense BFGS descent (Nocedal & Wright, Numerical Optimization,
+2nd ed., Algorithm 6.1, with Armijo backtracking from the unit step)
+from several starts: the uniform split, everything at once at t0, and
+random Dirichlet splits. With N <= about 10 free trades its N x N
+inverse Hessian costs less than the cost and gradient it is fed. It
+touches the cost functional and its gradient only; none of the solver's
+characteristic maps appear here, so agreement between the two routes is
+evidence, not circularity.
 
 grid_search exhaustively enumerates a lattice of feasible schedules for
 very small N. It scores the lattice in slabs of consecutive points with
@@ -38,6 +41,14 @@ from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 from .shapes import Shape
 
 _GRAD_TOL = 1e-8
+# the descent stops once a step lowers the cost by no more than _FTOL
+# relative: a few ulps, so it runs on until the cost stops moving (within
+# 5e-9 x0 of the schedule on the acceptance cases)
+_FTOL = 1e-15
+# Armijo's sufficient-decrease constant
+_ARMIJO = 1e-4
+# the first step moves the largest coordinate by this share of x0
+_FIRST_STEP = 0.01
 # relative width of the band of batched lattice costs that are rescored
 # with impact_cost; the two differ by about 1e-15 relative near a minimum
 _RESCORE_BAND = 1e-9
@@ -76,16 +87,18 @@ def _safe_cost(params, shape, x) -> float:
 
 
 def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
-    """L-BFGS-B in the reduced coordinates (last trade eliminated)."""
-    # imported here so that solving, which never needs scipy, does not
-    # pay its import time
-    from scipy.optimize import minimize
+    """BFGS in the reduced coordinates (last trade eliminated).
 
+    It stops when the cost stops moving. A stall from an inverse Hessian
+    built up by updates restarts once from the scaled identity, since
+    such an h can point almost across the gradient. converged is a
+    finite cost with max |reduced gradient| <= 1e-8 (1 + |f|).
+    """
     x0 = params.x0
     n_free = params.steps
 
     def full(z):
-        return np.append(z, x0 - z.sum())
+        return z.tolist() + [x0 - float(z.sum())]
 
     def value_grad(z):
         try:
@@ -93,19 +106,61 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
         except (OverflowError, ValueError, ZeroDivisionError, OutOfDomain):
             # an iterate off the book: past the saturation or the table,
             # or where a density underflows to 0 in the gradient
-            return math.inf, np.zeros(n_free)
+            return math.inf, None
         if not math.isfinite(f):
-            return math.inf, np.zeros(n_free)
+            return math.inf, None
         return f, g[:n_free] - g[n_free]
 
-    # scipy's default ftol/gtol stop with trades still ~1e-6 x0 off the
-    # optimum; an ftol of a few ulps and no gradient test run on until the
-    # cost stops moving (~3e-9 x0 on the acceptance cases)
-    res = minimize(value_grad, np.array(z0, dtype=float), jac=True, method="L-BFGS-B",
-                   options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 0.0})
-    f = float(res.fun)
-    converged = math.isfinite(f) and float(np.max(np.abs(res.jac))) <= _GRAD_TOL * (1.0 + abs(f))
-    return full(res.x), f, converged
+    z = np.array(z0, dtype=float)
+    f, g = value_grad(z)
+    h = None  # the inverse Hessian, set at the first update
+    gamma = 1.0  # s.y / y.y of the last update: h's scale on a restart
+    fresh = True  # h is a scaled identity, or not set yet
+    for _ in range(max_iter):
+        if g is None:
+            break
+        if h is None:
+            size = float(np.max(np.abs(g)))
+            if size == 0.0:
+                break
+            p = g * (-_FIRST_STEP * x0 / size)
+        else:
+            p = -(h @ g)
+        slope = float(g @ p)
+        from_identity, moved = fresh, False
+        # Armijo backtracking from the unit step. Along a convex line the
+        # cost falls by at most -step * slope, so once that is within the
+        # stopping threshold no shorter step can move it
+        step, floor = 1.0, _FTOL * abs(f)
+        while -step * slope > floor:
+            z_new = z + step * p
+            f_new, g_new = value_grad(z_new)
+            if f_new <= f + _ARMIJO * step * slope:
+                moved = True
+                break
+            step *= 0.5
+        if moved:
+            s, y = z_new - z, g_new - g
+            moved = f - f_new > floor
+            z, f, g = z_new, f_new, g_new
+            sy = float(s @ y)
+            if sy > 0.0:
+                gamma = sy / float(y @ y)
+                if h is None:
+                    h = gamma * np.eye(n_free)
+                # h <- (I - s y'/sy) h (I - y s'/sy) + s s'/sy, as u s' + s u'
+                hy = h @ y
+                u = ((sy + float(y @ hy)) / (2.0 * sy * sy)) * s - hy / sy
+                w = np.outer(u, s)
+                h += w
+                h += w.T
+                fresh = False
+        if not moved:
+            if from_identity:
+                break
+            h, fresh = gamma * np.eye(n_free), True
+    converged = g is not None and float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
+    return full(z), f, converged
 
 
 def _starting_points(params: MarketParams, starts: int, seed: int) -> list[np.ndarray]:

@@ -239,10 +239,11 @@ class PowerLawShape(Shape):
         # t < expm1(0.5/|p|), the term is expm1(p log1p(t)) instead; above
         # it the power is exact to rounding, while expm1 would magnify
         # log1p's rounding by |p log1p(t)|. alpha = 0, 1 and 2 have their
-        # own closed forms; the array form recomputes the offsets below
-        # _near_edge. The volume is q uc/c with the same term for p = c =
-        # 1 - alpha, and the offset inverts it on the same offsets, below
-        # the volume at t_c, as expm1(log1p(c v/q)/c)
+        # own closed forms (at alpha = 2 the volume is q t/(1+t) and the
+        # offset v/(q-v), which cancel nowhere); the array form recomputes
+        # the offsets below _near_edge. The volume is q uc/c with the same
+        # term for p = c = 1 - alpha, and the offset inverts it on the same
+        # offsets, below the volume at t_c, as expm1(log1p(c v/q)/c)
         below = (0.0, 0.0) if self.alpha in (0.0, 1.0, 2.0) else tuple(
             math.expm1(min(0.5 / abs(p), _EXP_CAP)) for p in (2.0 - self.alpha, 1.0 - self.alpha))
         object.__setattr__(self, "_expm1_below", below)
@@ -267,6 +268,8 @@ class PowerLawShape(Shape):
             return self.q * math.log1p(t)
         if a == 0.0:
             return self.q * t
+        if a == 2.0:
+            return self.q * (t / (t + 1.0))
         c = 1.0 - a
         if t < self._expm1_below[1]:
             return self.q / c * math.expm1(c * math.log1p(t))
@@ -282,12 +285,14 @@ class PowerLawShape(Shape):
             return math.expm1(e) if e <= _EXP_CAP else math.inf
         if a == 0.0:
             return v / self.q
+        if a == 2.0 and v < self.q:
+            return v / (self.q - v)
         c = 1.0 - a
         z = c * v / self.q
         if v < self._near_volume:
             return math.expm1(math.log1p(z) / c)
         base = 1.0 + z
-        if base <= 0.0:
+        if base <= 0.0 or a == 2.0:
             # volume beyond the saturation bound q/(alpha-1)
             raise OutOfDomain(
                 f"volume {v} exceeds the book's total depth (alpha={a}, q={self.q})"
@@ -341,6 +346,8 @@ class PowerLawShape(Shape):
             return self.q * np.log1p(t)
         if a == 0.0:
             return self.q * t
+        if a == 2.0:
+            return self.q * (t / (t + 1.0))
         # the expm1 form below t_c, as the scalar map; where every offset
         # is below it (decayed volumes), the power is not formed at all
         c = 1.0 - a
@@ -358,6 +365,9 @@ class PowerLawShape(Shape):
             return np.where(e <= _EXP_CAP, np.expm1(e), np.inf)
         if a == 0.0:
             return v / self.q
+        if a == 2.0:
+            # NaN beyond the saturation bound q, where the scalar map raises
+            return np.where(v < self.q, v / (self.q - v), np.nan)
         c = 1.0 - a
         z = c * v / self.q
         near = np.flatnonzero(v < self._near_volume)

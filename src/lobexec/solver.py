@@ -90,9 +90,11 @@ def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
     n = params.steps
     last = params.x0 - xi0 - (n - 1) * intermediate
     trades = [xi0] + [intermediate] * (n - 1) + [last]
-    if min(trades) <= 0.0:
+    # the least trade, in the trades' order, without a scan of all N + 1
+    low = min(xi0, intermediate, last) if n > 1 else min(xi0, last)
+    if low <= 0.0:
         raise PreconditionFailed(
-            f"computed schedule is not strictly positive (min trade {min(trades)}); "
+            f"computed schedule is not strictly positive (min trade {low}); "
             "model assumptions do not hold at these parameters",
             report,
         )

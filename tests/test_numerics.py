@@ -148,14 +148,35 @@ def test_nan_inside_the_bracket_raises_no_root():
         numerics.bracketed_root(f, 0.5, 2.0)
 
 
-def test_import_leaves_scipy_unloaded():
-    code = (
-        "import sys, lobexec, lobexec.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def _fresh_python(code, **kw):
+    """Run code in a fresh interpreter that imports this checkout's lobexec."""
     src = str(Path(lobexec.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, **kw)
+
+
+def test_import_leaves_scipy_unloaded():
+    # neither importing nor the descent referee loads scipy
+    code = (
+        "import sys, lobexec, lobexec.cli; "
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "print(loaded()); "
+        "p = lobexec.MarketParams(x0=1e5, horizon=1.0, steps=3, rho=20.0); "
+        "lobexec.minimize_cost(p, lobexec.PowerLawShape(5000.0, 0.5), starts=2); "
+        "print(loaded())"
+    )
+    out = _fresh_python(code, check=True).stdout
+    assert out.split() == ["[]", "[]"]
+
+
+def test_oracle_check_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail
+    code = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from lobexec.cli import main; "
+        f"sys.exit(main(['oracle-check', '--n', '4', '--out-dir', {str(tmp_path)!r}]))"
+    )
+    proc = _fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert "oracle agrees with the solver" in proc.stdout

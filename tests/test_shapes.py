@@ -129,6 +129,9 @@ def test_power_law_saturation():
     assert not p.unbounded_volume
     with pytest.raises(OutOfDomain):
         p.offset(Q * 1.0000001)
+    # exact up to the last volume below the bound, where 1 - v/q is 22 % off
+    below = float(np.nextafter(Q, 0.0))
+    assert p.offset(below) == p.offset_array([below])[0] == below / (Q - below)
     # the exp guard for alpha=1 saturates to +inf instead of overflowing
     p1 = PowerLawShape(Q, 1.0)
     assert p1.offset(Q * 1e4) == math.inf
@@ -630,6 +633,20 @@ def test_power_volume_and_offset_near_the_quote_and_alpha_one(alpha, t):
     assert abs(sh.volume_array([t])[0] - vol) <= 1e-14 * vol
     assert abs(sh.offset(vol) - t) <= 1e-14 * t
     assert abs(sh.offset_array([vol])[0] - t) <= 1e-14 * t
+
+
+@pytest.mark.parametrize("t", [1e-9, 1e-6, 0.11])
+def test_power_volume_and_offset_at_alpha_two_are_exact(t):
+    # (1+t)^-1 - 1 and base^-1 - 1 cancel near the quote: 8.4e-8 relative
+    # off at t = 1e-9 before they became q t/(1+t) and v/(q-v)
+    sh = PowerLawShape(Q, 2.0)
+    vol = Fraction(Q) * Fraction(t) / (1 + Fraction(t))
+    for got in (sh.volume(t), sh.volume_array([t])[0], -sh.volume(-t)):
+        assert abs(Fraction(float(got)) - vol) <= Fraction(1e-15) * vol
+    v = float(vol)
+    off = Fraction(v) / (Fraction(Q) - Fraction(v))
+    for got in (sh.offset(v), sh.offset_array([v])[0], -sh.offset(-v)):
+        assert abs(Fraction(float(got)) - off) <= Fraction(1e-15) * off
 
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
