@@ -22,9 +22,11 @@ stationarity certificate available, and CostReport carries it.
 Each of impact_cost, analytic_gradient, cost_and_gradient (both at once,
 for the descent referee), lagrange_residual and cost_report walks the
 schedule once: dynamics.walk runs the book on plain floats and returns
-the pre- and post-trade offsets, and everything here is read off those
-lists. impact_costs runs the same recursion on (M,) columns through the
-shape's array maps.
+the pre- and post-trade offsets, with each settled run of nodes held
+once, and everything here is read off those lists. impact_costs runs the
+same recursion on (M,) columns through the shape's array maps, by
+premium_steps, which the lattice referee also calls to walk a block of
+schedules that share their first trades once.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
 # replay stays bound here: benchmarks/tracing.py times costs.replay
-from .dynamics import MarketParams, Resilience, equal_run, node_states, replay, walk
+from .dynamics import MarketParams, Resilience, node_states, replay, walk
 from .errors import InvalidParam
 from .shapes import Shape
 
@@ -50,6 +53,14 @@ class Strategy:
 
     def __post_init__(self):
         object.__setattr__(self, "trades", tuple(map(float, self.trades)))
+
+    @classmethod
+    def of_floats(cls, trades: tuple[float, ...]) -> "Strategy":
+        """A Strategy on a tuple that holds floats already, taken as it
+        is: without the float() per trade that the constructor makes."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "trades", trades)
+        return strategy
 
     @property
     def total(self) -> float:
@@ -82,13 +93,28 @@ def impact_cost(params: MarketParams, shape: Shape, strategy) -> float:
     Defined for any trade vector of the right length, feasible or not;
     the optimizers rely on off-constraint evaluations.
     """
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
-    return _impact(shape, d_pre, d_post)
+    runs = []
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    return _impact(shape, d_pre, d_post, runs)
 
 
-def _impact(shape: Shape, d_pre, d_post) -> float:
+def _impact(shape: Shape, d_pre, d_post, runs) -> float:
+    """The fsum of the nodes' premium differences, in node order, over a
+    walk that holds its runs once (see dynamics.node_states)."""
     premium = shape.premium
-    return math.fsum(premium(post) - premium(pre) for pre, post in zip(d_pre, d_post))
+    terms = [premium(post) - premium(pre) for pre, post in zip(d_pre, d_post)]
+    return math.fsum(_expand(terms, runs))
+
+
+def _expand(values, runs):
+    """A list of walked values with each run's value repeated for the
+    nodes it stands for: one value per node."""
+    if not runs:
+        return values
+    counts = [1] * len(values)
+    for i, k in runs:
+        counts[i] += k
+    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
 def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
@@ -103,12 +129,26 @@ def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
     x = np.asarray(trades, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.steps + 1:
         raise InvalidParam(f"expected an (M, {params.steps + 1}) trade array, got {x.shape}")
-    total = np.zeros(x.shape[0])
-    with np.errstate(all="ignore"):
-        _, d_pre, _, d_post = node_states(params, x.T, shape.volume_array, shape.offset_array)
-        for pre, post in zip(d_pre, d_post):
-            total += shape.premium_array(post) - shape.premium_array(pre)
+    total, _ = premium_steps(params, shape, x.T, np.zeros(x.shape[0]))
     return np.where(np.isfinite(total), total, np.inf)
+
+
+def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None):
+    """Walk (M,) trade columns, one per node, through the array maps and
+    add each node's premium difference to the (M,) sums total, in node
+    order. start is as node_states takes it: the post-trade (E, D) of a
+    node walked before, or None for a flat book. Returns the new sums
+    and the post-trade (E, D) after the last column (start if there is
+    none), from which a walk of the nodes after them can go on: a walk
+    split in two this way adds the same floats in the same order as one
+    walk of all the columns.
+    """
+    with np.errstate(all="ignore"):
+        _, d_pre, e_post, d_post = node_states(
+            params, columns, shape.volume_array, shape.offset_array, start)
+        for pre, post in zip(d_pre, d_post):
+            total = total + (shape.premium_array(post) - shape.premium_array(pre))
+    return total, ((e_post[-1], d_post[-1]) if e_post else start)
 
 
 def impact_cost_gform(params: MarketParams, shape: Shape, strategy) -> float:
@@ -183,60 +223,68 @@ def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarra
         g_N = Dp_N
         g_n = Dp_n + a f(D_{n+1}) / f(Dp_n) * (g_{n+1} - D_{n+1})
     """
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
-    return _gradient(params, shape, d_pre, d_post)
+    runs = []
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    return _gradient(params, shape, d_pre, d_post, runs)
 
 
-def _gradient(params: MarketParams, shape: Shape, d_pre, d_post) -> np.ndarray:
-    """The backward recursion of analytic_gradient over walked offsets.
+def _gradient(params: MarketParams, shape: Shape, d_pre, d_post, runs) -> np.ndarray:
+    """The backward recursion of analytic_gradient over a walk that holds
+    its runs once (see dynamics.node_states).
 
-    Each step maps g to a new g through the node's inputs (D_{n+1},
-    Dp_n) alone, so where those repeat (the steady stretch of a walk)
-    spread recovery reuses its coefficient a f(D_{n+1}) / f(Dp_n), and
-    once a step also returns the g it found, every further node with the
-    same inputs returns it too: the rest of that run is filled with it,
-    by np.repeat rather than by converting a float per node. As in
-    node_states, the values must be nonzero for equal to mean equal bits.
+    Every step is g <- c (g - D_{n+1}) + Dp_n, with c = a under volume
+    recovery and a f(D_{n+1}) / f(Dp_n) under spread recovery (floating
+    addition commutes, so this is the recursion as written above). A
+    walked node that stands for k nodes after it as well holds k steps
+    whose inputs (D_{n+1}, Dp_n) are its own offsets, bit for bit: they
+    share one c, and once such a step returns the g it found, the rest
+    of them return it too, so that g stands for them and is filled in by
+    np.repeat. g must be nonzero for equal to mean equal bits.
     """
     a = params.decay
     volume_mode = params.mode is Resilience.VOLUME
     density = shape.density
-    nexts, posts = d_pre[:0:-1], d_post[-2::-1]  # nodes N-1 down to 0
-    g = d_post[-1]
-    out = [g]
-    fills = []  # (j, k): out[j] also stands for the k nodes after it
-    u = v = c = None  # spread recovery: c is a f(u) / f(v)
-    i, end = 0, len(posts)
-    while i < end:
-        d_next, post = nexts[i], posts[i]
-        if volume_mode:
-            g_new = a * (g - d_next) + post
+    held = [0] * len(d_post)  # the further nodes each walked node stands for
+    for i, k in runs:
+        held[i] = k
+    out = []  # g per node, from node N down, each value once per stretch
+    fills = []  # (j, k): out[j] also stands for the k nodes before it
+    for j in range(len(d_post) - 1, -1, -1):
+        post = d_post[j]
+        if out:  # the step into the last node walked node j stands for
+            d_next = d_pre[j + 1]
+            # left to right, as a f(d_next) / f(post)
+            c = a if volume_mode else a * density(d_next) / density(post)
+            g = c * (g - d_next) + post
         else:
-            if not (d_next == u and post == v and d_next and post):
-                # left to right, as g = post + a f(d_next) / f(post) * (g - d_next)
-                c = a * density(d_next) / density(post)
-                u, v = d_next, post
-            g_new = post + c * (g - d_next)
-        out.append(g_new)
-        if g_new == g and 0.0 not in (g, d_next, post):
-            k = min(equal_run(nexts, i + 1), equal_run(posts, i + 1))
-            fills.append((len(out) - 1, k))
-            i += k
-        g = g_new
-        i += 1
+            g = post
+        out.append(g)
+        left = held[j]
+        if left:
+            d_next = d_pre[j]
+            c = a if volume_mode else a * density(d_next) / density(post)
+            while left:
+                left -= 1
+                g_new = c * (g - d_next) + post
+                if g_new == g and g:
+                    fills.append((len(out) - 1, left + 1))
+                    break
+                out.append(g_new)
+                g = g_new
     out.reverse()
     if not fills:
         return np.array(out)
-    counts = np.ones(len(out), dtype=np.intp)
+    reps = np.ones(len(out), dtype=np.intp)
     for j, k in fills:
-        counts[-1 - j] += k
-    return np.repeat(out, counts)
+        reps[-1 - j] += k
+    return np.repeat(out, reps)
 
 
 def cost_and_gradient(params: MarketParams, shape: Shape, strategy) -> tuple[float, np.ndarray]:
     """(impact_cost, analytic_gradient) of one schedule from one walk."""
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy))
-    return _impact(shape, d_pre, d_post), _gradient(params, shape, d_pre, d_post)
+    runs = []
+    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    return _impact(shape, d_pre, d_post, runs), _gradient(params, shape, d_pre, d_post, runs)
 
 
 def lagrange_residual(params: MarketParams, shape: Shape, strategy) -> tuple[float, float]:
@@ -274,14 +322,15 @@ def cost_report(
     params: MarketParams, shape: Shape, strategy, a0: float = 0.0
 ) -> CostReport:
     trades = as_trades(strategy)
-    _, d_pre, _, d_post = walk(params, shape, trades)
+    runs = []
+    _, d_pre, _, d_post = walk(params, shape, trades, runs)
     # per-trade cash adds the two premiums in turn, as order_cost does
-    high = [shape.premium(d) for d in d_post]
-    low = [shape.premium(d) for d in d_pre]
+    high = _expand([shape.premium(d) for d in d_post], runs)
+    low = _expand([shape.premium(d) for d in d_pre], runs)
     per = [a0 * x + hi - lo for x, hi, lo in zip(trades, high, low)]
     impact = math.fsum(hi - lo for hi, lo in zip(high, low))
     base = a0 * math.fsum(trades)
-    resid, _ = _spread(_gradient(params, shape, d_pre, d_post))
+    resid, _ = _spread(_gradient(params, shape, d_pre, d_post, runs))
     return CostReport(
         total=base + impact,
         base_term=base,

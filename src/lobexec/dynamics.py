@@ -12,7 +12,8 @@ shape's scalar maps it is walk, which the cost functionals, their
 gradients and replay all read, and on (M,) columns through the array
 maps it prices a batch of schedules (costs.impact_costs). On floats it
 walks a run of equal trades whose state has settled once (see
-node_states), which is most of an optimal schedule.
+node_states), which is most of an optimal schedule; the cost functionals
+keep that run as one node, and replay writes it out node by node.
 
 The full two-sided book keeps independent ask and bid states: buys eat
 the ask side only, sells the bid side only. The simplified single-state
@@ -27,6 +28,7 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import InvalidParam
 from .shapes import Shape
@@ -158,7 +160,7 @@ class TrajectoryPoint:
     offset_post: float
 
 
-def node_states(params: MarketParams, trades, volume, offset):
+def node_states(params: MarketParams, trades, volume, offset, start=None, runs=None):
     """Pre- and post-trade volumes and offsets at each node of a trade run.
 
     The one recursion of the simplified book: the book starts flat, each
@@ -167,7 +169,9 @@ def node_states(params: MarketParams, trades, volume, offset):
     while the other is recomputed. The maps are the shape's scalar ones
     with a float per trade, or its array ones with an (M,) column per
     node, which runs M schedules at once. Returns the lists (E_pre,
-    D_pre, E_post, D_post), indexed by node.
+    D_pre, E_post, D_post), indexed by node. With start, the post-trade
+    (E, D) of a node before the first trade, the walk goes on from it:
+    the book decays before every trade.
 
     On a list or tuple of trades, runs of equal trades are walked once.
     The step from one node to the next is a pure function of the state
@@ -176,35 +180,42 @@ def node_states(params: MarketParams, trades, volume, offset):
     of those steps returns that state again, bit for bit: the lists are
     extended with the node's four values to the end of the run, and the
     maps are not called there. Equal floats are equal bits except 0.0
-    and -0.0, so the trade and the state must also be nonzero. The
-    (M,) columns of impact_costs come as an array and never skip.
+    and -0.0, so the trade and the state must also be nonzero. Given a
+    list runs, the lists are not extended: they hold the run once, and
+    runs gets (i, k) for each entry i that stands for the k nodes after
+    it as well. The (M,) columns of impact_costs come as an array and
+    never skip.
     """
     a = params.decay
     volume_mode = params.mode is Resilience.VOLUME
-    runs = isinstance(trades, (list, tuple))
+    listed = isinstance(trades, (list, tuple))
     states = e_pre, d_pre, e_post, d_post = [], [], [], []
-    e = d = 0.0  # the book starts flat
+    e, d = (0.0, 0.0) if start is None else start  # flat, or where the walk left off
     x_prev = None
     n, end = 0, len(trades)
     while n < end:
         x = trades[n]
-        if n > 0 and volume_mode:
-            e = a * e
-            d = offset(e)
-        elif n > 0:
-            d = a * d
-            e = volume(d)
+        if n or start is not None:
+            if volume_mode:
+                e = a * e
+                d = offset(e)
+            else:
+                d = a * d
+                e = volume(d)
         e_pre.append(e)
         d_pre.append(d)
         e = e + x
         d = offset(e)
         e_post.append(e)
         d_post.append(d)
-        if (runs and x == x_prev and e == e_post[-2] and d == d_post[-2]
+        if (listed and x == x_prev and e == e_post[-2] and d == d_post[-2]
                 and 0.0 not in (x, e, d)):
             k = equal_run(trades, n + 1)
-            for values in states:
-                values.extend([values[-1]] * k)
+            if runs is None:
+                for values in states:
+                    values.extend(repeat(values[-1], k))
+            else:
+                runs.append((len(e_post) - 1, k))
             n += k
         x_prev = x
         n += 1
@@ -215,6 +226,14 @@ def equal_run(values, start: int) -> int:
     """How many entries of a list or tuple, from index start on, equal
     the one before start without a break."""
     x = values[start - 1]
+    first = values.index(x)
+    stop = first + values.count(x)
+    try:
+        values.index(x, stop)
+    except ValueError:
+        # every x lies in values[first:stop], which has room for nothing
+        # else: the run, found without copying the list
+        return stop - start
     rest = values[start:]
     k = rest.count(x)
     if rest[:k].count(x) != k:  # x comes back after the run ends
@@ -224,17 +243,18 @@ def equal_run(values, start: int) -> int:
     return k
 
 
-def walk(params: MarketParams, shape: Shape, trades):
+def walk(params: MarketParams, shape: Shape, trades, runs=None):
     """node_states on plain floats through the shape's scalar maps.
 
     Trades is a sequence (a list, a tuple or an array row) of length
-    steps+1; it is read in place.
+    steps+1; it is read in place. With a list runs, the lists hold each
+    run of repeated nodes once, and runs says where (see node_states).
     """
     if len(trades) != params.steps + 1:
         raise InvalidParam(
             f"expected {params.steps + 1} trades, got {len(trades)}"
         )
-    return node_states(params, trades, shape.volume, shape.offset)
+    return node_states(params, trades, shape.volume, shape.offset, runs=runs)
 
 
 def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:

@@ -11,9 +11,10 @@ characteristic maps appear here, so agreement between the two routes is
 evidence, not circularity.
 
 grid_search exhaustively enumerates a lattice of feasible schedules for
-very small N. It scores the lattice in slabs of consecutive points with
-the batched impact_costs, and rescores with the scalar impact_cost only
-the points whose batched cost lies in a narrow band above the least cost
+very small N. It scores the lattice in blocks of consecutive points with
+the batched walk of impact_costs, walking the book after each prefix of
+N - 1 trades once, and rescores with the scalar impact_cost only the
+points whose batched cost lies in a narrow band above the least cost
 seen, so its answer is still the scalar lattice minimum, bit for bit.
 gradient_check compares the analytic gradient against central finite
 differences. Together the three give the certification triangle used by
@@ -34,7 +35,7 @@ from .costs import (
     as_trades,
     cost_and_gradient,
     impact_cost,
-    impact_costs,
+    premium_steps,
 )
 from .dynamics import MarketParams
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain
@@ -52,9 +53,9 @@ _FIRST_STEP = 0.01
 # relative width of the band of batched lattice costs that are rescored
 # with impact_cost; the two differ by about 1e-15 relative near a minimum
 _RESCORE_BAND = 1e-9
-# lattice points per batched call: each array of a slab stays near 128 kB,
-# so the search's memory does not grow with the lattice (a whole 301^2
-# plane at once peaked at 8-11 MB)
+# lattice points per batched block: each array of a block stays near
+# 128 kB, so the search's memory does not grow with the lattice (a whole
+# 301^2 plane at once peaked at 8-11 MB)
 _SLAB_POINTS = 1 << 14
 
 
@@ -116,6 +117,8 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
     h = None  # the inverse Hessian, set at the first update
     gamma = 1.0  # s.y / y.y of the last update: h's scale on a restart
     fresh = True  # h is a scaled identity, or not set yet
+    eye = np.eye(n_free)
+    w = np.empty((n_free, n_free))  # the rank-one term of each update
     for _ in range(max_iter):
         if g is None:
             break
@@ -147,18 +150,18 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
             if sy > 0.0:
                 gamma = sy / float(y @ y)
                 if h is None:
-                    h = gamma * np.eye(n_free)
+                    h = gamma * eye
                 # h <- (I - s y'/sy) h (I - y s'/sy) + s s'/sy, as u s' + s u'
                 hy = h @ y
                 u = ((sy + float(y @ hy)) / (2.0 * sy * sy)) * s - hy / sy
-                w = np.outer(u, s)
+                np.multiply(u[:, None], s, out=w)
                 h += w
                 h += w.T
                 fresh = False
         if not moved:
             if from_identity:
                 break
-            h, fresh = gamma * np.eye(n_free), True
+            h, fresh = gamma * eye, True
     converged = g is not None and float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
     return full(z), f, converged
 
@@ -215,14 +218,19 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
     the last trade is implied by the constraint and must land in the
     same box. Budget-capped at 1e8 lattice points.
 
-    The lattice is scored in lattice order, in slabs of 2^14 consecutive
-    points, by the batched impact_costs. A point is rescored with
-    impact_cost, its tail recomputed as x0 - fsum(head), when its batched
-    cost lies within a relative band of 1e-9 above the lower of the slab's
-    least batched cost and the best rescored cost so far; the first strict
-    improvement wins. The two costs differ by a few ulps, far less than
-    the band, so the answer is the first lattice point of least
-    impact_cost, bit for bit, as a point-by-point scan finds it.
+    The lattice is scored in lattice order, in blocks of at most 2^14
+    consecutive points: whole rows of the last free trade's values after
+    a run of prefixes, the first N - 1 trades. Each prefix is walked once
+    per block, through the array maps, and each point goes on from its
+    prefix's book by its last two trades, so its batched cost is the sum
+    impact_costs forms, node by node in the same order. A point is
+    rescored with impact_cost, its tail recomputed as x0 - fsum(head),
+    when its batched cost lies within a relative band of 1e-9 above the
+    lower of the block's least batched cost and the best rescored cost so
+    far; the first strict improvement wins. The two costs differ by a few
+    ulps, far less than the band, so the answer is the first lattice
+    point of least impact_cost, bit for bit, as a point-by-point scan
+    finds it.
     """
     if params.steps > 3:
         raise InvalidParam(f"grid search is for N <= 3, got N = {params.steps}")
@@ -240,27 +248,41 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
             f"{len(pts)}^{params.steps} lattice points exceed the 1e8 budget"
         )
     slack = 1e-9 * max(1.0, abs(x0))
-    lattice = (len(pts),) * params.steps
-    size = len(pts) ** params.steps
+    size = len(pts)
+    # a block is rows prefixes (the first N - 1 trades, in lattice order)
+    # by width values of the last free trade; past 2^14 values a side, a
+    # block is one prefix and 2^14 of its values
+    rows = max(1, _SLAB_POINTS // size)
+    width = min(size, _SLAB_POINTS)
+    prefixes = size ** (params.steps - 1)
     best_x, best_f = None, math.inf
-    for start in range(0, size, _SLAB_POINTS):
-        flat = np.arange(start, min(start + _SLAB_POINTS, size))
-        heads = pts[np.array(np.unravel_index(flat, lattice))]
-        # exact for N <= 2; at N = 3 within an ulp of fsum, far inside the slack
-        tails = x0 - heads.sum(axis=0)
-        keep = (tails >= lo - slack) & (tails <= hi + slack)
-        trades = np.vstack([heads[:, keep], tails[keep]])
-        cost = impact_costs(params, shape, trades.T)
-        # a point more than the band above this can be neither the slab's
-        # least scalar cost nor better than the best so far
-        bound = min(cost.min(initial=math.inf), best_f)
-        if bound == math.inf:
-            continue
-        for head in trades[:-1, cost <= bound + _RESCORE_BAND * abs(bound)].T:
-            x = list(head) + [x0 - math.fsum(head)]
-            f = _safe_cost(params, shape, x)
-            if f < best_f:
-                best_x, best_f = x, f
+    for first in range(0, prefixes, rows):
+        index = np.arange(first, min(first + rows, prefixes))
+        at = np.unravel_index(index, (size,) * (params.steps - 1)) if params.steps > 1 else ()
+        prefix = pts[np.array(at, dtype=np.intp).reshape(params.steps - 1, index.size)]
+        # the book after each prefix, walked once for all its points
+        walked, state = premium_steps(params, shape, prefix, np.zeros(index.size))
+        for v0 in range(0, size, width):
+            last = pts[v0:v0 + width]
+            heads = np.vstack([np.repeat(prefix, last.size, axis=1), np.tile(last, index.size)])
+            # exact for N <= 2; at N = 3 within an ulp of fsum, far inside the slack
+            tails = x0 - heads.sum(axis=0)
+            keep = np.flatnonzero((tails >= lo - slack) & (tails <= hi + slack))
+            row = keep // last.size
+            start = None if state is None else (state[0][row], state[1][row])
+            cost, _ = premium_steps(params, shape, np.vstack([heads[-1, keep], tails[keep]]),
+                                    walked[row], start)
+            cost = np.where(np.isfinite(cost), cost, np.inf)
+            # a point more than the band above this can be neither the
+            # block's least scalar cost nor better than the best so far
+            bound = min(cost.min(initial=math.inf), best_f)
+            if bound == math.inf:
+                continue
+            for head in heads[:, keep[cost <= bound + _RESCORE_BAND * abs(bound)]].T:
+                x = list(head) + [x0 - math.fsum(head)]
+                f = _safe_cost(params, shape, x)
+                if f < best_f:
+                    best_x, best_f = x, f
     if best_x is None:
         raise InvalidParam("no feasible lattice point in the search box")
     return OracleResult(

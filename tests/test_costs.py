@@ -35,8 +35,16 @@ from lobexec import (
     solve_block,
     replay,
 )
-from lobexec.costs import CostReport, as_trades
-from lobexec.dynamics import SimplifiedState, TrajectoryPoint, apply_order, decay, walk
+from lobexec.costs import CostReport, as_trades, premium_steps
+from lobexec.dynamics import (
+    SimplifiedState,
+    TrajectoryPoint,
+    apply_order,
+    decay,
+    equal_run,
+    node_states,
+    walk,
+)
 from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
 
@@ -254,6 +262,24 @@ def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
         for g, w, row in zip(got, want, x):
             if math.isfinite(w):
                 assert abs(g - w) <= 1e-14 * _summed_size(p, shape, row), row
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_batched_walk_split_in_two_adds_the_same_floats(shape, mode):
+    # the lattice walks the first trades once per prefix and goes on from
+    # the book they leave: its costs are impact_costs', bit for bit
+    rng = np.random.default_rng(29)
+    x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
+    for steps in (1, 2, 3):
+        p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+        x = rng.uniform(-0.25, 1.25, (64, steps + 1)) * x0
+        want = impact_costs(p, shape, x)
+        for cut in range(steps + 2):
+            head, state = premium_steps(p, shape, x[:, :cut].T, np.zeros(64))
+            got, _ = premium_steps(p, shape, x[:, cut:].T, head, state)
+            got = np.where(np.isfinite(got), got, np.inf)
+            assert [v.hex() for v in got] == [v.hex() for v in want], cut
 
 
 def test_impact_costs_rejects_a_wrong_width():
@@ -532,3 +558,57 @@ def test_the_certificate_walks_the_steady_stretch_once(mode):
     counting = _CountingShape(shape)
     assert lagrange_residual(p, counting, trades) == lagrange_residual(p, shape, trades)
     assert counting.calls <= 20
+
+
+def test_equal_run_with_and_without_a_copy():
+    # one block of the value (found by count and index), the value again
+    # after the run, and the value before it
+    assert equal_run([1.0, 2.0, 2.0, 2.0], 2) == 2
+    assert equal_run((1.0, 2.0, 2.0, 2.0, 3.0), 2) == 2
+    assert equal_run([2.0, 2.0, 3.0, 2.0], 1) == 1
+    assert equal_run([2.0, 3.0, 2.0, 2.0, 2.0], 3) == 2
+    assert equal_run([2.0, 3.0, 2.0, 2.0, 4.0, 2.0], 3) == 1
+    assert equal_run([1.0, 2.0], 2) == 0
+    assert equal_run([2.0, 1.0, 2.0], 3) == 0
+
+
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_walk_that_records_its_runs_holds_each_run_once(mode):
+    shape = PowerLawShape(Q, 0.5)
+    p = MarketParams(x0=1e5, horizon=1.0, steps=400, rho=200.0, mode=mode)
+    schedules = list(_run_schedules(p.steps, p.x0).values())
+    big = MarketParams(x0=1e5, horizon=1.0, steps=10_000, rho=20.0, mode=mode)
+    for params, trades in [(p, t) for t in schedules] + [(big, solve(big, shape).trades)]:
+        full = walk(params, shape, trades)
+        runs = []
+        held = walk(params, shape, trades, runs)
+        counts = [1] * len(held[0])
+        for i, k in runs:
+            counts[i] += k
+        assert sum(counts) == len(trades)
+        for values, once in zip(full, held):
+            expanded = [v for v, k in zip(once, counts) for _ in range(k)]
+            assert [v.hex() for v in expanded] == [v.hex() for v in values]
+    # the solver's schedule: a first block, one settled run, the last block
+    assert len(held[0]) <= 10 and len(runs) == 1
+
+
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_scalar_walk_goes_on_from_a_start_state(mode):
+    shape = SqrtShape(Q, 1.0)
+    p = MarketParams(x0=1e5, horizon=1.0, steps=12, rho=20.0, mode=mode)
+    trades = [9000.0, 7000.0, 7000.0, 7000.0, 5000.0] + [8000.0] * 8
+    full = walk(p, shape, trades)
+    for cut in (1, 4, 9):
+        first = node_states(p, trades[:cut], shape.volume, shape.offset)
+        rest = node_states(p, trades[cut:], shape.volume, shape.offset,
+                           start=(first[2][-1], first[3][-1]))
+        for values, a, b in zip(full, first, rest):
+            assert [v.hex() for v in a + b] == [v.hex() for v in values]
+
+
+def test_strategy_of_floats_takes_the_tuple_as_it_is():
+    trades = (1.0, 2.5, -0.0)
+    s = Strategy.of_floats(trades)
+    assert s.trades is trades
+    assert s == Strategy(trades) and s.total == 3.5

@@ -186,15 +186,16 @@ def test_referee_stays_independent_of_the_root_path():
     forbidden_objects += [v for n, v in vars(lobexec.solver).items() if n.startswith("solve")]
     # the lattice's batched kernel lives in costs: that module is held to
     # the same rule
-    assert lobexec.oracle.impact_costs is lobexec.costs.impact_costs
+    assert lobexec.oracle.premium_steps is lobexec.costs.premium_steps
     for module in (lobexec.oracle, lobexec.costs):
         for name, value in vars(module).items():
             assert not name.startswith("solve"), name
             assert name not in forbidden, name
             assert not any(value is obj for obj in forbidden_objects), name
             assert getattr(value, "__module__", None) not in ("lobexec.solver", "lobexec.numerics"), name
-    for name in lobexec.costs.impact_costs.__code__.co_names:
-        assert name not in forbidden and not name.startswith("solve"), name
+    for kernel in (lobexec.costs.impact_costs, lobexec.costs.premium_steps):
+        for name in kernel.__code__.co_names:
+            assert name not in forbidden and not name.startswith("solve"), name
 
 
 def _lattice_point_by_point(params, shape, resolution):
@@ -249,7 +250,8 @@ def test_grid_search_equals_the_point_by_point_scan(shape, x0, mode, steps, monk
     p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
     res = x0 / LATTICE_STEPS[steps]
     want_x, want_f = _lattice_point_by_point(p, shape, res)
-    # one slab, then slabs of 97 points that end mid-row
+    # one block, then blocks of at most 97 points: whole rows of the last
+    # free trade, or, where a row holds more (N = 1), pieces of 97 of it
     for slab in (lobexec.oracle._SLAB_POINTS, 97):
         monkeypatch.setattr(lobexec.oracle, "_SLAB_POINTS", slab)
         got = grid_search(p, shape, res)
