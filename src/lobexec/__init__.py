@@ -14,23 +14,14 @@ from .costs import (
     cost_and_gradient,
     cost_report,
     impact_cost,
-    impact_cost_gform,
     impact_costs,
     lagrange_residual,
-    order_cost,
     ow_cost,
 )
 from .dynamics import (
-    BookState,
     MarketParams,
     Resilience,
-    SimplifiedState,
-    apply_order,
-    apply_order_book,
-    decay,
-    decay_book,
     replay,
-    replay_book,
     trajectory_to_csv,
 )
 from .errors import (
@@ -72,7 +63,6 @@ from .solver import (
 
 __all__ = [
     "BlockShape",
-    "BookState",
     "BudgetExceeded",
     "ContinuousLimit",
     "CostReport",
@@ -89,7 +79,6 @@ __all__ = [
     "PreconditionFailed",
     "Resilience",
     "Shape",
-    "SimplifiedState",
     "SolverDiagnostics",
     "SqrtShape",
     "Strategy",
@@ -97,29 +86,22 @@ __all__ = [
     "ValidationReport",
     "analytic_gradient",
     "cost_and_gradient",
-    "apply_order",
-    "apply_order_book",
     "backward_coeffs",
     "closed_coeffs",
     "coeffs_to_csv",
     "continuous_limit",
     "cost_report",
-    "decay",
-    "decay_book",
     "forward_strategy",
     "gradient_check",
     "grid_search",
     "impact_cost",
-    "impact_cost_gform",
     "impact_costs",
     "injectivity_margin",
     "lagrange_residual",
     "load_tabulated_csv",
     "minimize_cost",
-    "order_cost",
     "ow_cost",
     "replay",
-    "replay_book",
     "solve",
     "solve_block",
     "solve_model1",

@@ -5,9 +5,9 @@ to D_post is A0 x + premium(D_post) - premium(D_pre): the shares times
 the unaffected price plus the price-weighted depth eaten. Summing over
 trade nodes gives the total cost, so the impact part of any schedule is
 a telescoping sum of premium differences along the walked trajectory.
-That F-tilde-difference sum is the reference implementation here; the
-expanded forms in terms of the volume potential G (premium as a function
-of volume) are kept as independent cross-checks, one per model.
+That F-tilde-difference sum is the one implementation here; the tests
+check it against the expanded forms in terms of the volume potential G
+(premium as a function of volume), one per model.
 
 ow_cost is the classical quadratic cost for a block book with an extra
 permanent-impact slope lambda; it exists so the optimizers can be tied
@@ -81,12 +81,6 @@ def as_trades(strategy) -> Sequence[float]:
     return list(map(float, strategy))
 
 
-def order_cost(shape: Shape, d_pre: float, d_post: float, a0: float = 0.0) -> float:
-    """Cash for a single order moving the offset d_pre -> d_post."""
-    x = shape.volume(d_post) - shape.volume(d_pre)
-    return a0 * x + shape.premium(d_post) - shape.premium(d_pre)
-
-
 def impact_cost(params: MarketParams, shape: Shape, strategy) -> float:
     """Impact part of the cost (total minus A0 * sum of trades).
 
@@ -149,32 +143,6 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
         for pre, post in zip(d_pre, d_post):
             total = total + (shape.premium_array(post) - shape.premium_array(pre))
     return total, ((e_post[-1], d_post[-1]) if e_post else start)
-
-
-def impact_cost_gform(params: MarketParams, shape: Shape, strategy) -> float:
-    """Cross-check form of impact_cost via the volume potential G.
-
-    Volume recovery: sum of G(E_n + x_n) - G(E_n) with E recursed in
-    volume. Spread recovery: sum of G(x_n + F(D_n)) - premium(D_n) with D
-    recursed in offset. Both unroll the replay independently.
-    """
-    trades = as_trades(strategy)
-    if len(trades) != params.steps + 1:
-        raise InvalidParam(f"expected {params.steps + 1} trades, got {len(trades)}")
-    a = params.decay
-    total = 0.0
-    if params.mode is Resilience.VOLUME:
-        e = 0.0
-        for x in trades:
-            total += shape.premium_by_volume(e + x) - shape.premium_by_volume(e)
-            e = a * (e + x)
-    else:
-        d = 0.0
-        for x in trades:
-            v = x + shape.volume(d)
-            total += shape.premium_by_volume(v) - shape.premium(d)
-            d = a * shape.offset(v)
-    return total
 
 
 def ow_cost(q: float, lam: float, params: MarketParams, strategy, a0: float = 0.0) -> float:

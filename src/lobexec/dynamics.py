@@ -15,11 +15,8 @@ walks a run of equal trades whose state has settled once (see
 node_states), which is most of an optimal schedule; the cost functionals
 keep that run as one node, and replay writes it out node by node.
 
-The full two-sided book keeps independent ask and bid states: buys eat
-the ask side only, sells the bid side only. The simplified single-state
-book lets signed trades cancel; it is the state the cost functional and
-the optimizers work on, and it brackets the two-sided book trade by
-trade (bid volume <= simplified volume <= ask volume).
+This is the simplified single-state book: signed trades cancel, and it
+is the state the cost functional and the optimizers work on.
 """
 
 from __future__ import annotations
@@ -77,77 +74,6 @@ class MarketParams:
     @property
     def times(self) -> tuple[float, ...]:
         return tuple(k * self.tau for k in range(self.steps + 1))
-
-
-@dataclass(frozen=True)
-class SimplifiedState:
-    """One-sided book state: eaten volume and the matching price offset."""
-
-    volume: float
-    offset: float
-
-    @staticmethod
-    def initial() -> "SimplifiedState":
-        return SimplifiedState(0.0, 0.0)
-
-    @staticmethod
-    def from_volume(shape: Shape, volume: float) -> "SimplifiedState":
-        return SimplifiedState(volume, shape.offset(volume))
-
-    @staticmethod
-    def from_offset(shape: Shape, offset: float) -> "SimplifiedState":
-        return SimplifiedState(shape.volume(offset), offset)
-
-
-def apply_order(state: SimplifiedState, shape: Shape, x: float) -> SimplifiedState:
-    """Instantaneous jump from a trade of x shares (signed)."""
-    return SimplifiedState.from_volume(shape, state.volume + x)
-
-
-def decay(
-    state: SimplifiedState, shape: Shape, mode: Resilience, rho: float, s: float
-) -> SimplifiedState:
-    """Recovery over a quiet interval of length s >= 0.
-
-    The mode's native variable is scaled by exp(-rho s) exactly, the
-    other recomputed, so decay(s1) then decay(s2) composes to decay(s1+s2)
-    up to roundoff in the exponential itself.
-    """
-    if s < 0.0:
-        raise InvalidParam(f"decay interval must be >= 0, got {s}")
-    factor = math.exp(-rho * s)
-    if Resilience(mode) is Resilience.VOLUME:
-        return SimplifiedState.from_volume(shape, factor * state.volume)
-    return SimplifiedState.from_offset(shape, factor * state.offset)
-
-
-@dataclass(frozen=True)
-class BookState:
-    """Two-sided state: ask side holds E >= 0, bid side E <= 0."""
-
-    ask: SimplifiedState
-    bid: SimplifiedState
-
-    @staticmethod
-    def initial() -> "BookState":
-        return BookState(SimplifiedState.initial(), SimplifiedState.initial())
-
-
-def apply_order_book(state: BookState, shape: Shape, x: float) -> BookState:
-    if x > 0.0:
-        return BookState(apply_order(state.ask, shape, x), state.bid)
-    if x < 0.0:
-        return BookState(state.ask, apply_order(state.bid, shape, x))
-    return state
-
-
-def decay_book(
-    state: BookState, shape: Shape, mode: Resilience, rho: float, s: float
-) -> BookState:
-    return BookState(
-        decay(state.ask, shape, mode, rho, s),
-        decay(state.bid, shape, mode, rho, s),
-    )
 
 
 @dataclass(frozen=True)
@@ -268,26 +194,6 @@ def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:
         TrajectoryPoint(n, n * tau, *state)
         for n, state in enumerate(zip(*walk(params, shape, trades)))
     ]
-
-
-def replay_book(
-    params: MarketParams, shape: Shape, trades
-) -> list[tuple[int, BookState, BookState]]:
-    """Two-sided replay; yields (n, pre, post) book states per node."""
-    trades = list(trades)
-    if len(trades) != params.steps + 1:
-        raise InvalidParam(
-            f"expected {params.steps + 1} trades, got {len(trades)}"
-        )
-    state = BookState.initial()
-    out = []
-    for n, x in enumerate(trades):
-        if n > 0:
-            state = decay_book(state, shape, params.mode, params.rho, params.tau)
-        pre = state
-        state = apply_order_book(state, shape, x)
-        out.append((n, pre, state))
-    return out
 
 
 def trajectory_to_csv(traj, path) -> None:

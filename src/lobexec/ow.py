@@ -20,6 +20,7 @@ the coefficients at n+1, and the last trade clears the remainder.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,43 +87,29 @@ def backward_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficient
 def closed_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     """The same coefficients from their closed forms.
 
-    With m = N-n and r = 1/a:
-        den       = m(r-1) + (1+r)
-        alpha_n   = [(1+r) - q lam (m(r-1) + 2(1+r))] / (2 q den)
-        beta_n    = (1+r) / den
-        gamma_n   = m(1-r) / (2 kappa den)
-        delta_n   = 2 r^2 den / (kappa [m(1-r^2) + (m+2)(r^3-r)])
-        epsilon_n = kappa (r-a) / den
-        phi_n     = [(m+1)(r-a) - m(1-a^2)] / den
+    With m = N-n, b = 1-a = -expm1(-rho tau) and D = m b + (1+a):
+        alpha_n   = [(1+a) - q lam (m b + 2(1+a))] / (2 q D)
+        beta_n    = (1+a) / D
+        gamma_n   = -m b / (2 kappa D)
+        delta_n   = 2 D / (kappa (1-a^2) (m+2-m a))
+        epsilon_n = kappa (1-a^2) / D
+        phi_n     = (1-a^2) (m+1-m a) / D
+    These are the forms in r = 1/a multiplied through by a power of a, so
+    they stay finite as rho tau grows, down to a = 0, where 1/a overflows.
     """
     kappa = _check_params(q, lam, params)
     a = params.decay
-    r = 1.0 / a
-    n_steps = params.steps
-    al = np.empty(n_steps + 1)
-    be = np.empty(n_steps + 1)
-    ga = np.empty(n_steps + 1)
-    de = np.empty(n_steps + 1)
-    ep = np.empty(n_steps + 1)
-    ph = np.empty(n_steps + 1)
-    for n in range(n_steps + 1):
-        m = n_steps - n
-        den = m * (r - 1.0) + (1.0 + r)
-        al[n] = ((1.0 + r) - q * lam * (m * (r - 1.0) + 2.0 * (1.0 + r))) / (
-            2.0 * q * den
-        )
-        be[n] = (1.0 + r) / den
-        ga[n] = m * (1.0 - r) / (2.0 * kappa * den)
-        de[n] = (
-            2.0
-            * r
-            * r
-            * den
-            / (kappa * (m * (1.0 - r * r) + (m + 2.0) * (r ** 3 - r)))
-        )
-        ep[n] = kappa * (r - a) / den
-        ph[n] = ((m + 1.0) * (r - a) - m * (1.0 - a * a)) / den
-    return OWCoefficients(q, lam, kappa, a, n_steps, al, be, ga, de, ep, ph)
+    b = -math.expm1(-params.rho * params.tau)
+    b2 = b * (1.0 + a)  # 1 - a^2
+    m = np.arange(params.steps, -1, -1, dtype=float)
+    den = m * b + (1.0 + a)
+    al = ((1.0 + a) - q * lam * (m * b + 2.0 * (1.0 + a))) / (2.0 * q * den)
+    be = (1.0 + a) / den
+    ga = -m * b / (2.0 * kappa * den)
+    de = 2.0 * den / (kappa * b2 * (m + 2.0 - m * a))
+    ep = kappa * b2 / den
+    ph = b2 * (m + 1.0 - m * a) / den
+    return OWCoefficients(q, lam, kappa, a, params.steps, al, be, ga, de, ep, ph)
 
 
 def forward_strategy(coeffs: OWCoefficients, params: MarketParams, x0: float) -> Strategy:

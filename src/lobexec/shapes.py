@@ -17,16 +17,21 @@ it in closed form, so it does not cancel where f and x f' nearly do.
 The limit reads it as relative_curvature, (f + x f')/f, which keeps its
 sign and stays finite where both underflow far from the quote.
 
-Built-in families carry closed forms. The sell side is handled by the
-antisymmetric extension F(x) = -F(-x) (densities are even in the offset),
-so volume and premium work for signed arguments throughout.
+Every book is two one-sided branches, each a function of the distance
+from the quote: an ask branch for x >= 0, which buys eat, and a bid
+branch for x < 0, which sells eat. Shape's signed maps send each
+argument to its branch, with volumes negated on the bid side, so they
+work for signed arguments throughout. A mirrored book's bid branch is
+its ask branch: its density is even and its volume odd in the offset.
+The built-in families carry closed forms and are mirrored.
 
 The piecewise-linear books are one private ramp: a one-sided
 piecewise-linear density on knots from the quote outward, whose volume
 and premium are the exact integrals of its interpolant, summed from the
 quote, so near it they stay exact relative to their size. The
-counterexample is one ramp, mirrored like the closed forms; a table is
-two, one per side of the quote.
+counterexample is one ramp, mirrored like the closed forms. A table is
+the ramp of its ask side, with the ramp of its bid side as its bid
+branch, so its two sides may differ.
 
 The module also hosts the preflight validators for the two resilience
 models: scans that check the injectivity of the characteristic maps and
@@ -63,13 +68,50 @@ def _quiet(array_map):
     return wrapper
 
 
+def _sides(x, ask_map, bid_map):
+    """An array map with each element on its own branch: ask_map at x
+    where x >= 0 (and at NaN), bid_map at -x elsewhere. On a mirrored
+    book the two are one method of one shape, called once on |x|: a batch
+    of schedules that sell as well as buy mixes the signs. Otherwise index
+    arrays with take and put cost about a quarter of boolean masks on
+    2^14 elements."""
+    if ask_map == bid_map:
+        return ask_map(np.abs(x))
+    neg = x < 0.0
+    ineg = np.flatnonzero(neg)
+    if ineg.size == 0:
+        return ask_map(x)
+    ipos = np.flatnonzero(~neg)
+    out = np.empty(x.shape)
+    out.put(ipos, ask_map(x.take(ipos)))
+    out.put(ineg, bid_map(-x.take(ineg)))
+    return out
+
+
 class Shape:
-    """Interface for order-book densities. Subclasses fill in the maps
-    on the nonnegative branch; signed arguments are handled here."""
+    """Interface for order-book densities: two one-sided branches.
+
+    A branch maps the distance t >= 0 from the quote through the
+    primitives below. Offsets and volumes x >= 0 (and NaN) are on the
+    shape's own branch, the ask side that buys eat; x < 0 are on the
+    branch _bid, the bid side that sells eat, at t = -x, with volumes and
+    offsets negated. _bid is the shape itself, a mirrored book, unless a
+    subclass sets another one-sided shape there. Subclasses fill in the primitives
+    and, for finite depth, _depth; the signed maps are written here once.
+    """
 
     name = "shape"
+    _depth = math.inf  # the volume the branch covers
 
-    # positive-branch primitives ------------------------------------
+    def __new__(cls, *args, **kwargs):
+        shape = super().__new__(cls)
+        # object.__setattr__: past a frozen dataclass, and without the
+        # instance __dict__ that vars() would make, which slows every
+        # attribute read of the maps
+        object.__setattr__(shape, "_bid", shape)
+        return shape
+
+    # branch primitives ---------------------------------------------
 
     def _density(self, t: float) -> float:
         raise NotImplementedError
@@ -86,6 +128,9 @@ class Shape:
     def _premium_curvature(self, t: float) -> float:
         raise NotImplementedError
 
+    def _relative_curvature(self, t: float) -> float:
+        return self._premium_curvature(t) / self._density(t)
+
     # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
     # where the scalar map raises OutOfDomain, inf where it overflows
 
@@ -101,29 +146,33 @@ class Shape:
     def _premium_array(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # signed API ------------------------------------------------------
+    # signed API: each argument on its own branch ----------------------
 
     def density(self, x: float) -> float:
-        return self._density(abs(x))
+        return self._bid._density(-x) if x < 0.0 else self._density(x)
 
     def volume(self, x: float) -> float:
-        """F(x); odd in x."""
-        return math.copysign(self._volume(abs(x)), x) if x != 0.0 else 0.0
+        """F(x); odd in x on a mirrored book."""
+        if x < 0.0:
+            return -self._bid._volume(-x)
+        return self._volume(x) if x != 0.0 else 0.0
 
     def offset(self, y: float) -> float:
-        """F^{-1}(y); odd in y."""
-        return math.copysign(self._offset(abs(y)), y) if y != 0.0 else 0.0
+        """F^{-1}(y); odd in y on a mirrored book."""
+        if y < 0.0:
+            return -self._bid._offset(-y)
+        return self._offset(y) if y != 0.0 else 0.0
 
     def premium(self, x: float) -> float:
-        """int_0^x u f(u) du; even in x and nonnegative."""
-        return self._premium(abs(x))
+        """int_0^x u f(u) du; nonnegative, and even in x on a mirrored book."""
+        return self._bid._premium(-x) if x < 0.0 else self._premium(x)
 
     def premium_by_volume(self, y: float) -> float:
         return self.premium(self.offset(y))
 
     def premium_curvature(self, x: float) -> float:
-        """f(x) + x f'(x), the premium's second derivative; even in x."""
-        return self._premium_curvature(abs(x))
+        """f(x) + x f'(x), the premium's second derivative."""
+        return self._bid._premium_curvature(-x) if x < 0.0 else self._premium_curvature(x)
 
     def relative_curvature(self, x: float) -> float:
         """(f(x) + x f'(x)) / f(x), the premium's curvature over the density.
@@ -133,31 +182,33 @@ class Shape:
         family whose f underflows far from the quote gives it in closed
         form, where it stays finite.
         """
-        return self.premium_curvature(x) / self.density(x)
+        return self._bid._relative_curvature(-x) if x < 0.0 else self._relative_curvature(x)
 
     # signed array API: density, volume, offset and premium elementwise
 
     @_quiet
     def density_array(self, x) -> np.ndarray:
-        return self._density_array(np.abs(x))
+        return _sides(x, self._density_array, self._bid._density_array)
 
     @_quiet
     def volume_array(self, x) -> np.ndarray:
-        return np.where(x != 0.0, np.copysign(self._volume_array(np.abs(x)), x), 0.0)
+        vol = _sides(x, self._volume_array, self._bid._volume_array)
+        return np.where(x != 0.0, np.copysign(vol, x), 0.0)
 
     @_quiet
     def offset_array(self, y) -> np.ndarray:
-        return np.where(y != 0.0, np.copysign(self._offset_array(np.abs(y)), y), 0.0)
+        x = _sides(y, self._offset_array, self._bid._offset_array)
+        return np.where(y != 0.0, np.copysign(x, y), 0.0)
 
     @_quiet
     def premium_array(self, x) -> np.ndarray:
-        return self._premium_array(np.abs(x))
+        return _sides(x, self._premium_array, self._bid._premium_array)
 
     # domain ------------------------------------------------------------
 
     def volume_bounds(self) -> tuple[float, float]:
-        """Reachable cumulative-volume range (lo, hi)."""
-        return (-math.inf, math.inf)
+        """Reachable cumulative-volume range (lo, hi): each branch's depth."""
+        return (-self._bid._depth, self._depth)
 
     @property
     def unbounded_volume(self) -> bool:
@@ -251,6 +302,8 @@ class PowerLawShape(Shape):
         c = 1.0 - self.alpha
         near_volume = self.q / c * math.expm1(c * math.log1p(below[1])) if below[1] else 0.0
         object.__setattr__(self, "_near_volume", near_volume)
+        if self.alpha > 1.0:  # the volume saturates
+            object.__setattr__(self, "_depth", self.q / (self.alpha - 1.0))
 
     # a float ** that overflows raises OverflowError; each map returns
     # inf there instead, the limit it overflows toward and what numpy's **
@@ -331,10 +384,9 @@ class PowerLawShape(Shape):
 
     def _premium_curvature(self, t):
         # q (1 + (1-alpha) t) / (1+t)^(alpha+1)
-        return self._density(t) * self.relative_curvature(t)
+        return self._density(t) * self._relative_curvature(t)
 
-    def relative_curvature(self, x):
-        t = abs(x)
+    def _relative_curvature(self, t):
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
     def _density_array(self, t):
@@ -407,12 +459,6 @@ class PowerLawShape(Shape):
         ub = np.where(t < tb, np.expm1(b * lt), (t + 1.0) ** b - 1.0)
         uc = np.where(t < tc, np.expm1(c * lt), (t + 1.0) ** c - 1.0)
         return self.q * (ub / b - uc / c)
-
-    def volume_bounds(self):
-        if self.alpha > 1.0:
-            cap = self.q / (self.alpha - 1.0)
-            return (-cap, cap)
-        return (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -523,13 +569,16 @@ class _Ramp(Shape):
         vol = _running_sums(_segment_volume(c[:full], slopes[:full], w).tolist())
         prem = _running_sums(_segment_premium(start[:full], c[:full], slopes[:full], w).tolist())
         depth = vol[-1] if math.isfinite(end) else math.inf
-        # vars(): the frozen dataclass subclasses build through here too
-        vars(self).update(
+        fields = dict(
             _end=end, _depth=depth,
             _t=tuple(start.tolist()), _c=tuple(c.tolist()), _m=tuple(slopes.tolist()),
             _v=tuple(vol[:segs]), _p=tuple(prem[:segs]),
             _ta=start, _ca=c, _ma=slopes, _va=np.array(vol[:segs]), _pa=np.array(prem[:segs]),
         )
+        # object.__setattr__: the frozen dataclass subclasses build through
+        # here too (see Shape.__new__ for why not vars())
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     def _locate(self, t):
         """The segment holding offset t >= 0, and t's distance into it."""
@@ -615,16 +664,17 @@ class CounterexampleShape(_Ramp):
         self._build((0.0, 1.0 / n, 1.0, math.inf), (n + 1.0, n + 1.0, 1.0, 1.0))
 
 
-class TabulatedShape(Shape):
+class TabulatedShape(_Ramp):
     """Density given by (offset, density) samples, linearly interpolated.
 
     The knot grid must be finite and strictly increasing, contain 0 in
     its hull, and carry positive densities. Each side of the quote is a
     ramp measured outward from it, with the quote as a knot (at its
-    interpolated density if the table has no knot there). Volume and
-    premium are the exact integrals of the interpolant, so a constant
-    table reproduces BlockShape to roundoff. Evaluation outside the
-    covered offsets (or volume beyond the covered mass) raises
+    interpolated density if the table has no knot there): the table is
+    the ramp of its ask side, with the bid side's ramp as its bid branch.
+    Volume and premium are the exact integrals of the interpolant, so a
+    constant table reproduces BlockShape to roundoff. Evaluation outside
+    the covered offsets (or volume beyond the covered mass) raises
     OutOfDomain: a table never certifies the unbounded-volume
     assumption, and volume_bounds() says what it covers.
     """
@@ -647,61 +697,8 @@ class TabulatedShape(Shape):
         self.knots = x
         self.dens = f
         f0 = [float(np.interp(0.0, x, f))]
-        self._pos = _Ramp([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
-        self._neg = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
-
-    # signed API overrides (tables are not symmetric): each offset or
-    # volume is evaluated on the ramp of its own side
-
-    def density(self, x: float) -> float:
-        return self._neg._density(-x) if x < 0.0 else self._pos._density(x)
-
-    def volume(self, x: float) -> float:
-        return -self._neg._volume(-x) if x < 0.0 else self._pos._volume(x)
-
-    def offset(self, y: float) -> float:
-        return -self._neg._offset(-y) if y < 0.0 else self._pos._offset(y)
-
-    def premium(self, x: float) -> float:
-        return self._neg._premium(-x) if x < 0.0 else self._pos._premium(x)
-
-    def premium_curvature(self, x: float) -> float:
-        return self._neg._premium_curvature(-x) if x < 0.0 else self._pos._premium_curvature(x)
-
-    @staticmethod
-    def _sides(x, pos_map, neg_map):
-        """An array map with each element evaluated on its own side of the
-        quote only: pos_map where x >= 0 (and at NaN), neg_map elsewhere.
-        Index arrays with take and put cost about a quarter of boolean
-        masks on 2^14 elements."""
-        neg = x < 0.0
-        ineg = np.flatnonzero(neg)
-        if ineg.size == 0:
-            return pos_map(x)
-        ipos = np.flatnonzero(~neg)
-        out = np.empty(x.shape)
-        out.put(ipos, pos_map(x.take(ipos)))
-        out.put(ineg, neg_map(x.take(ineg)))
-        return out
-
-    @_quiet
-    def density_array(self, x) -> np.ndarray:
-        return self._sides(x, self._pos._density_array, lambda t: self._neg._density_array(-t))
-
-    @_quiet
-    def volume_array(self, x) -> np.ndarray:
-        return self._sides(x, self._pos._volume_array, lambda t: -self._neg._volume_array(-t))
-
-    @_quiet
-    def offset_array(self, y) -> np.ndarray:
-        return self._sides(y, self._pos._offset_array, lambda v: -self._neg._offset_array(-v))
-
-    @_quiet
-    def premium_array(self, x) -> np.ndarray:
-        return self._sides(x, self._pos._premium_array, lambda t: self._neg._premium_array(-t))
-
-    def volume_bounds(self):
-        return (-self._neg._depth, self._pos._depth)
+        self._build([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
+        self._bid = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
 
 
 def load_tabulated_csv(path) -> TabulatedShape:
@@ -796,17 +793,16 @@ def _volume_scan_grid(shape: Shape, x0: float):
 
 
 def _mirrored(shape: Shape) -> bool:
-    """Whether the shape is mirrored: its signed maps are Shape's
-    reflections and its covered volumes symmetric. Then offset(-y) is
-    -offset(y) and density(-x) is density(x) bit for bit, on the same
-    grid with its sign flipped, so each per-point condition of a
-    validator scan on the bid branch repeats the ask branch's exactly.
-    Every closed-form family and the counterexample are mirrored; a
-    table, which maps each side on its own ramp, is not."""
+    """Whether the shape is mirrored: its bid branch is the shape itself
+    and its signed maps are Shape's. Then offset(-y) is -offset(y) and
+    density(-x) is density(x) bit for bit, on the same grid with its sign
+    flipped, so each per-point condition of a validator scan on the bid
+    branch repeats the ask branch's exactly. Every closed-form family and
+    the counterexample are mirrored; a table, whose bid side is a ramp of
+    its own, is not, nor is a subclass that overrides a signed map."""
     cls = type(shape)
-    lo, hi = shape.volume_bounds()
-    return (cls.density is Shape.density and cls.offset is Shape.offset
-            and cls.volume is Shape.volume and lo == -hi)
+    return (shape._bid is shape and cls.density is Shape.density and cls.offset is Shape.offset
+            and cls.volume is Shape.volume and cls.volume_bounds is Shape.volume_bounds)
 
 
 def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:

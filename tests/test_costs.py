@@ -26,27 +26,18 @@ from lobexec import (
     cost_report,
     gradient_check,
     impact_cost,
-    impact_cost_gform,
     impact_costs,
     lagrange_residual,
-    order_cost,
     ow_cost,
     solve,
     solve_block,
     replay,
 )
 from lobexec.costs import CostReport, as_trades, premium_steps
-from lobexec.dynamics import (
-    SimplifiedState,
-    TrajectoryPoint,
-    apply_order,
-    decay,
-    equal_run,
-    node_states,
-    walk,
-)
+from lobexec.dynamics import TrajectoryPoint, equal_run, node_states, walk
 from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
+from reference_models import SimplifiedState, apply_order, decay, impact_cost_gform, order_cost
 
 Q = 5000.0
 

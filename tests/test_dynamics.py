@@ -12,14 +12,17 @@ from lobexec import (
     MarketParams,
     PowerLawShape,
     Resilience,
+    replay,
+    trajectory_to_csv,
+)
+from reference_models import (
+    BookState,
     SimplifiedState,
     apply_order,
     apply_order_book,
     decay,
     decay_book,
-    replay,
     replay_book,
-    trajectory_to_csv,
 )
 
 Q = 5000.0
@@ -132,8 +135,6 @@ def test_replay_book_sells_hit_the_bid(fig3_params, block):
 
 
 def test_book_decay_acts_on_both_sides():
-    from lobexec import BookState
-
     sh = BlockShape(Q)
     b0 = apply_order_book(apply_order_book(BookState.initial(), sh, 1000.0), sh, -400.0)
     b1 = decay_book(b0, sh, Resilience.VOLUME, 20.0, 0.1)
@@ -153,3 +154,19 @@ def test_trajectory_csv_round_trip(tmp_path, fig3_params, block):
     assert int(fields[0]) == 2
     # %.17g survives a float round trip
     assert float(fields[4]) == traj[2].volume_post
+
+
+def test_the_reference_models_live_in_the_tests():
+    # the per-step and two-sided books and the G-form costs are test
+    # references; lobexec exports none of them
+    import lobexec
+    from lobexec import costs, dynamics
+
+    moved = ("SimplifiedState", "apply_order", "decay", "BookState", "apply_order_book",
+             "decay_book", "replay_book", "impact_cost_gform", "order_cost")
+    for name in moved:
+        assert name not in lobexec.__all__
+        assert not hasattr(lobexec, name), name
+        assert not hasattr(dynamics, name) and not hasattr(costs, name), name
+    for name in ("replay", "TrajectoryPoint", "trajectory_to_csv"):
+        assert hasattr(dynamics, name)

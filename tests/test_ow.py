@@ -104,6 +104,38 @@ def test_forward_strategy_is_feasible_and_optimal_for_ow_cost():
         assert ow_cost(Q, lam, p, x + 40.0 * d) >= base
 
 
+@pytest.mark.parametrize("rho", [250.0, 2000.0])
+@pytest.mark.parametrize("n", [1, 2, 10, 100])
+@pytest.mark.parametrize("lam", [0.0, 5e-5, 1.5e-4])
+def test_closed_forms_stay_finite_as_rho_tau_grows(rho, n, lam):
+    # r = 1/a overflowed r**3 at rho tau = 250 and divided by a = 0 at 2000;
+    # the forms in a, with 1 - a = -expm1(-rho tau), hold down to a = 0
+    p = _params(n, rho)
+    b = backward_coeffs(Q, lam, p)
+    c = closed_coeffs(Q, lam, p)
+    for name in ("alpha", "beta", "gamma", "delta", "epsilon", "phi"):
+        got = getattr(b, name)
+        want = getattr(c, name)
+        assert np.all(np.isfinite(want)), name
+        # relative to the coefficient's largest value: alpha crosses zero
+        # near m = 2, where the recursion's own rounding is all there is
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("rho", [250.0, 2000.0])
+def test_ow_compare_solves_one_step_at_large_rho_tau(rho, tmp_path, capsys):
+    from lobexec import cli
+
+    argv = ["ow-compare", "--rho", str(rho), "--n", "1", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "agrees" in capsys.readouterr().out
+    rows = (tmp_path / "ow_compare.csv").read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == list(solve_block(_params(1, rho), Q).trades)
+    for row in rows:
+        block, *trades = map(float, row.split(",")[1:])
+        assert trades == pytest.approx([block] * len(trades), rel=1e-12)
+
+
 def test_rejects_nonpositive_kappa():
     with pytest.raises(InvalidParam):
         backward_coeffs(Q, 1 / Q, _params(5))

@@ -702,3 +702,63 @@ def test_power_premium_curvature_far_from_the_quote():
     assert PowerLawShape(Q, 1.0).premium_curvature(x) == pytest.approx(Q / (1 + x) ** 2, rel=1e-15)
     sh = PowerLawShape(Q, 1.5)
     assert sh.premium_curvature(1.9) > 0.0 > sh.premium_curvature(2.1)
+
+
+# ---------------------------------------------------------------------------
+# the branch model: one signed path for every book
+# ---------------------------------------------------------------------------
+
+SIGNED_MAPS = ("density", "volume", "offset", "premium", "premium_by_volume",
+               "premium_curvature", "relative_curvature", "density_array",
+               "volume_array", "offset_array", "premium_array", "volume_bounds")
+
+
+def test_no_family_overrides_a_signed_map():
+    # each book fills in its branch primitives; Shape's signed maps send
+    # each argument to its branch
+    import lobexec.shapes as shapes
+
+    families = [cls for cls in vars(shapes).values()
+                if isinstance(cls, type) and issubclass(cls, Shape) and cls is not Shape]
+    assert {BlockShape, PowerLawShape, SqrtShape, CounterexampleShape, TabulatedShape} <= set(families)
+    for cls in families:
+        assert not set(SIGNED_MAPS) & set(vars(cls)), cls
+
+
+def test_the_bid_branch_is_the_book_itself_unless_a_table_sets_its_own():
+    for shape in (BlockShape(Q), PowerLawShape(Q, 1.5), SqrtShape(Q, 1.0), CounterexampleShape(3)):
+        assert shape._bid is shape
+    table = TabulatedShape([-3.0, -1.0, 2.0, 5.0], [1.0, 4.0, 2.0, 7.0])
+    assert table._bid is not table and table._bid._bid is table._bid
+    # the bid branch at t is the table at -t, with its volume negated
+    for t in (0.5, 1.0, 2.5):
+        assert table.density(-t) == table._bid._density(t)
+        assert table.volume(-t) == -table._bid._volume(t)
+    assert table.volume_bounds() == (-table._bid._depth, table._depth)
+
+
+def _counterexample_table(n):
+    """A table whose two sides are CounterexampleShape(n)'s ramp up to
+    offset 1: n+1 on [0, 1/n], then down to 1 at 1."""
+    return TabulatedShape([-1.0, -1.0 / n, 0.0, 1.0 / n, 1.0], [1.0, n + 1.0, n + 1.0, n + 1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_a_table_of_the_counterexample_ramp_maps_as_it_bit_for_bit(n):
+    # the mirrored book and the table take the same signed path to ramps
+    # with the same segments, so inside the table's cover they agree exactly
+    ramp, table = CounterexampleShape(n), _counterexample_table(n)
+    depth = table.volume_bounds()[1]
+    assert table.volume_bounds() == (-depth, depth)
+    rng = np.random.default_rng(n)
+    inner = [0.0, -0.0, 1e-9, 1.0 / n, 0.5, float(np.nextafter(1.0, 0.0))]
+    xs = [s * x for s in (1.0, -1.0) for x in inner] + rng.uniform(-1.0, 1.0, 200).tolist()
+    vs = [s * v for s in (1.0, -1.0) for v in (0.0, 1e-9, (n + 1.0) / n, float(np.nextafter(depth, 0.0)))]
+    vs += rng.uniform(-depth, depth, 200).tolist()
+    assert all(-1.0 < x < 1.0 for x in xs) and all(abs(v) < depth for v in vs)
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("premium_curvature", xs),
+                       ("relative_curvature", xs), ("offset", vs), ("premium_by_volume", vs)):
+        assert [getattr(table, name)(a).hex() for a in args] == [getattr(ramp, name)(a).hex() for a in args], name
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("offset", vs)):
+        got, want = getattr(table, name + "_array")(args), getattr(ramp, name + "_array")(args)
+        assert got.tobytes() == want.tobytes(), name
