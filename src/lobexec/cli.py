@@ -270,6 +270,9 @@ def cmd_oracle_check(args) -> int:
     rel = abs(cost_gap) / max(1.0, abs(solver_cost))
     print(f"solver cost = {solver_cost:.6g}, oracle cost = {result.best_cost:.6g}")
     print(f"worst per-trade gap = {per_trade_gap:.6g}, relative cost gap = {rel:.6g}")
+    if result.off_book:
+        print(f"note: {result.off_book} of {result.starts} oracle starts lie off the book "
+              "(their first cost is not finite) and were dropped", file=sys.stderr)
     if not result.converged:
         print("warning: not every oracle start converged", file=sys.stderr)
     if rel <= _COST_RTOL and per_trade_gap <= _PER_TRADE_RTOL * max(1.0, params.x0):

@@ -26,7 +26,8 @@ the pre- and post-trade offsets, with each settled run of nodes held
 once, and everything here is read off those lists. impact_costs runs the
 same recursion on (M,) columns through the shape's array maps, by
 premium_steps, which the lattice referee also calls to walk a block of
-schedules that share their first trades once.
+schedules that share their first trades once: up to the pre-trade state
+of the node after them, where each schedule goes on.
 """
 
 from __future__ import annotations
@@ -130,18 +131,25 @@ def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
 def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None):
     """Walk (M,) trade columns, one per node, through the array maps and
     add each node's premium difference to the (M,) sums total, in node
-    order. start is as node_states takes it: the post-trade (E, D) of a
-    node walked before, or None for a flat book. Returns the new sums
-    and the post-trade (E, D) after the last column (start if there is
-    none), from which a walk of the nodes after them can go on: a walk
-    split in two this way adds the same floats in the same order as one
-    walk of all the columns.
+    order. Returns the new sums and the state the walk stopped at (see
+    node_states): after the last column the post-trade (E, D), or, where
+    the columns end with None, that node's pre-trade state as (E, D,
+    premium(D)). Given that state as start, a walk of the nodes from
+    there on adds the same floats in the same order as one walk of all
+    the columns; from a pre-trade state it takes the premium at D from
+    start instead of the array map. start None is a flat book.
     """
+    resumed = start is not None and len(start) == 3
     with np.errstate(all="ignore"):
-        _, d_pre, e_post, d_post = node_states(
+        e_pre, d_pre, e_post, d_post = node_states(
             params, columns, shape.volume_array, shape.offset_array, start)
-        for pre, post in zip(d_pre, d_post):
-            total = total + (shape.premium_array(post) - shape.premium_array(pre))
+        low = [shape.premium_array(d) for d in d_pre[resumed:]]
+        if resumed:
+            low.insert(0, start[2])
+        for pre, post in zip(low, d_post):
+            total = total + (shape.premium_array(post) - pre)
+    if len(d_pre) > len(d_post):
+        return total, (e_pre[-1], d_pre[-1], low[-1])
     return total, ((e_post[-1], d_post[-1]) if e_post else start)
 
 

@@ -10,8 +10,10 @@ native to the mode, so repeated decays never accumulate F round trips.
 node_states is that recursion, written once: on plain floats through a
 shape's scalar maps it is walk, which the cost functionals, their
 gradients and replay all read, and on (M,) columns through the array
-maps it prices a batch of schedules (costs.impact_costs). On floats it
-walks a run of equal trades whose state has settled once (see
+maps it prices a batch of schedules (costs.impact_costs). A walk can
+stop at a node's pre-trade state and go on from it later, so that the
+lattice referee walks the trades many of its schedules share once. On
+floats it walks a run of equal trades whose state has settled once (see
 node_states), which is most of an optimal schedule; the cost functionals
 keep that run as one node, and replay writes it out node by node.
 
@@ -95,33 +97,40 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
     while the other is recomputed. The maps are the shape's scalar ones
     with a float per trade, or its array ones with an (M,) column per
     node, which runs M schedules at once. Returns the lists (E_pre,
-    D_pre, E_post, D_post), indexed by node. With start, the post-trade
-    (E, D) of a node before the first trade, the walk goes on from it:
-    the book decays before every trade.
+    D_pre, E_post, D_post), indexed by node.
 
-    On a list or tuple of trades, runs of equal trades are walked once.
-    The step from one node to the next is a pure function of the state
-    (E, D) it starts from and of the trade. So once a step returns the
-    state it found, and the trades after it equal the one it used, each
-    of those steps returns that state again, bit for bit: the lists are
-    extended with the node's four values to the end of the run, and the
-    maps are not called there. Equal floats are equal bits except 0.0
+    A walk can stop and go on later from where it stopped, and the two
+    walks compute what one walk would, bit for bit. It stops after its
+    last trade, or, on a last trade of None, at that node's pre-trade
+    state: the node gets its E_pre and D_pre, and no post-trade values.
+    start says where the walk goes on from: a node's post-trade (E, D),
+    which decays before the first trade, or a stopped node's pre-trade
+    state as (E, D, p), which meets the first trade as it is; p is the
+    caller's to keep (premium_steps keeps the premium at D there).
+
+    On a list or tuple of float trades, runs of equal trades are walked
+    once. The step from one node to the next is a pure function of the
+    state (E, D) it starts from and of the trade. So once a step returns
+    the state it found, and the trades after it equal the one it used,
+    each of those steps returns that state again, bit for bit: the lists
+    are extended with the node's four values to the end of the run, and
+    the maps are not called there. Equal floats are equal bits except 0.0
     and -0.0, so the trade and the state must also be nonzero. Given a
     list runs, the lists are not extended: they hold the run once, and
     runs gets (i, k) for each entry i that stands for the k nodes after
-    it as well. The (M,) columns of impact_costs come as an array and
-    never skip.
+    it as well. (M,) columns never skip.
     """
     a = params.decay
     volume_mode = params.mode is Resilience.VOLUME
-    listed = isinstance(trades, (list, tuple))
-    states = e_pre, d_pre, e_post, d_post = [], [], [], []
-    e, d = (0.0, 0.0) if start is None else start  # flat, or where the walk left off
-    x_prev = None
     n, end = 0, len(trades)
+    listed = end and isinstance(trades, (list, tuple)) and isinstance(trades[0], float)
+    states = e_pre, d_pre, e_post, d_post = [], [], [], []
+    e, d = (0.0, 0.0) if start is None else start[:2]  # flat, or where a walk stopped
+    decay_first = start is not None and len(start) == 2
+    x_prev = None
     while n < end:
         x = trades[n]
-        if n or start is not None:
+        if n or decay_first:
             if volume_mode:
                 e = a * e
                 d = offset(e)
@@ -130,6 +139,8 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
                 e = volume(d)
         e_pre.append(e)
         d_pre.append(d)
+        if x is None:
+            break
         e = e + x
         d = offset(e)
         e_post.append(e)

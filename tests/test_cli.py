@@ -6,6 +6,10 @@ codes and real files without shelling out.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,17 @@ def test_oracle_check_small(tmp_path, capsys):
     assert "oracle agrees with the solver" in capsys.readouterr().out
 
 
+def test_oracle_check_notes_starts_off_the_book(capsys):
+    # power alpha = 1.5 holds 1e4 shares a side: putting all 2e4 into the
+    # first trade overruns it, and that start is dropped, not failed
+    argv = ["--shape", "power", "--alpha", 1.5, "--x0", 2e4, "--n", 10]
+    assert run(["oracle-check"] + argv) == 0
+    captured = capsys.readouterr()
+    assert "oracle agrees with the solver" in captured.out
+    assert "1 of 8 oracle starts lie off the book" in captured.err
+    assert "not every oracle start converged" not in captured.err
+
+
 def test_oracle_check_mismatch_is_exit_4(monkeypatch, tmp_path):
     # force a fake oracle that claims a different, much better minimum
     def fake(params, shape, starts=8, seed=0, max_iter=100_000):
@@ -218,3 +233,13 @@ def test_solve_model2_matches_model1_on_block(tmp_path):
     payload = json.loads((tmp_path / "schedule.json").read_text())
     assert payload["trades"][0] == pytest.approx(FIG3_XI0, rel=1e-9)
     assert payload["model"] == 2
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "lobexec", "solve", "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads((tmp_path / "schedule.json").read_text())
+    assert payload["trades"][0] == pytest.approx(FIG3_XI0, rel=1e-15)

@@ -273,6 +273,34 @@ def test_a_batched_walk_split_in_two_adds_the_same_floats(shape, mode):
             assert [v.hex() for v in got] == [v.hex() for v in want], cut
 
 
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_batched_walk_split_at_a_pre_trade_state_adds_the_same_floats(shape, mode):
+    # the lattice walks the first trades once per prefix, on into the next
+    # node's pre-trade state and the premium there, and each point goes on
+    # from that state: its costs are impact_costs', bit for bit
+    rng = np.random.default_rng(31)
+    x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
+    for steps in (1, 2, 3):
+        p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+        x = rng.uniform(-0.25, 1.25, (64, steps + 1)) * x0
+        want = impact_costs(p, shape, x)
+        for cut in range(steps + 2):
+            head, state = premium_steps(p, shape, [*x[:, :cut].T, None], np.zeros(64))
+            assert len(state) == 3
+            got, _ = premium_steps(p, shape, x[:, cut:].T, head, state)
+            got = np.where(np.isfinite(got), got, np.inf)
+            assert [v.hex() for v in got] == [v.hex() for v in want], cut
+            # 8 prefixes, each shared by 8 rows: walked once, taken by row
+            row = np.repeat(np.arange(8), 8)
+            head, state = premium_steps(p, shape, [*x[::8, :cut].T, None], np.zeros(8))
+            start = tuple(np.broadcast_to(v, 8)[row] for v in state)
+            got, _ = premium_steps(p, shape, x[:, cut:].T, head[row], start)
+            got = np.where(np.isfinite(got), got, np.inf)
+            shared = impact_costs(p, shape, np.hstack([x[::8, :cut][row], x[:, cut:]]))
+            assert [v.hex() for v in got] == [v.hex() for v in shared], cut
+
+
 def test_impact_costs_rejects_a_wrong_width():
     p = MarketParams(x0=1e5, horizon=1.0, steps=2, rho=20.0)
     with pytest.raises(InvalidParam):

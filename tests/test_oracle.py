@@ -68,6 +68,25 @@ def test_every_descent_start_converges(shape, mode, steps):
     assert minimize_cost(p, shape, starts=8, seed=0).converged
 
 
+def test_descent_call_budget(monkeypatch):
+    # the benchmark's certify books at N = 10. A restart from the scaled
+    # identity every 2N iterations took the descent from 3407 cost and
+    # gradient calls over their 8 starts each to 2916
+    calls = []
+    counted = lobexec.oracle.cost_and_gradient
+
+    def count(*args):
+        calls.append(1)
+        return counted(*args)
+
+    monkeypatch.setattr(lobexec.oracle, "cost_and_gradient", count)
+    for shape, mode in itertools.product(CRITERION_3_SHAPES, [Resilience.VOLUME, Resilience.SPREAD]):
+        p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=20.0, mode=mode)
+        res = minimize_cost(p, shape, starts=8, seed=0)
+        assert res.converged and res.off_book == 0
+    assert len(calls) <= 0.9 * 3407
+
+
 def test_descent_is_start_insensitive():
     p = MarketParams(x0=X0, horizon=1.0, steps=3, rho=20.0)
     sh = PowerLawShape(Q, 0.5)
@@ -162,12 +181,36 @@ def test_descent_on_a_table_with_finite_mass(mode):
 def test_descent_prices_a_start_that_overflows_at_inf():
     # all at once, 720 q shares push the alpha = 1 offset past exp(700) to
     # inf: the cost is NaN and the spread-recovery gradient divides by the
-    # density there, 0. That start is priced at inf and the other one wins
+    # density there, 0. That start is priced at inf, counted off the book,
+    # and the other one wins
     p = MarketParams(x0=3.6e6, horizon=1.0, steps=1, rho=200.0, mode=Resilience.SPREAD)
     res = minimize_cost(p, PowerLawShape(Q, 1.0), starts=2)
-    assert not res.converged
+    assert res.off_book == 1
+    assert res.converged
     assert math.isfinite(res.best_cost)
     assert res.best_strategy.trades == pytest.approx((1.8e6, 1.8e6), rel=1e-9)
+
+
+@pytest.mark.parametrize("x0,off_book", [(2e4, 1), (3e4, 1), (9e4, 7)])
+def test_descent_drops_the_starts_off_a_shallow_book(x0, off_book):
+    # power alpha = 1.5 holds 1e4 shares a side. From x0 = 2e4 on, the
+    # all-at-once start overruns it; at 9e4 seven of the eight starts do.
+    # The starts on the book all converge
+    p = MarketParams(x0=x0, horizon=1.0, steps=10, rho=20.0)
+    res = minimize_cost(p, PowerLawShape(Q, 1.5), starts=8, seed=0)
+    assert res.off_book == off_book
+    assert res.converged
+    assert math.isfinite(res.best_cost)
+    if x0 == 2e4:  # the solver still brackets its root here
+        sched = solve(p, PowerLawShape(Q, 1.5))
+        for g, w in zip(res.best_strategy.trades, sched.trades):
+            assert abs(g - w) <= 1e-8 * x0
+
+
+def test_descent_refuses_when_no_start_is_on_the_book():
+    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0)
+    with pytest.raises(InvalidParam):
+        minimize_cost(p, PowerLawShape(Q, 1.5), starts=4)
 
 
 def test_referee_stays_independent_of_the_root_path():
