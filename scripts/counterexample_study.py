@@ -27,7 +27,7 @@ from lobexec import (  # noqa: E402
     Resilience,
     impact_cost,
     minimize_cost,
-    solve_model2,
+    solve,
     spread_recovery_gap,
     validate_model2,
 )
@@ -63,7 +63,7 @@ def main(argv=None):
     print(f"cost of (2.5, 1 x {steps-1}, 3.0) = {c_small:.6f}")
     print(f"moving one share from last to first trade costs +{c_big - c_small:.6f}")
 
-    forced = solve_model2(p, sh, skip_validation=True)
+    forced = solve(p, sh, skip_validation=True)
     c_forced = impact_cost(p, sh, forced.trades)
     print(f"forced root schedule: xi0 = {forced.xi0:.6f}, cost = {c_forced:.6f}")
 

@@ -56,8 +56,6 @@ from .solver import (
     continuous_limit,
     solve,
     solve_block,
-    solve_model1,
-    solve_model2,
     sqrt_shape_xi0,
 )
 
@@ -104,8 +102,6 @@ __all__ = [
     "replay",
     "solve",
     "solve_block",
-    "solve_model1",
-    "solve_model2",
     "spread_recovery_gap",
     "sqrt_shape_xi0",
     "trajectory_to_csv",

@@ -291,16 +291,17 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
         # each prefix walked once for all its points, into the last free
         # trade's node: its pre-trade state and the premium there
         walked, state = premium_steps(params, shape, [*prefix, None], np.zeros(index.size))
+        # a tail is x0 less its head summed in order: the prefix, then the last free trade
+        psum = prefix.sum(axis=0)
         for v0 in range(0, size, width):
             last = pts[v0:v0 + width]
-            heads = np.vstack([np.repeat(prefix, last.size, axis=1), np.tile(last, index.size)])
             # exact for N <= 2; at N = 3 within an ulp of fsum, far inside the slack
-            tails = x0 - heads.sum(axis=0)
+            tails = (x0 - (psum[:, None] + last)).ravel()
             keep = np.flatnonzero((tails >= lo - slack) & (tails <= hi + slack))
-            row = keep // last.size
+            row, col = np.divmod(keep, last.size)
             # N = 1 has no prefix: the state is the flat book's floats
             start = tuple(np.broadcast_to(v, index.size)[row] for v in state)
-            cost, _ = premium_steps(params, shape, np.vstack([heads[-1, keep], tails[keep]]),
+            cost, _ = premium_steps(params, shape, np.vstack([last[col], tails[keep]]),
                                     walked[row], start)
             cost = np.where(np.isfinite(cost), cost, np.inf)
             # a point more than the band above this can be neither the
@@ -308,8 +309,9 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
             bound = min(cost.min(initial=math.inf), best_f)
             if bound == math.inf:
                 continue
-            for head in heads[:, keep[cost <= bound + _RESCORE_BAND * abs(bound)]].T:
-                x = list(head) + [x0 - math.fsum(head)]
+            for i in np.flatnonzero(cost <= bound + _RESCORE_BAND * abs(bound)):
+                head = [*prefix[:, row[i]], last[col[i]]]
+                x = head + [x0 - math.fsum(head)]
                 f = _safe_cost(params, shape, x)
                 if f < best_f:
                     best_x, best_f = x, f

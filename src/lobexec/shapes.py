@@ -36,6 +36,8 @@ branch, so its two sides may differ.
 The module also hosts the preflight validators for the two resilience
 models: scans that check the injectivity of the characteristic maps and
 the growth condition that makes the schedule characterization sound.
+Each scans every distinct branch of the book once, a mirrored book's one
+branch or a table's two, at distances from the quote.
 """
 
 from __future__ import annotations
@@ -699,6 +701,7 @@ class TabulatedShape(_Ramp):
         f0 = [float(np.interp(0.0, x, f))]
         self._build([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
         self._bid = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
+        self._bid.name = self.name  # a call on either side is a call on the table
 
 
 def load_tabulated_csv(path) -> TabulatedShape:
@@ -778,31 +781,52 @@ class ValidationReport:
         }
 
 
-def _volume_scan_grid(shape: Shape, x0: float):
-    """Log-spaced volume grids per sign, clamped to the covered mass."""
+def _scan_grid(branch: Shape, x0: float):
+    """A log-spaced grid of positive volumes on one branch, out to
+    _SCAN_COVERAGE x0 or its covered mass, and whether it was clamped."""
     hi = _SCAN_COVERAGE * x0
-    lo_mag = max(1e-9 * x0, 1e-300)
-    vlo, vhi = shape.volume_bounds()
-    margin = 1.0 - 1e-12
-    pos_hi = min(hi, vhi * margin)
-    neg_hi = min(hi, -vlo * margin)
-    pos = np.geomspace(lo_mag, pos_hi, _SCAN_POINTS) if pos_hi > lo_mag else np.array([])
-    neg = -np.geomspace(lo_mag, neg_hi, _SCAN_POINTS) if neg_hi > lo_mag else np.array([])
-    clamped = pos_hi < hi or neg_hi < hi
-    return pos, neg, clamped
+    lo = max(1e-9 * x0, 1e-300)
+    top = min(hi, branch._depth * (1.0 - 1e-12))
+    grid = np.geomspace(lo, top, _SCAN_POINTS).tolist() if top > lo else []
+    return grid, top < hi
 
 
-def _mirrored(shape: Shape) -> bool:
-    """Whether the shape is mirrored: its bid branch is the shape itself
-    and its signed maps are Shape's. Then offset(-y) is -offset(y) and
-    density(-x) is density(x) bit for bit, on the same grid with its sign
-    flipped, so each per-point condition of a validator scan on the bid
-    branch repeats the ask branch's exactly. Every closed-form family and
-    the counterexample are mirrored; a table, whose bid side is a ramp of
-    its own, is not, nor is a subclass that overrides a signed map."""
-    cls = type(shape)
-    return (shape._bid is shape and cls.density is Shape.density and cls.offset is Shape.offset
-            and cls.volume is Shape.volume and cls.volume_bounds is Shape.volume_bounds)
+def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool) -> ValidationReport:
+    """The validators' shared scan of each distinct branch of the book: the
+    shape alone where it is its own bid branch, else the shape and _bid.
+
+    branch_failure(branch, a, grid) checks one branch on its volume grid,
+    in the branch's own coordinates (distances from the quote), and
+    returns its first failure as (reason, witness) or None. The report's
+    scan ends are each grid's last volume, or with in_offsets its offset;
+    on the bid branch they and the witness are negated.
+    """
+    if not (0.0 <= a < 1.0):
+        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
+    if not x0 > 0.0:
+        raise InvalidParam(f"working size must be positive, got {x0}")
+    branches = (shape,) if shape._bid is shape else (shape, shape._bid)
+    grids, clamped = zip(*(_scan_grid(branch, x0) for branch in branches))
+    ends = [0.0 if not grid else branch.offset(grid[-1]) if in_offsets else grid[-1]
+            for branch, grid in zip(branches, grids)]
+    # an empty bid grid ends at 0.0, not at -0.0
+    scan_lo, scan_hi = (-ends[-1] if grids[-1] else 0.0), ends[0]
+    detail = "scan clamped to covered mass" if any(clamped) else ""
+    for sign, branch, grid in zip((1.0, -1.0), branches, grids):
+        failure = branch_failure(branch, a, grid)
+        if failure is not None:
+            reason, witness = failure
+            return ValidationReport(False, reason, sign * witness, scan_lo, scan_hi, detail)
+    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
+
+
+def _h1_failure(branch: Shape, a: float, grid: list):
+    """The first volume of the grid where l(y) > 0 fails, with its reason."""
+    for y in grid:
+        if not injectivity_margin(branch, a, y) > 0.0:
+            finite = math.isfinite(branch.offset(y))
+            return ("h1_not_injective" if finite else "offset_not_finite"), y
+    return None
 
 
 def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
@@ -811,88 +835,49 @@ def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
     A nonpositive margin anywhere means h1 is not one-to-one there, and
     the volume-recovery solver must refuse the shape. Where the offset
     overflows, the margin says nothing about the shape: the reason is
-    then "offset_not_finite", a numeric failure. A mirrored book is
-    scanned on its positive branch only.
+    then "offset_not_finite", a numeric failure. Each distinct branch of
+    the book is scanned once.
     """
-    if not (0.0 <= a < 1.0):
-        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
-    if not x0 > 0.0:
-        raise InvalidParam(f"working size must be positive, got {x0}")
-    pos, neg, clamped = _volume_scan_grid(shape, x0)
-    detail = "scan clamped to covered mass" if clamped else ""
-    scan_lo = float(neg[-1]) if neg.size else 0.0
-    scan_hi = float(pos[-1]) if pos.size else 0.0
-    for grid in (pos,) if _mirrored(shape) else (pos, neg):
-        for y in grid.tolist():
-            if not injectivity_margin(shape, a, y) > 0.0:
-                finite = math.isfinite(shape.offset(y))
-                return ValidationReport(
-                    ok=False,
-                    reason="h1_not_injective" if finite else "offset_not_finite",
-                    witness=y,
-                    scan_lo=scan_lo,
-                    scan_hi=scan_hi,
-                    detail=detail,
-                )
-    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
+    return _scan(shape, a, x0, _h1_failure, in_offsets=False)
 
 
-def _growth_proxy(shape: Shape, a: float, x: float) -> float:
-    """x^2 * min f over [a x, x] (or [x, a x] on the sell side)."""
-    lo, hi = (a * x, x) if x >= 0.0 else (x, a * x)
-    ts = np.linspace(lo, hi, _GROWTH_SAMPLES)
-    return x * x * min(shape.density(float(t)) for t in ts)
+def _growth_proxy(branch: Shape, a: float, x: float) -> float:
+    """x^2 * min f over [a x, x] on one branch."""
+    return x * x * min(map(branch.density, np.linspace(a * x, x, _GROWTH_SAMPLES).tolist()))
+
+
+def _h2_failure(branch: Shape, a: float, grid: list):
+    """The first offset on the grid where a spread-recovery check fails,
+    with its reason; the growth proxy is checked last, at the grid's edge."""
+    offset, density = branch.offset, branch.density
+    prev_h2 = prev_x = 0.0
+    for v in grid:
+        x = offset(v)
+        # f(x) and f(ax) once; h2 as spread_recovery_gap forms it
+        fx, fax = density(x), density(a * x)
+        den = fx - a * fax
+        if not den > 0.0:
+            return "h2_not_injective", x
+        h2 = x * (fx - a * a * fax) / den
+        # finite, of the offset's sign, and strictly increasing where the offset grew
+        if not math.isfinite(h2) or h2 * x < 0.0 or (x > prev_x and not h2 > prev_h2):
+            return "h2_not_injective", x
+        prev_h2, prev_x = h2, x
+    if len(grid) >= 4:
+        x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])
+        if not _growth_proxy(branch, a, x_edge) > _growth_proxy(branch, a, x_mid):
+            return "explosion_violated", x_edge
+    return None
 
 
 def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
     """Scan for failures of the spread-recovery assumptions.
 
-    Checks, in offset space over the working range: the one-sided gap
-    f(x) - a f(ax) stays positive, h2 has the sign of x and is strictly
-    increasing along the grid, and the growth proxy x^2 inf f over [ax,x]
-    keeps rising toward the scan edges (a necessary sample of the
-    explosion condition, not a proof of it). A mirrored book is scanned
-    point by point on its positive branch only; the growth proxy, whose
-    sample offsets are mirrored only up to rounding, runs on both.
+    Checks, in offset space over the working range of each distinct
+    branch of the book: the one-sided gap f(x) - a f(ax) stays positive,
+    h2 has the sign of x and is strictly increasing along the grid, and
+    the growth proxy x^2 inf f over [ax,x] keeps rising toward the scan
+    edge (a necessary sample of the explosion condition, not a proof of
+    it).
     """
-    if not (0.0 <= a < 1.0):
-        raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
-    if not x0 > 0.0:
-        raise InvalidParam(f"working size must be positive, got {x0}")
-    pos_v, neg_v, clamped = _volume_scan_grid(shape, x0)
-    detail = "scan clamped to covered mass" if clamped else ""
-    scan_lo = shape.offset(float(neg_v[-1])) if neg_v.size else 0.0
-    scan_hi = shape.offset(float(pos_v[-1])) if pos_v.size else 0.0
-
-    def fail(reason, witness):
-        return ValidationReport(
-            ok=False, reason=reason, witness=float(witness),
-            scan_lo=scan_lo, scan_hi=scan_hi, detail=detail,
-        )
-
-    offset, density = shape.offset, shape.density
-    mirrored = _mirrored(shape)
-    for vgrid in (pos_v, neg_v):
-        if vgrid is pos_v or not mirrored:
-            prev_h2 = 0.0
-            prev_x = 0.0
-            for v in vgrid.tolist():
-                x = offset(v)
-                # f(x) and f(ax) once; h2 as spread_recovery_gap forms it
-                fx, fax = density(x), density(a * x)
-                den = fx - a * fax
-                if not den > 0.0:
-                    return fail("h2_not_injective", x)
-                h2 = x * (fx - a * a * fax) / den
-                if not math.isfinite(h2) or h2 * x < 0.0:
-                    return fail("h2_not_injective", x)
-                # strict increase along the branch, away from the origin
-                if abs(x) > abs(prev_x) and not (h2 > prev_h2 if x > 0.0 else h2 < prev_h2):
-                    return fail("h2_not_injective", x)
-                prev_h2, prev_x = h2, x
-        if vgrid.size >= 4:
-            x_edge = shape.offset(float(vgrid[-1]))
-            x_mid = shape.offset(float(vgrid[vgrid.size // 2]))
-            if not _growth_proxy(shape, a, x_edge) > _growth_proxy(shape, a, x_mid):
-                return fail("explosion_violated", x_edge)
-    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
+    return _scan(shape, a, x0, _h2_failure, in_offsets=True)

@@ -14,9 +14,11 @@ volume xi0 (the post-trade offset is F^{-1}(xi0)), characterized by
 
 with intermediate trades xi0 - F(a F^{-1}(xi0)). Both right-hand sides
 are strictly increasing exactly when the corresponding validator scan
-passes, which is why the solvers refuse shapes that fail it: on such
-shapes the root equation can have several solutions and picking one
-silently can cost real money (the counterexample shape demonstrates it).
+passes, which is why solve refuses shapes that fail it: on such shapes
+the root equation can have several solutions and picking one silently
+can cost real money (the counterexample shape demonstrates it). solve
+is one driver for both: the mode's validator, the root of its gap, and
+the schedule built from that root.
 
 The scalar equations are solved by Brent's method on (eps, X0 - eps)
 with a geometric subdivision fallback; both endpoints have provably
@@ -31,7 +33,7 @@ references for the root path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .costs import Strategy, lagrange_residual
 from .dynamics import MarketParams, Resilience
@@ -116,78 +118,48 @@ def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
     )
 
 
-def solve_model1(
+def solve(
     params: MarketParams,
     shape: Shape,
     *,
     skip_validation: bool = False,
 ) -> OptimalSchedule:
-    """Optimal schedule under volume recovery."""
-    p = replace(params, mode=Resilience.VOLUME)
-    if not p.x0 > 0.0:
-        raise InvalidParam("solver needs a positive total size")
-    a, n, x0 = p.decay, p.steps, p.x0
-    report = None
-    if not skip_validation:
-        report = validate_model1(shape, a, x0)
-        if report.reason == "offset_not_finite":
-            raise OutOfDomain(f"offset overflows at volume {report.witness}")
-        if not report.ok:
-            raise PreconditionFailed(
-                f"h1 injectivity scan failed at volume {report.witness}", report
-            )
-
-    def gap(y: float) -> float:
-        return volume_recovery_gap(shape, a, y) - (1.0 - a) * shape.offset(
-            x0 - n * y * (1.0 - a)
-        )
-
-    eps = 1e-12 * x0
-    xi0 = bracketed_root(gap, eps, x0 - eps)
-    return _build_schedule(p, shape, xi0, xi0 * (1.0 - a), abs(gap(xi0)), report)
-
-
-def solve_model2(
-    params: MarketParams,
-    shape: Shape,
-    *,
-    skip_validation: bool = False,
-) -> OptimalSchedule:
-    """Optimal schedule under spread recovery.
+    """Optimal schedule under params.mode.
 
     With skip_validation the root search runs on unvalidated shapes;
     on such shapes the root need not be unique or optimal, which is
     exactly what the counterexample study demonstrates.
     """
-    p = replace(params, mode=Resilience.SPREAD)
-    if not p.x0 > 0.0:
+    if not params.x0 > 0.0:
         raise InvalidParam("solver needs a positive total size")
-    a, n, x0 = p.decay, p.steps, p.x0
+    a, n, x0 = params.decay, params.steps, params.x0
+    volume = params.mode is Resilience.VOLUME
     report = None
     if not skip_validation:
-        report = validate_model2(shape, a, x0)
+        report = (validate_model1 if volume else validate_model2)(shape, a, x0)
+        if report.reason == "offset_not_finite":
+            raise OutOfDomain(f"offset overflows at volume {report.witness}")
         if not report.ok:
-            raise PreconditionFailed(
-                f"h2 scan failed ({report.reason}) at offset {report.witness}", report
-            )
+            what = (f"h1 injectivity scan failed at volume {report.witness}" if volume
+                    else f"h2 scan failed ({report.reason}) at offset {report.witness}")
+            raise PreconditionFailed(what, report)
 
-    def gap(y: float) -> float:
-        x = shape.offset(y)
-        return spread_recovery_gap(shape, a, x) - shape.offset(
-            x0 - n * (y - shape.volume(a * x))
-        )
+    if volume:
+        def gap(y: float) -> float:
+            return volume_recovery_gap(shape, a, y) - (1.0 - a) * shape.offset(
+                x0 - n * y * (1.0 - a)
+            )
+    else:
+        def gap(y: float) -> float:
+            x = shape.offset(y)
+            return spread_recovery_gap(shape, a, x) - shape.offset(
+                x0 - n * (y - shape.volume(a * x))
+            )
 
     eps = 1e-12 * x0
     xi0 = bracketed_root(gap, eps, x0 - eps)
-    intermediate = xi0 - shape.volume(a * shape.offset(xi0))
-    return _build_schedule(p, shape, xi0, intermediate, abs(gap(xi0)), report)
-
-
-def solve(params: MarketParams, shape: Shape, **kwargs) -> OptimalSchedule:
-    """Dispatch on params.mode."""
-    if params.mode is Resilience.VOLUME:
-        return solve_model1(params, shape, **kwargs)
-    return solve_model2(params, shape, **kwargs)
+    intermediate = xi0 * (1.0 - a) if volume else xi0 - shape.volume(a * shape.offset(xi0))
+    return _build_schedule(params, shape, xi0, intermediate, abs(gap(xi0)), report)
 
 
 def solve_block(params: MarketParams, q: float) -> OptimalSchedule:

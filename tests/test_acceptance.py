@@ -60,8 +60,6 @@ from lobexec import (
     replay,
     solve,
     solve_block,
-    solve_model1,
-    solve_model2,
     spread_recovery_gap,
     validate_model2,
 )
@@ -89,8 +87,8 @@ def test_criterion_1_block_closed_form():
 
     p = fig3()
     worst = 0.0
-    for sched in (solve_block(p, Q), solve_model1(p, BlockShape(Q)),
-                  solve_model2(fig3(mode=Resilience.SPREAD), BlockShape(Q))):
+    for sched in (solve_block(p, Q), solve(p, BlockShape(Q)),
+                  solve(fig3(mode=Resilience.SPREAD), BlockShape(Q))):
         for got, want in zip(sched.trades, ref):
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
@@ -170,7 +168,7 @@ def test_criterion_4_structural_identities():
         # volume recovery: every interior post-trade volume equals the first
         # trade, and the final offset matches the closed-form remainder
         p = fig3()
-        sched = solve_model1(p, shape)
+        sched = solve(p, shape)
         traj = replay(p, shape, sched.trades)
         a = p.decay
         for pt in traj[:-1]:
@@ -180,7 +178,7 @@ def test_criterion_4_structural_identities():
 
         # spread recovery: every interior post-trade offset equals offset(xi0)
         p2 = fig3(mode=Resilience.SPREAD)
-        sched2 = solve_model2(p2, shape)
+        sched2 = solve(p2, shape)
         traj2 = replay(p2, shape, sched2.trades)
         d_star = shape.offset(sched2.xi0)
         for pt in traj2[:-1]:
@@ -247,7 +245,7 @@ def test_criterion_7_sqrt_closed_form():
         from lobexec import sqrt_shape_xi0
 
         got = sqrt_shape_xi0(Q, mu, X0, N, a)
-        want = solve_model1(fig3(), SqrtShape(Q, mu)).xi0
+        want = solve(fig3(), SqrtShape(Q, mu)).xi0
         worst = max(worst, abs(got - want) / want)
         vals.append(got)
     from lobexec import sqrt_shape_xi0
@@ -266,8 +264,8 @@ def test_criterion_8_exponent_sweep_orderings():
     rows = {}
     for alpha in ALPHAS:
         sh = PowerLawShape(Q, alpha)
-        s1 = solve_model1(fig3(), sh)
-        s2 = solve_model2(fig3(mode=Resilience.SPREAD), sh)
+        s1 = solve(fig3(), sh)
+        s2 = solve(fig3(mode=Resilience.SPREAD), sh)
         rows[alpha] = (s1.trades[0], s1.trades[1], s1.trades[-1], s2.trades[1])
 
     ok = True

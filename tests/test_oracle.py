@@ -32,7 +32,6 @@ from lobexec import (
     minimize_cost,
     solve,
     solve_block,
-    solve_model2,
 )
 from lobexec.oracle import _safe_cost
 
@@ -154,7 +153,7 @@ def test_descent_confirms_forced_counterexample_root():
     # point is real: its minimum must not be worse than the forced root
     p = MarketParams(x0=14.5, horizon=1.0, steps=10, rho=10.0 * math.log(2.0), mode=Resilience.SPREAD)
     sh = CounterexampleShape(2)
-    forced = solve_model2(p, sh, skip_validation=True)
+    forced = solve(p, sh, skip_validation=True)
     forced_cost = impact_cost(p, sh, forced.trades)
     # the density kinks stall the line search near the optimum, so cap the
     # iterations; the minimum itself is reached long before the cap

@@ -18,8 +18,6 @@ from lobexec import (
     impact_cost,
     solve,
     solve_block,
-    solve_model1,
-    solve_model2,
     sqrt_shape_xi0,
 )
 
@@ -53,7 +51,7 @@ def test_root_solvers_reproduce_block_closed_form(mode, block):
 
 
 def test_schedule_structure(fig3_params, loglaw):
-    sched = solve_model1(fig3_params, loglaw)
+    sched = solve(fig3_params, loglaw)
     assert len(sched.trades) == 11
     assert all(x > 0 for x in sched.trades)
     assert math.fsum(sched.trades) == pytest.approx(X0, rel=1e-12)
@@ -68,7 +66,7 @@ def test_schedule_structure(fig3_params, loglaw):
 def test_single_interval_splits_in_half(block):
     # N=1 on the block: half now, half at the horizon
     p = MarketParams(x0=X0, horizon=1.0, steps=1, rho=20.0)
-    sched = solve_model1(p, block)
+    sched = solve(p, block)
     assert sched.trades[0] == pytest.approx(X0 / 2, rel=1e-10)
     assert sched.trades[1] == pytest.approx(X0 / 2, rel=1e-10)
 
@@ -76,7 +74,7 @@ def test_single_interval_splits_in_half(block):
 def test_full_resilience_limit_is_uniform(block):
     # rho -> inf: the book heals completely, all N+1 trades equal
     p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=500.0)
-    sched = solve_model1(p, block)
+    sched = solve(p, block)
     for x in sched.trades:
         assert x == pytest.approx(X0 / 11, rel=1e-6)
 
@@ -92,7 +90,7 @@ def test_decay_that_underflows_is_full_recovery(mode, block):
 def test_no_resilience_limit_is_two_blocks(block):
     # rho -> 0: nothing recovers; only the first and last trades survive
     p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=1e-7)
-    sched = solve_model1(p, block)
+    sched = solve(p, block)
     assert sched.trades[0] == pytest.approx(X0 / 2, rel=1e-5)
     assert sched.trades[-1] == pytest.approx(X0 / 2, rel=1e-5)
     assert sum(sched.trades[1:-1]) < 1e-4 * X0
@@ -100,7 +98,7 @@ def test_no_resilience_limit_is_two_blocks(block):
 
 def test_solver_cost_beats_uniform_and_imbalanced(fig3_params):
     for shape in (PowerLawShape(Q, 0.5), PowerLawShape(Q, -1.0)):
-        sched = solve_model1(fig3_params, shape)
+        sched = solve(fig3_params, shape)
         best = impact_cost(fig3_params, shape, sched.trades)
         uniform = impact_cost(fig3_params, shape, [X0 / 11] * 11)
         lumpy = impact_cost(fig3_params, shape, [X0 / 2] + [X0 / 20] * 9 + [X0 / 20])
@@ -110,13 +108,13 @@ def test_solver_cost_beats_uniform_and_imbalanced(fig3_params):
 
 def test_solve_requires_positive_total(block):
     with pytest.raises(InvalidParam):
-        solve_model1(MarketParams(x0=0.0, horizon=1.0, steps=5, rho=10.0), block)
+        solve(MarketParams(x0=0.0, horizon=1.0, steps=5, rho=10.0), block)
 
 
 def test_model2_on_counterexample_is_refused():
     p = MarketParams(x0=3.0, horizon=1.0, steps=10, rho=6.9, mode=Resilience.SPREAD)
     with pytest.raises(PreconditionFailed) as exc:
-        solve_model2(p, CounterexampleShape(2))
+        solve(p, CounterexampleShape(2))
     assert exc.value.report is not None
     assert not exc.value.report.ok
 
@@ -125,7 +123,7 @@ def test_model2_counterexample_forced_solve_still_roots():
     # skip_validation finds *a* critical point; it satisfies the balance
     # identities even though global optimality is void here
     p = MarketParams(x0=3.0, horizon=1.0, steps=10, rho=6.9, mode=Resilience.SPREAD)
-    sched = solve_model2(p, CounterexampleShape(2), skip_validation=True)
+    sched = solve(p, CounterexampleShape(2), skip_validation=True)
     assert math.fsum(sched.trades) == pytest.approx(3.0, rel=1e-12)
     assert sched.diagnostics.root_residual <= 1e-9
 
@@ -133,7 +131,7 @@ def test_model2_counterexample_forced_solve_still_roots():
 def test_model1_on_counterexample_is_fine():
     # the piecewise ramp only defeats spread recovery; volume recovery is sound
     p = MarketParams(x0=3.0, horizon=1.0, steps=10, rho=6.9)
-    sched = solve_model1(p, CounterexampleShape(2))
+    sched = solve(p, CounterexampleShape(2))
     assert all(x > 0 for x in sched.trades)
     assert sched.diagnostics.lagrange_residual <= 1e-6 * abs(sched.diagnostics.lagrange_mean)
 
@@ -145,12 +143,12 @@ def test_sqrt_xi0_matches_root_solver():
     for mu in (0.5, 1.0, 2.0, 5.0):
         sh = SqrtShape(Q, mu)
         p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=20.0)
-        want = solve_model1(p, sh).xi0
+        want = solve(p, sh).xi0
         got = sqrt_shape_xi0(Q, mu, X0, 10, math.exp(-2.0))
         assert got == pytest.approx(want, rel=1e-10)
     # a = 0: the decay underflows, full recovery
     p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=1e4)
-    want = solve_model1(p, SqrtShape(Q, 1.0)).xi0
+    want = solve(p, SqrtShape(Q, 1.0)).xi0
     assert sqrt_shape_xi0(Q, 1.0, X0, 10, p.decay) == pytest.approx(want, rel=1e-12)
 
 
@@ -250,7 +248,7 @@ def test_large_n_certifies(mode, alpha):
 
 
 def test_schedule_serialization(fig3_params, block):
-    d = solve_model1(fig3_params, block).to_dict()
+    d = solve(fig3_params, block).to_dict()
     assert d["model"] == 1
     assert len(d["trades"]) == 11
     assert "root_residual" in d["diagnostics"]

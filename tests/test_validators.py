@@ -1,12 +1,15 @@
-"""The validator scans: the bid branch of a mirrored book is skipped
-exactly, and the verdicts on the benchmark's books are pinned.
+"""The validator scans: each distinct branch of a book is scanned once,
+and the verdicts on the benchmark's books are pinned.
 
-A mirrored book (Shape's signed maps, symmetric covered volumes) is
-scanned point by point on its positive branch only. The tests here force
-the bid-branch scan and check that it repeats the ask branch bit for bit,
-mirrored, so that skipping it cannot change a verdict.
+A mirrored book is its own bid branch, so its scan covers one branch. The
+tests here check that the signed maps on its bid side repeat the ask
+side bit for bit, mirrored, and that a mirrored book given an equal copy
+of itself as its bid branch, which forces the second scan, gets the same
+report. The pins on the tables' scan ends are the only pins on a bid
+branch's own end.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -62,34 +65,21 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-class _OneSidedOffset(BlockShape):
-    """A block book whose signed offset is its own: not mirrored."""
-
-    def offset(self, y):
-        return super().offset(y)
-
-
-def test_mirrored_is_a_fact_about_the_class():
-    assert all(shapes._mirrored(s) for s in MIRRORED)
-    # a table maps each side on its own ramp, even a symmetric one
-    assert not shapes._mirrored(_table_401())
-    assert not shapes._mirrored(TabulatedShape([-1.0, 0.0, 1.0], [Q, Q, Q]))
-    assert not shapes._mirrored(_OneSidedOffset(Q))
-
-
 @pytest.mark.parametrize("steps", [3, 10, 100, 10_000])
 @pytest.mark.parametrize("shape", MIRRORED, ids=MIRRORED_IDS)
 def test_the_bid_branch_mirrors_the_ask_branch_bit_for_bit(shape, steps):
     a = 1.0 / 3.0 if isinstance(shape, CounterexampleShape) else _decay(steps)
-    pos, neg, _ = shapes._volume_scan_grid(shape, _scan_size(shape))
-    assert pos.size == neg.size > 0
-    assert _hex(neg) == _hex(-pos)
+    pos, _ = shapes._scan_grid(shape, _scan_size(shape))
+    bid_grid, _ = shapes._scan_grid(shape._bid, _scan_size(shape))
+    neg = [-v for v in bid_grid]
+    assert len(pos) == len(neg) > 0
+    assert _hex(neg) == _hex([-v for v in pos])
     # model 1: the injectivity margin at -y is the margin at y
-    ask = [injectivity_margin(shape, a, y) for y in pos.tolist()]
-    bid = [injectivity_margin(shape, a, y) for y in neg.tolist()]
+    ask = [injectivity_margin(shape, a, y) for y in pos]
+    bid = [injectivity_margin(shape, a, y) for y in neg]
     assert _hex(bid) == _hex(ask)
     # model 2: the offset is negated, f(x) - a f(ax) is the same, h2 negated
-    for v in pos.tolist():
+    for v in pos:
         x, x_bid = shape.offset(v), shape.offset(-v)
         assert x_bid.hex() == (-x).hex()
         gap = shape.density(x) - a * shape.density(a * x)
@@ -99,12 +89,14 @@ def test_the_bid_branch_mirrors_the_ask_branch_bit_for_bit(shape, steps):
 
 @pytest.mark.parametrize("steps", [3, 10, 100, 10_000])
 @pytest.mark.parametrize("shape", MIRRORED, ids=MIRRORED_IDS)
-def test_a_forced_bid_branch_scan_gives_the_same_report(shape, steps, monkeypatch):
+def test_a_forced_bid_branch_scan_gives_the_same_report(shape, steps):
     a = 1.0 / 3.0 if isinstance(shape, CounterexampleShape) else _decay(steps)
     x0 = _scan_size(shape)
     skipped = [validate(shape, a, x0) for validate in (validate_model1, validate_model2)]
-    monkeypatch.setattr(shapes, "_mirrored", lambda shape: False)
-    forced = [validate(shape, a, x0) for validate in (validate_model1, validate_model2)]
+    # the same book with an equal copy of itself as its bid branch
+    twin = copy.copy(shape)
+    object.__setattr__(twin, "_bid", copy.copy(shape))
+    forced = [validate(twin, a, x0) for validate in (validate_model1, validate_model2)]
     assert forced == skipped
 
 
@@ -118,13 +110,20 @@ def test_a_table_unsound_on_the_bid_side_only_is_refused():
         assert validate(ask, 0.5, 100.0).ok
         rep = validate(lopsided, 0.5, 100.0)
         assert not rep.ok and rep.witness < 0.0
-    assert validate_model1(lopsided, 0.5, 100.0).reason == "h1_not_injective"
-    assert validate_model2(lopsided, 0.5, 100.0).reason == "h2_not_injective"
+    _assert_verdict(validate_model1(lopsided, 0.5, 100.0),
+                    (False, "h1_not_injective", -3.2905676092995906, -200.0, 200.0))
+    # the bid branch's scan ends at offset -3.47, the ask branch's at 66.7
+    _assert_verdict(validate_model2(lopsided, 0.5, 100.0),
+                    (False, "h2_not_injective", -0.8813500971910233,
+                     -3.4699999999999998, 66.66666666666667))
 
 
 # (ok, reason, witness) of validate_model1 and validate_model2 at x0 = 1e5,
-# rho = 20, T = 1, on the books of the benchmark's solve cases
+# rho = 20, T = 1, on the books of the benchmark's solve cases, and on
+# the table (scan_lo, scan_hi): each side clamped to its covered mass
 PASS = (True, None, None)
+TABLE_PASS = (PASS + (-131972.62313554963, 131972.62313554963),
+              PASS + (-199.99999999962589, 199.99999999962589))
 SOLVE_VERDICTS = {
     ("block", 10): (PASS, PASS),
     ("block", 100): (PASS, PASS),
@@ -148,8 +147,8 @@ SOLVE_VERDICTS = {
     ("sqrt", 10): (PASS, PASS),
     ("sqrt", 100): (PASS, PASS),
     ("sqrt", 10_000): (PASS, PASS),
-    ("tabulated", 10): (PASS, PASS),
-    ("tabulated", 100): (PASS, PASS),
+    ("tabulated", 10): TABLE_PASS,
+    ("tabulated", 100): TABLE_PASS,
 }
 SOLVE_BOOKS = {
     "block": BlockShape(Q),
@@ -163,12 +162,15 @@ SOLVE_BOOKS = {
 
 
 def _assert_verdict(rep, want):
-    ok, reason, witness = want
+    """want is (ok, reason, witness), or with (scan_lo, scan_hi) after it."""
+    ok, reason, witness, *scan = want
     assert (rep.ok, rep.reason) == (ok, reason)
     if witness is None:
         assert rep.witness is None
     else:
         assert rep.witness == pytest.approx(witness, rel=1e-12)
+    if scan:
+        assert [rep.scan_lo, rep.scan_hi] == pytest.approx(scan, rel=1e-12)
 
 
 @pytest.mark.parametrize("book,steps", sorted(SOLVE_VERDICTS), ids=lambda v: str(v))
