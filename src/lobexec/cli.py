@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import costs, dynamics, oracle, ow, shapes, solver
-from .dynamics import MarketParams, Resilience
+from .dynamics import MarketParams
 from .errors import (
     BudgetExceeded,
     InvalidParam,
@@ -76,7 +76,13 @@ def _resolve_config(args, base: dict | None = None) -> dict:
     cfg = json.loads(json.dumps(base if base is not None else DEFAULTS))
     if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise InvalidParam(f"config file {args.config} is not JSON: {exc}") from None
+        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("shape", {}), dict):
+            raise InvalidParam(f"config file {args.config} must hold a JSON object, "
+                               "with an object at \"shape\"")
         fshape = file_cfg.pop("shape", {})
         for key, val in file_cfg.items():
             if key not in cfg:
@@ -103,13 +109,22 @@ def _resolve_config(args, base: dict | None = None) -> dict:
     return cfg
 
 
+def _number(cfg: dict, key: str) -> float:
+    """cfg[key] as a float; a config value that is not a number is refused."""
+    try:
+        return float(cfg[key])
+    except (TypeError, ValueError):
+        raise InvalidParam(f"{key} must be a number, got {cfg[key]!r}") from None
+
+
 def make_shape(shape_cfg: dict) -> shapes.Shape:
-    kind = shape_cfg.get("kind", "block")
-    q = float(shape_cfg.get("q", 5000.0))
+    """The shape a config's "shape" entry names, merged onto DEFAULTS."""
+    kind = shape_cfg["kind"]
+    q = _number(shape_cfg, "q")
     if kind == "block":
         return shapes.BlockShape(q)
     if kind in ("power", "power-law", "powerlaw"):
-        alpha = float(shape_cfg.get("alpha", 0.0))
+        alpha = _number(shape_cfg, "alpha")
         if alpha > 1.0:
             print(
                 f"warning: alpha = {alpha} > 1, book volume saturates at "
@@ -118,11 +133,11 @@ def make_shape(shape_cfg: dict) -> shapes.Shape:
             )
         return shapes.PowerLawShape(q, alpha)
     if kind == "sqrt":
-        return shapes.SqrtShape(q, float(shape_cfg.get("mu", 1.0)))
+        return shapes.SqrtShape(q, _number(shape_cfg, "mu"))
     if kind == "piecewise-ce":
-        return shapes.CounterexampleShape(int(shape_cfg.get("n", 2)))
+        return shapes.CounterexampleShape(shape_cfg["n"])
     if kind == "tabulated":
-        path = shape_cfg.get("csv_path")
+        path = shape_cfg["csv_path"]
         if not path:
             raise InvalidParam("tabulated shape needs csv_path")
         return shapes.load_tabulated_csv(path)
@@ -130,12 +145,14 @@ def make_shape(shape_cfg: dict) -> shapes.Shape:
 
 
 def make_params(cfg: dict) -> MarketParams:
+    """The market a config merged onto DEFAULTS describes; MarketParams
+    refuses a step count or model that is not one."""
     return MarketParams(
-        x0=float(cfg["x0"]),
-        horizon=float(cfg["t"]),
-        steps=int(cfg["n"]),
-        rho=float(cfg["rho"]),
-        mode=Resilience(int(cfg["model"])),
+        x0=_number(cfg, "x0"),
+        horizon=_number(cfg, "t"),
+        steps=cfg["n"],
+        rho=_number(cfg, "rho"),
+        mode=cfg["model"],
     )
 
 
@@ -157,7 +174,7 @@ def cmd_solve(args) -> int:
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
     sched = solver.solve(params, shape)
-    report = costs.cost_report(params, shape, sched.strategy, a0=float(cfg["a0"]))
+    report = costs.cost_report(params, shape, sched.strategy, a0=_number(cfg, "a0"))
     _write_schedule(Path(args.out_dir), sched, cfg)
     print(f"model {int(sched.model)} schedule over {params.steps + 1} trades")
     print(f"xi0   = {sched.xi0:.6g}")
@@ -170,12 +187,11 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
-    alphas = [float(s) for s in args.alphas.split(",") if s.strip()]
-    models = [int(s) for s in args.models.split(",") if s.strip()]
+    alphas, models = args.alphas, args.models
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
-    q = float(cfg["shape"].get("q", 5000.0))
+    q = _number(cfg["shape"], "q")
     solved = {}
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -239,7 +255,7 @@ def cmd_replay(args) -> int:
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
     trades = payload["trades"]
-    report = costs.cost_report(params, shape, trades, a0=float(cfg["a0"]))
+    report = costs.cost_report(params, shape, trades, a0=_number(cfg, "a0"))
     print(f"replayed {len(trades)} trades under model {int(params.mode)}")
     print(f"cost  = {report.total:.6g}")
     print(f"impact = {report.impact_term:.6g}")
@@ -290,8 +306,8 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_ow_compare(args) -> int:
     cfg = _resolve_config(args)
-    lambdas = [float(s) for s in args.lambdas.split(",") if s.strip()]
-    q = float(cfg["shape"].get("q", 5000.0))
+    lambdas = args.lambdas
+    q = _number(cfg["shape"], "q")
     params = make_params(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -334,6 +350,20 @@ def cmd_ow_compare(args) -> int:
     return 0
 
 
+def _float_list(text: str) -> list[float]:
+    try:
+        return [float(s) for s in text.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _model_list(text: str) -> list[int]:
+    models = _float_list(text)
+    if not set(models) <= {1, 2}:
+        raise argparse.ArgumentTypeError(f"expected comma-separated models 1 and 2, got {text!r}")
+    return [int(m) for m in models]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lobexec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="power-law exponent sweep, both models")
     _add_common(p)
-    p.add_argument("--alphas", default="-2,-1,-0.5,0,0.5,1", help="comma-separated exponents")
-    p.add_argument("--models", default="1,2", help="comma-separated models")
+    p.add_argument("--alphas", type=_float_list, default="-2,-1,-0.5,0,0.5,1",
+                   help="comma-separated exponents")
+    p.add_argument("--models", type=_model_list, default="1,2", help="comma-separated models")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("replay", help="replay a stored schedule and report its cost")
@@ -363,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ow-compare", help="recursive block scheme vs closed forms")
     _add_common(p)
-    p.add_argument("--lambdas", default="0,5e-5,1.5e-4", help="comma-separated permanent slopes")
+    p.add_argument("--lambdas", type=_float_list, default="0,5e-5,1.5e-4",
+                   help="comma-separated permanent slopes")
     p.set_defaults(func=cmd_ow_compare)
 
     return parser

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -282,13 +282,7 @@ class CostReport:
     lagrange_residual: float
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "base_term": self.base_term,
-            "impact_term": self.impact_term,
-            "per_trade": list(self.per_trade),
-            "lagrange_residual": self.lagrange_residual,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)

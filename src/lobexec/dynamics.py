@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -54,11 +55,19 @@ class MarketParams:
             raise InvalidParam(f"total size must be >= 0, got {self.x0}")
         if not self.horizon > 0.0:
             raise InvalidParam(f"horizon must be positive, got {self.horizon}")
-        if int(self.steps) != self.steps or self.steps < 1:
-            raise InvalidParam(f"steps must be an integer >= 1, got {self.steps}")
+        steps = self.steps
+        if not (isinstance(steps, numbers.Real) and steps >= 1 and steps % 1 == 0):
+            raise InvalidParam(f"steps must be an integer >= 1, got {steps!r}")
         if not self.rho > 0.0:
             raise InvalidParam(f"resilience rate must be positive, got {self.rho}")
-        object.__setattr__(self, "mode", Resilience(self.mode))
+        try:
+            mode = Resilience(self.mode)
+        except ValueError:
+            raise InvalidParam(f"resilience mode must be 1 (volume) or 2 (spread), "
+                               f"got {self.mode!r}") from None
+        # stored as an int, so that a count given as 10.0 indexes as 10
+        object.__setattr__(self, "steps", int(steps))
+        object.__setattr__(self, "mode", mode)
 
     @property
     def tau(self) -> float:
@@ -72,10 +81,6 @@ class MarketParams:
         exceeds about 745.
         """
         return math.exp(-self.rho * self.tau)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(k * self.tau for k in range(self.steps + 1))
 
 
 @dataclass(frozen=True)

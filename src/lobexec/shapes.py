@@ -23,7 +23,8 @@ branch for x < 0, which sells eat. Shape's signed maps send each
 argument to its branch, with volumes negated on the bid side, so they
 work for signed arguments throughout. A mirrored book's bid branch is
 its ask branch: its density is even and its volume odd in the offset.
-The built-in families carry closed forms and are mirrored.
+The built-in families carry closed forms and are mirrored. The flat
+block book is the power law at alpha = 0, not a family of its own.
 
 The piecewise-linear books are one private ramp: a one-sided
 piecewise-linear density on knots from the quote outward, whose volume
@@ -45,8 +46,9 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import numbers
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -220,49 +222,13 @@ class Shape:
 
 
 @dataclass(frozen=True)
-class BlockShape(Shape):
-    """Constant density q: the flat book, where both resilience models
-    coincide and every optimum is available in closed form."""
-
-    q: float
-    name = "block"
-
-    def __post_init__(self):
-        if not self.q > 0.0:
-            raise InvalidParam(f"block depth must be positive, got {self.q}")
-
-    def _density(self, t):
-        return self.q
-
-    def _volume(self, t):
-        return self.q * t
-
-    def _offset(self, v):
-        return v / self.q
-
-    def _premium(self, t):
-        return 0.5 * self.q * t * t
-
-    def _premium_curvature(self, t):
-        return self.q
-
-    def _density_array(self, t):
-        return np.full_like(t, self.q)
-
-    # the closed forms above are polynomial, so they already map arrays
-    _volume_array = _volume
-    _offset_array = _offset
-    _premium_array = _premium
-
-
-@dataclass(frozen=True)
 class PowerLawShape(Shape):
     """f(x) = q / (|x|+1)^alpha.
 
     alpha < 0 gives a book that deepens away from the quote, alpha > 0 one
-    that thins out. For alpha > 1 the cumulative volume saturates at
-    q/(alpha-1), so offsets only exist for volumes below that bound; the
-    optimality guarantees need alpha <= 1.
+    that thins out, and alpha = 0 the flat book (BlockShape). For alpha > 1
+    the cumulative volume saturates at q/(alpha-1), so offsets only exist
+    for volumes below that bound; the optimality guarantees need alpha <= 1.
     """
 
     q: float
@@ -391,8 +357,8 @@ class PowerLawShape(Shape):
     def _relative_curvature(self, t):
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
-    def _density_array(self, t):
-        return self.q * (t + 1.0) ** (-self.alpha)
+    # the closed form already maps arrays, where numpy's ** gives inf
+    _density_array = _density
 
     def _volume_array(self, t):
         a = self.alpha
@@ -461,6 +427,24 @@ class PowerLawShape(Shape):
         ub = np.where(t < tb, np.expm1(b * lt), (t + 1.0) ** b - 1.0)
         uc = np.where(t < tc, np.expm1(c * lt), (t + 1.0) ** c - 1.0)
         return self.q * (ub / b - uc / c)
+
+
+@dataclass(frozen=True)
+class BlockShape(PowerLawShape):
+    """Constant density q: the flat book, where both resilience models
+    coincide and every optimum is available in closed form.
+
+    It is the power law at alpha = 0, whose maps are the closed forms
+    q, q t, v/q and q t^2/2 exactly, so it defines none of its own.
+    """
+
+    alpha: float = field(default=0.0, init=False, repr=False)
+    name = "block"
+
+    def __post_init__(self):
+        if not self.q > 0.0:
+            raise InvalidParam(f"block depth must be positive, got {self.q}")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -660,8 +644,9 @@ class CounterexampleShape(_Ramp):
     name = "piecewise-ce"
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise InvalidParam(f"counterexample index must be an integer >= 2, got {self.n}")
+        if not (isinstance(self.n, numbers.Real) and self.n >= 2 and self.n % 1 == 0):
+            raise InvalidParam(f"counterexample index must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         n = self.n
         self._build((0.0, 1.0 / n, 1.0, math.inf), (n + 1.0, n + 1.0, 1.0, 1.0))
 
@@ -696,8 +681,6 @@ class TabulatedShape(_Ramp):
             raise InvalidParam("tabulated densities must be strictly positive")
         if not (x[0] <= 0.0 <= x[-1]):
             raise InvalidParam("tabulated offsets must straddle 0")
-        self.knots = x
-        self.dens = f
         f0 = [float(np.interp(0.0, x, f))]
         self._build([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
         self._bid = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
@@ -771,14 +754,7 @@ class ValidationReport:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "witness": self.witness,
-            "scan_lo": self.scan_lo,
-            "scan_hi": self.scan_hi,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _scan_grid(branch: Shape, x0: float):

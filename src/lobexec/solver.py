@@ -33,7 +33,7 @@ references for the root path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .costs import Strategy, lagrange_residual
 from .dynamics import MarketParams, Resilience
@@ -58,12 +58,7 @@ class SolverDiagnostics:
     validation: ValidationReport | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "root_residual": self.root_residual,
-            "lagrange_residual": self.lagrange_residual,
-            "lagrange_mean": self.lagrange_mean,
-            "validation": self.validation.to_dict() if self.validation else None,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -226,14 +221,6 @@ class ContinuousLimit:
     rate: float
     final_block: float
     root_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "initial_block": self.initial_block,
-            "rate": self.rate,
-            "final_block": self.final_block,
-            "root_residual": self.root_residual,
-        }
 
 
 def continuous_limit(

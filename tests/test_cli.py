@@ -166,6 +166,38 @@ def test_usage_errors():
     assert run([]) == 1
 
 
+MALFORMED_CONFIGS = {
+    "fractional n": {"n": 2.5},
+    "model 3": {"model": 3},
+    "x0 not a number": {"x0": "abc"},
+    "fractional counterexample index": {"shape": {"kind": "piecewise-ce", "n": 2.5}},
+    "not JSON": "{not json",
+    "not an object": [1, 2],
+    "shape not an object": {"shape": "block"},
+}
+
+
+@pytest.mark.parametrize("cfg", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_a_malformed_config_file_is_an_invalid_parameter(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    assert run(["solve", "--config", path, "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameter: ") and "Traceback" not in err
+    assert not (tmp_path / "schedule.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--models", "3"],
+    ["sweep", "--alphas", "0,x"],
+    ["ow-compare", "--lambdas", "0,x"],
+], ids=["sweep models", "sweep alphas", "ow-compare lambdas"])
+def test_a_malformed_list_flag_is_a_usage_error(tmp_path, capsys, argv):
+    assert run(argv + ["--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_validation_failure_is_exit_2(capsys):
     code = run(
         ["solve", "--shape", "piecewise-ce", "--n-param", 2, "--model", 2,

@@ -128,6 +128,12 @@ def test_cost_report_consistency(fig3_params, block):
     assert set(d) == {"total", "base_term", "impact_term", "per_trade", "lagrange_residual"}
 
 
+def test_cost_report_dict_keeps_its_key_order(fig3_params, block):
+    """report.json writes the keys in this order."""
+    rep = cost_report(fig3_params, block, solve_block(fig3_params, Q).strategy)
+    assert list(rep.to_dict()) == ["total", "base_term", "impact_term", "per_trade", "lagrange_residual"]
+
+
 # --- permanent-impact cost -------------------------------------------------
 
 
@@ -222,7 +228,7 @@ BATCH_SHAPES = [
     CounterexampleShape(3),
     _table_401(),
 ]
-BATCH_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in BATCH_SHAPES]
+BATCH_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s in BATCH_SHAPES]
 
 
 def _summed_size(p, shape, row):
@@ -417,7 +423,7 @@ WALK_SHAPES = [BlockShape(Q)] + [PowerLawShape(Q, al) for al in (-2.0, -1.0, 0.0
     CounterexampleShape(3),
     _table_401(),
 ]
-WALK_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in WALK_SHAPES]
+WALK_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s in WALK_SHAPES]
 # these two books end: a volume past the alpha = 1.5 saturation q/(alpha-1)
 # or past the table's mass has no offset
 BOUNDED = {"power1.5", "tabulated"}
@@ -428,7 +434,7 @@ BOUNDED = {"power1.5", "tabulated"}
 def test_walk_matches_the_replay_forms(shape, mode):
     rng = np.random.default_rng(31)
     x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
-    bounded = f"{shape.name}{getattr(shape, 'alpha', '')}" in BOUNDED
+    bounded = f"{shape.name}{shape.alpha if shape.name == 'power' else ''}" in BOUNDED
     for steps in (1, 2, 10, 1000):
         p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
         count = 1 if steps == 1000 else 4
@@ -510,7 +516,7 @@ def _assert_replay_forms(p, shape, trades, costs=True):
 
 
 RUN_SHAPES = [BlockShape(Q), PowerLawShape(Q, 0.5), SqrtShape(Q, 1.0)]
-RUN_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in RUN_SHAPES]
+RUN_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s in RUN_SHAPES]
 
 
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])

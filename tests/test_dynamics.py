@@ -92,7 +92,20 @@ def test_market_params_validation():
     p = MarketParams(x0=1.0, horizon=2.0, steps=4, rho=10.0)
     assert p.tau == 0.5
     assert p.decay == pytest.approx(math.exp(-5.0))
-    assert list(p.times) == [0.0, 0.5, 1.0, 1.5, 2.0]
+    # the node times, as the trajectory carries them
+    assert [pt.t for pt in replay(p, BlockShape(1.0), [0.2] * 5)] == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@pytest.mark.parametrize("steps", [2.5, 0.5, "10", "abc", None, math.nan, math.inf], ids=repr)
+def test_a_step_count_that_is_not_a_whole_number_is_an_invalid_parameter(steps):
+    with pytest.raises(InvalidParam, match="steps must be an integer"):
+        MarketParams(1e5, 1.0, steps, 20.0)
+
+
+@pytest.mark.parametrize("mode", [3, 0, 1.5, "1", None], ids=repr)
+def test_an_unknown_resilience_mode_is_an_invalid_parameter(mode):
+    with pytest.raises(InvalidParam, match="resilience mode must be 1"):
+        MarketParams(1e5, 1.0, 10, 20.0, mode=mode)
 
 
 def test_replay_bookkeeping(fig3_params, block):

@@ -57,7 +57,7 @@ CRITERION_3_SHAPES = [BlockShape(Q)] + [PowerLawShape(Q, al) for al in (-2.0, -1
 @pytest.mark.parametrize("steps", [2, 10])
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 @pytest.mark.parametrize("shape", CRITERION_3_SHAPES,
-                         ids=[f"{s.name}{getattr(s, 'alpha', '')}" for s in CRITERION_3_SHAPES])
+                         ids=[f"{s.name}{s.alpha if s.name == 'power' else ''}" for s in CRITERION_3_SHAPES])
 def test_every_descent_start_converges(shape, mode, steps):
     # BFGS can stall on a poor inverse Hessian with the cost no longer
     # moving: from everything at once on power alpha = 1, N = 10, model 1,
@@ -280,7 +280,7 @@ LATTICE_BOOKS = [
     (CounterexampleShape(3), 4.0),
     (_table_401(), X0),
 ]
-LATTICE_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s, _ in LATTICE_BOOKS]
+LATTICE_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s, _ in LATTICE_BOOKS]
 # coarse lattices of 901, 46^2 and 14^3 points
 LATTICE_STEPS = {1: 600, 2: 30, 3: 9}
 

@@ -105,6 +105,38 @@ def test_block_values():
     assert b.premium(2.0) == pytest.approx(2.0 * Q)  # q * x^2 / 2
     assert b.premium_by_volume(100.0) == pytest.approx(100.0**2 / (2 * Q))
     assert b.unbounded_volume
+    # the power law at alpha = 0, with a block book's own name, repr and equality
+    assert isinstance(b, PowerLawShape) and b.alpha == 0.0 and b.name == "block"
+    assert repr(b) == "BlockShape(q=5000.0)"
+    assert b == BlockShape(Q) and hash(b) == hash(BlockShape(Q))
+    assert b != PowerLawShape(Q, 0.0) and b != BlockShape(2 * Q)
+    with pytest.raises(InvalidParam, match="block depth"):
+        BlockShape(0.0)
+
+
+FLAT_OFFSETS = [0.0, 1e-300, 1e-12, 0.3, 2.5, 1e3, 1e12, 1e300]
+
+
+@pytest.mark.parametrize("q", [1e-3, 1.0, Q, 7.3e9])
+def test_the_block_maps_are_the_flat_closed_forms_bit_for_bit(q):
+    """density q, volume q x, offset v/q and premium q x^2 / 2, on the
+    scalar and the array maps, at offsets of both signs out to 1e300
+    (where the premium overflows); the volume and the offset of -0.0
+    are +0.0."""
+    b = BlockShape(q)
+    xs = FLAT_OFFSETS + [-x for x in FLAT_OFFSETS]
+    want = {
+        "density": [q for x in xs],
+        "volume": [q * x if x != 0.0 else 0.0 for x in xs],
+        "offset": [x / q if x != 0.0 else 0.0 for x in xs],
+        "premium": [0.5 * q * x * x for x in xs],
+    }
+    for name, values in want.items():
+        scalar = [getattr(b, name)(x) for x in xs]
+        array = getattr(b, name + "_array")(np.array(xs)).tolist()
+        want_hex = [float.hex(v) for v in values]
+        assert [float.hex(v) for v in scalar] == want_hex, name
+        assert [float.hex(v) for v in array] == want_hex, name
 
 
 def test_power_law_special_cases():
@@ -172,6 +204,10 @@ def test_counterexample_rejects_bad_n():
         CounterexampleShape(1)
     with pytest.raises(InvalidParam):
         CounterexampleShape(0)
+    for n in (2.5, "3", None):
+        with pytest.raises(InvalidParam):
+            CounterexampleShape(n)
+    assert type(CounterexampleShape(3.0).n) is int
 
 
 def test_spread_gap_counterexample_negative_at_one():
@@ -502,7 +538,7 @@ ARRAY_FAMILIES = (
     + [PowerLawShape(Q, al) for al in (-2.0, -1.0, 0.0, 0.5, 1.0, 1.5, 2.0)]
     + [SqrtShape(Q, 0.0), SqrtShape(Q, 1.0), CounterexampleShape(3), _table_401()]
 )
-ARRAY_IDS = [f"{s.name}{getattr(s, 'alpha', getattr(s, 'mu', ''))}" for s in ARRAY_FAMILIES]
+ARRAY_IDS = [f"{s.name}{s.alpha if s.name == 'power' else getattr(s, 'mu', '')}" for s in ARRAY_FAMILIES]
 
 # the closed forms are written in 1 + |x|, so they round relative to their
 # size at unit offset: q for density, volume and premium, 1 for offset

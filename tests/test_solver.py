@@ -252,3 +252,20 @@ def test_schedule_serialization(fig3_params, block):
     assert d["model"] == 1
     assert len(d["trades"]) == 11
     assert "root_residual" in d["diagnostics"]
+
+
+def test_a_step_count_given_as_a_float_solves_as_its_int(fig3_params, block):
+    p = MarketParams(1e5, 1.0, 10.0, 20.0)
+    assert type(p.steps) is int
+    assert solve(p, block).trades == solve(fig3_params, block).trades
+
+
+def test_schedule_dict_keeps_its_key_order(fig3_params, block):
+    """schedule.json writes the keys in this order, nested ones included."""
+    d = solve(fig3_params, block).to_dict()
+    assert list(d) == ["model", "xi0", "trades", "diagnostics"]
+    assert list(d["diagnostics"]) == [
+        "root_residual", "lagrange_residual", "lagrange_mean", "validation"]
+    assert list(d["diagnostics"]["validation"]) == [
+        "ok", "reason", "witness", "scan_lo", "scan_hi", "detail"]
+    assert solve_block(fig3_params, Q).to_dict()["diagnostics"]["validation"] is None

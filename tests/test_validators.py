@@ -53,7 +53,7 @@ MIRRORED = [
     SqrtShape(Q, 1.0),
     CounterexampleShape(3),
 ]
-MIRRORED_IDS = [f"{s.name}{getattr(s, 'alpha', '')}" for s in MIRRORED]
+MIRRORED_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s in MIRRORED]
 
 
 def _scan_size(shape):
