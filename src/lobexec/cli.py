@@ -72,26 +72,39 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="output directory")
 
 
-def _resolve_config(args, base: dict | None = None) -> dict:
-    cfg = json.loads(json.dumps(base if base is not None else DEFAULTS))
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                file_cfg = json.load(fh)
-            except ValueError as exc:
-                raise InvalidParam(f"config file {args.config} is not JSON: {exc}") from None
-        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("shape", {}), dict):
-            raise InvalidParam(f"config file {args.config} must hold a JSON object, "
-                               "with an object at \"shape\"")
-        fshape = file_cfg.pop("shape", {})
-        for key, val in file_cfg.items():
-            if key not in cfg:
-                raise InvalidParam(f"unknown config key {key!r}")
+def _read_json(path, what: str):
+    """The JSON value in a file; a file that is not JSON is refused."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidParam(f"{what} {path} is not JSON: {exc}") from None
+
+
+def _merge_config(cfg: dict, update, what: str) -> None:
+    """Merge a config object onto cfg, key by key; anything but an object
+    of known keys, with an object at "shape", is refused."""
+    if not isinstance(update, dict) or not isinstance(update.get("shape", {}), dict):
+        raise InvalidParam(f"{what} must be a JSON object, with an object at \"shape\"")
+    for key, val in update.items():
+        if key not in cfg:
+            raise InvalidParam(f"unknown config key {key!r}")
+        if key != "shape":
             cfg[key] = val
-        for key, val in fshape.items():
-            if key not in cfg["shape"]:
-                raise InvalidParam(f"unknown shape config key {key!r}")
-            cfg["shape"][key] = val
+    for key, val in update.get("shape", {}).items():
+        if key not in cfg["shape"]:
+            raise InvalidParam(f"unknown shape config key {key!r}")
+        cfg["shape"][key] = val
+
+
+def _resolve_config(args, embedded=None) -> dict:
+    """DEFAULTS, then an embedded config, the --config file and the flags,
+    each merged onto what came before."""
+    cfg = json.loads(json.dumps(DEFAULTS))
+    if embedded is not None:
+        _merge_config(cfg, embedded, "the schedule's config")
+    if args.config:
+        _merge_config(cfg, _read_json(args.config, "config file"), f"config file {args.config}")
     flag_map = {
         "x0": args.x0, "t": args.t, "n": args.n, "rho": args.rho,
         "model": args.model, "a0": args.a0, "seed": args.seed,
@@ -138,8 +151,8 @@ def make_shape(shape_cfg: dict) -> shapes.Shape:
         return shapes.CounterexampleShape(shape_cfg["n"])
     if kind == "tabulated":
         path = shape_cfg["csv_path"]
-        if not path:
-            raise InvalidParam("tabulated shape needs csv_path")
+        if not (isinstance(path, str) and path):
+            raise InvalidParam(f"tabulated shape needs csv_path, a path, got {path!r}")
         return shapes.load_tabulated_csv(path)
     raise InvalidParam(f"unknown shape kind {kind!r}")
 
@@ -243,18 +256,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    with open(args.schedule) as fh:
-        payload = json.load(fh)
-    base = json.loads(json.dumps(DEFAULTS))
-    embedded = payload.get("config") or {}
-    base["shape"].update(embedded.get("shape", {}))
-    for key, val in embedded.items():
-        if key != "shape" and key in base:
-            base[key] = val
-    cfg = _resolve_config(args, base)  # flags still override the embedded config
+    payload = _read_json(args.schedule, "schedule file")
+    trades = payload.get("trades") if isinstance(payload, dict) else None
+    if not (isinstance(trades, list) and all(type(x) in (int, float) for x in trades)):
+        raise InvalidParam(f"schedule file {args.schedule} must hold a JSON object "
+                           "with a list of numbers at \"trades\"")
+    cfg = _resolve_config(args, payload.get("config", {}))
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
-    trades = payload["trades"]
     report = costs.cost_report(params, shape, trades, a0=_number(cfg, "a0"))
     print(f"replayed {len(trades)} trades under model {int(params.mode)}")
     print(f"cost  = {report.total:.6g}")
@@ -274,10 +283,9 @@ def cmd_oracle_check(args) -> int:
     cfg = _resolve_config(args)
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
+    seed = dynamics.whole_number(cfg["seed"], 0, "seed")
     sched = solver.solve(params, shape, skip_validation=args.force)
-    result = oracle.minimize_cost(
-        params, shape, starts=args.starts, seed=int(cfg["seed"])
-    )
+    result = oracle.minimize_cost(params, shape, starts=args.starts, seed=seed)
     solver_cost = costs.impact_cost(params, shape, sched.strategy)
     per_trade_gap = max(
         abs(a - b) for a, b in zip(sched.trades, result.best_strategy.trades)
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
     except (OutOfDomain, NoRootInBracket, BudgetExceeded, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a file named on the command line that cannot be read or written
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

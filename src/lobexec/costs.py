@@ -131,26 +131,24 @@ def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
 def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None):
     """Walk (M,) trade columns, one per node, through the array maps and
     add each node's premium difference to the (M,) sums total, in node
-    order. Returns the new sums and the state the walk stopped at (see
-    node_states): after the last column the post-trade (E, D), or, where
-    the columns end with None, that node's pre-trade state as (E, D,
-    premium(D)). Given that state as start, a walk of the nodes from
-    there on adds the same floats in the same order as one walk of all
-    the columns; from a pre-trade state it takes the premium at D from
-    start instead of the array map. start None is a flat book.
+    order. Returns the new sums and, where the columns end with None, the
+    pre-trade state the walk stopped at as (E, D, premium(D)) (see
+    node_states), else None. Given that state as start, a walk of the
+    nodes from there on adds the same floats in the same order as one
+    walk of all the columns: it takes the premium at D from start instead
+    of the array map. start None is a flat book.
     """
-    resumed = start is not None and len(start) == 3
+    resumed = start is not None
     with np.errstate(all="ignore"):
-        e_pre, d_pre, e_post, d_post = node_states(
+        e_pre, d_pre, _, d_post = node_states(
             params, columns, shape.volume_array, shape.offset_array, start)
         low = [shape.premium_array(d) for d in d_pre[resumed:]]
         if resumed:
             low.insert(0, start[2])
         for pre, post in zip(low, d_post):
             total = total + (shape.premium_array(post) - pre)
-    if len(d_pre) > len(d_post):
-        return total, (e_pre[-1], d_pre[-1], low[-1])
-    return total, ((e_post[-1], d_post[-1]) if e_post else start)
+    stopped = len(d_pre) > len(d_post)
+    return total, ((e_pre[-1], d_pre[-1], low[-1]) if stopped else None)
 
 
 def ow_cost(q: float, lam: float, params: MarketParams, strategy, a0: float = 0.0) -> float:

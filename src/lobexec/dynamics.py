@@ -39,6 +39,14 @@ class Resilience(enum.IntEnum):
     SPREAD = 2
 
 
+def whole_number(value, least: int, what: str) -> int:
+    """value as an int, where it is a real number >= least with no
+    fractional part (10.0 is 10); anything else is InvalidParam."""
+    if not (isinstance(value, numbers.Real) and value >= least and value % 1 == 0):
+        raise InvalidParam(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Problem size and clock: buy x0 shares over steps+1 trades placed
@@ -51,13 +59,11 @@ class MarketParams:
     mode: Resilience = Resilience.VOLUME
 
     def __post_init__(self):
-        if self.x0 < 0.0:
-            raise InvalidParam(f"total size must be >= 0, got {self.x0}")
-        if not self.horizon > 0.0:
-            raise InvalidParam(f"horizon must be positive, got {self.horizon}")
-        steps = self.steps
-        if not (isinstance(steps, numbers.Real) and steps >= 1 and steps % 1 == 0):
-            raise InvalidParam(f"steps must be an integer >= 1, got {steps!r}")
+        if not 0.0 <= self.x0 < math.inf:
+            raise InvalidParam(f"total size must be finite and >= 0, got {self.x0}")
+        if not 0.0 < self.horizon < math.inf:
+            raise InvalidParam(f"horizon must be finite and positive, got {self.horizon}")
+        steps = whole_number(self.steps, 1, "steps")
         if not self.rho > 0.0:
             raise InvalidParam(f"resilience rate must be positive, got {self.rho}")
         try:
@@ -66,7 +72,7 @@ class MarketParams:
             raise InvalidParam(f"resilience mode must be 1 (volume) or 2 (spread), "
                                f"got {self.mode!r}") from None
         # stored as an int, so that a count given as 10.0 indexes as 10
-        object.__setattr__(self, "steps", int(steps))
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "mode", mode)
 
     @property
@@ -105,13 +111,12 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
     D_pre, E_post, D_post), indexed by node.
 
     A walk can stop and go on later from where it stopped, and the two
-    walks compute what one walk would, bit for bit. It stops after its
-    last trade, or, on a last trade of None, at that node's pre-trade
-    state: the node gets its E_pre and D_pre, and no post-trade values.
-    start says where the walk goes on from: a node's post-trade (E, D),
-    which decays before the first trade, or a stopped node's pre-trade
-    state as (E, D, p), which meets the first trade as it is; p is the
-    caller's to keep (premium_steps keeps the premium at D there).
+    walks compute what one walk would, bit for bit. On a last trade of
+    None it stops at that node's pre-trade state: the node gets its E_pre
+    and D_pre, and no post-trade values. start says where a walk goes on
+    from: a stopped node's pre-trade state as (E, D, ...), which meets
+    the first trade as it is; what follows E and D is the caller's to
+    keep (premium_steps keeps the premium at D there).
 
     On a list or tuple of float trades, runs of equal trades are walked
     once. The step from one node to the next is a pure function of the
@@ -131,11 +136,10 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
     listed = end and isinstance(trades, (list, tuple)) and isinstance(trades[0], float)
     states = e_pre, d_pre, e_post, d_post = [], [], [], []
     e, d = (0.0, 0.0) if start is None else start[:2]  # flat, or where a walk stopped
-    decay_first = start is not None and len(start) == 2
     x_prev = None
     while n < end:
         x = trades[n]
-        if n or decay_first:
+        if n:
             if volume_mode:
                 e = a * e
                 d = offset(e)

@@ -4,14 +4,14 @@ minimize_cost eliminates the last trade through the volume constraint
 and runs a dense BFGS descent (Nocedal & Wright, Numerical Optimization,
 2nd ed., Algorithm 6.1, with Armijo backtracking from the unit step)
 from several starts: the uniform split, everything at once at t0, and
-random Dirichlet splits. Every 2N iterations the inverse Hessian
-restarts from the scaled identity, so that it stops leaning on the
-curvature of steps long past. A start whose first cost is not finite
-lies off the book; it is dropped and counted. With N <= about 10 free
-trades the N x N inverse Hessian costs less than the cost and gradient
-it is fed. It touches the cost functional and its gradient only; none
-of the solver's characteristic maps appear here, so agreement between
-the two routes is evidence, not circularity.
+random Dirichlet splits. Every start's inverse Hessian begins as the
+block book's, in closed form from the decay and N: exact on that book's
+quadratic cost and close on the others, so the descent needs no
+restart. A start whose first cost is not finite lies off the book; it
+is dropped and counted. The N x N inverse Hessian costs O(N^2) a step.
+It touches the cost functional and its gradient only; none of the
+solver's characteristic maps appear here, so agreement between the two
+routes is evidence, not circularity.
 
 grid_search exhaustively enumerates a lattice of feasible schedules for
 very small N. It scores the lattice in blocks of consecutive points with
@@ -55,9 +55,6 @@ _FTOL = 1e-15
 _ARMIJO = 1e-4
 # the first step moves the largest coordinate by this share of x0
 _FIRST_STEP = 0.01
-# the inverse Hessian restarts from the scaled identity every
-# _RESTART_SWEEPS * N iterations, N the number of free trades
-_RESTART_SWEEPS = 2
 # relative width of the band of batched lattice costs that are rescored
 # with impact_cost; the two differ by about 1e-15 relative near a minimum
 _RESCORE_BAND = 1e-9
@@ -98,24 +95,34 @@ def _safe_cost(params, shape, x) -> float:
     return c if math.isfinite(c) else math.inf
 
 
-def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
-    """BFGS in the reduced coordinates (last trade eliminated).
+def _block_inverse_hessian(params: MarketParams) -> np.ndarray:
+    """The block book's reduced inverse Hessian, up to scale.
 
-    Every 2N iterations h restarts from the scaled identity gamma I,
-    gamma = s.y / y.y of the latest step, before that step's update.
-    Without it, BFGS with Armijo steps keeps the curvature of steps long
-    past and converges only linearly, even on the block book's quadratic
-    cost. Of the periods N and 2N and a Wolfe line search, 2N made the
-    fewest cost and gradient calls over the 192 starts of acceptance
-    criterion 3 (4049, against 4433 without restarts).
+    The block cost is x'Mx/(2q), M_ij = a^|i-j|, and (1 - a^2) M^-1 = T =
+    tridiag(-a; 1, 1 + a^2, ..., 1 + a^2, 1; -a). With x = Cz + x0 e_N,
+    C = [I; -1'], (1 - a^2)(C'MC)^-1 = T11 - b uu'/(2 + (N - 1) b): T11 is
+    T less its last row and column, b = 1 - a, u = (1, b, ..., b). It is
+    positive definite for every a in [0, 1] and reads no shape.
+    """
+    n, a = params.steps, params.decay
+    b = -math.expm1(-params.rho * params.tau)
+    h = (1.0 + a * a) * np.eye(n) - a * (np.eye(n, k=1) + np.eye(n, k=-1))
+    h[0, 0] = 1.0
+    u = np.full(n, b)
+    u[0] = 1.0
+    return h - (b / (2.0 + (n - 1) * b)) * np.outer(u, u)
 
-    It stops when the cost stops moving. A stall from an inverse Hessian
-    built up by updates restarts once from the scaled identity, since
-    such an h can point almost across the gradient. converged is a
+
+def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0: np.ndarray,
+             max_iter: int):
+    """BFGS in the reduced coordinates (last trade eliminated), from h0.
+
+    The first trial step goes along -h0 g and moves its largest
+    coordinate by _FIRST_STEP x0; the first update scales h0 by
+    s.y / y'h0y. It stops when the cost stops moving. converged is a
     finite cost with max |reduced gradient| <= 1e-8 (1 + |f|).
     """
-    x0 = params.x0
-    n_free = params.steps
+    x0, n_free = params.x0, params.steps
 
     def full(z):
         return z.tolist() + [x0 - float(z.sum())]
@@ -133,24 +140,19 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
 
     z = np.array(z0, dtype=float)
     f, g = value_grad(z)
-    h = None  # the inverse Hessian, set at the first update
-    gamma = 1.0  # s.y / y.y of the last update: h's scale on a restart
-    fresh = True  # h is a scaled identity, or not set yet
-    eye = np.eye(n_free)
-    w = np.empty((n_free, n_free))  # the rank-one term of each update
-    period = _RESTART_SWEEPS * n_free
-    for k in range(1, max_iter + 1):
+    h = None  # the scaled h0, set at the first update
+    for _ in range(max_iter):
         if g is None:
             break
         if h is None:
-            size = float(np.max(np.abs(g)))
+            p = -(h0 @ g)
+            size = float(np.max(np.abs(p)))
             if size == 0.0:
                 break
-            p = g * (-_FIRST_STEP * x0 / size)
+            p *= _FIRST_STEP * x0 / size
         else:
             p = -(h @ g)
         slope = float(g @ p)
-        from_identity, moved = fresh, False
         # Armijo backtracking from the unit step. Along a convex line the
         # cost falls by at most -step * slope, so once that is within the
         # stopping threshold no shorter step can move it
@@ -159,29 +161,24 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, max_iter: int):
             z_new = z + step * p
             f_new, g_new = value_grad(z_new)
             if f_new <= f + _ARMIJO * step * slope:
-                moved = True
                 break
             step *= 0.5
-        if moved:
-            s, y = z_new - z, g_new - g
-            moved = f - f_new > floor
-            z, f, g = z_new, f_new, g_new
-            sy = float(s @ y)
-            if sy > 0.0:
-                gamma = sy / float(y @ y)
-                if h is None or k % period == 0:
-                    h = gamma * eye
-                # h <- (I - s y'/sy) h (I - y s'/sy) + s s'/sy, as u s' + s u'
-                hy = h @ y
-                u = ((sy + float(y @ hy)) / (2.0 * sy * sy)) * s - hy / sy
-                np.multiply(u[:, None], s, out=w)
-                h += w
-                h += w.T
-                fresh = False
+        else:
+            break
+        s, y = z_new - z, g_new - g
+        moved = f - f_new > floor
+        z, f, g = z_new, f_new, g_new
         if not moved:
-            if from_identity:
-                break
-            h, fresh = gamma * eye, True
+            break
+        sy = float(s @ y)
+        if sy > 0.0:
+            if h is None:
+                h = (sy / float(y @ h0 @ y)) * h0
+            # h <- (I - s y'/sy) h (I - y s'/sy) + s s'/sy, as w + w'
+            hy = h @ y
+            w = np.outer(((sy + float(y @ hy)) / (2.0 * sy * sy)) * s - hy / sy, s)
+            h += w
+            h += w.T
     converged = g is not None and float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
     return full(z), f, converged
 
@@ -217,10 +214,11 @@ def minimize_cost(
     """
     if starts < 1:
         raise InvalidParam(f"need at least one start, got {starts}")
+    h0 = _block_inverse_hessian(params)
     best_x, best_f = None, math.inf
     all_ok, off_book = True, 0
     for z0 in _starting_points(params, starts, seed):
-        x, f, ok = _descend(params, shape, z0, max_iter)
+        x, f, ok = _descend(params, shape, z0, h0, max_iter)
         if f == math.inf:  # the descent only moves to lower costs
             off_book += 1
             continue

@@ -81,6 +81,19 @@ class OptimalSchedule:
         }
 
 
+def _root_bracket(x0: float) -> tuple[float, float]:
+    """(eps, x0 - eps) with eps = 1e-12 x0, where each root is searched.
+
+    An x0 that is not positive and finite, or so small that eps
+    underflows to 0, leaves no bracket and is refused.
+    """
+    eps = 1e-12 * x0
+    if not 0.0 < eps < x0 - eps:
+        raise InvalidParam(f"x0 = {x0} leaves no root bracket (1e-12 x0, x0 - 1e-12 x0): "
+                           "it must be positive and finite, and 1e-12 x0 must not underflow")
+    return eps, x0 - eps
+
+
 def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
                     intermediate: float, residual: float,
                     report: ValidationReport | None) -> OptimalSchedule:
@@ -125,9 +138,8 @@ def solve(
     on such shapes the root need not be unique or optimal, which is
     exactly what the counterexample study demonstrates.
     """
-    if not params.x0 > 0.0:
-        raise InvalidParam("solver needs a positive total size")
     a, n, x0 = params.decay, params.steps, params.x0
+    lo, hi = _root_bracket(x0)
     volume = params.mode is Resilience.VOLUME
     report = None
     if not skip_validation:
@@ -151,8 +163,7 @@ def solve(
                 x0 - n * (y - shape.volume(a * x))
             )
 
-    eps = 1e-12 * x0
-    xi0 = bracketed_root(gap, eps, x0 - eps)
+    xi0 = bracketed_root(gap, lo, hi)
     intermediate = xi0 * (1.0 - a) if volume else xi0 - shape.volume(a * shape.offset(xi0))
     return _build_schedule(params, shape, xi0, intermediate, abs(gap(xi0)), report)
 
@@ -234,8 +245,9 @@ def continuous_limit(
     F^{-1}(X0 - rho T x f(x)) = x (1 + f(x)/(f(x) + x f'(x))),
     the rate is rho x* f(x*).
     """
-    if not x0 > 0.0 or not rho > 0.0 or not horizon > 0.0:
-        raise InvalidParam("need x0 > 0, rho > 0, horizon > 0")
+    if not rho > 0.0 or not horizon > 0.0:
+        raise InvalidParam("need rho > 0, horizon > 0")
+    lo, hi = _root_bracket(x0)
     mode = Resilience(mode)
     rt = rho * horizon
 
@@ -257,8 +269,7 @@ def continuous_limit(
                 )
             return x * (1.0 + 1.0 / r) - shape.offset(x0 - rt * x * shape.density(x))
 
-    eps = 1e-12 * x0
-    y_star = bracketed_root(gap, eps, x0 - eps)
+    y_star = bracketed_root(gap, lo, hi)
     if mode is Resilience.VOLUME:
         rate = rho * y_star
         final = x0 - y_star * (1.0 + rt)

@@ -275,3 +275,74 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.returncode == 0, done.stderr
     payload = json.loads((tmp_path / "schedule.json").read_text())
     assert payload["trades"][0] == pytest.approx(FIG3_XI0, rel=1e-15)
+
+
+BAD_SCHEDULES = {
+    "not JSON": "{not json",
+    "an array": "[1, 2]",
+    "no trades": "{}",
+    "a trade not a number": json.dumps({"trades": [1, "a"]}),
+    "config not an object": json.dumps({"trades": [5e4, 5e4], "config": 5}),
+    "shape not an object": json.dumps({"trades": [5e4, 5e4], "config": {"shape": 3}}),
+}
+
+
+@pytest.mark.parametrize("text", BAD_SCHEDULES.values(), ids=BAD_SCHEDULES.keys())
+def test_replay_refuses_a_malformed_schedule_with_a_reason(tmp_path, capsys, text):
+    path = tmp_path / "schedule.json"
+    path.write_text(text)
+    assert run(["replay", "--schedule", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameter: ") and "Traceback" not in err
+
+
+def test_replay_refuses_an_unknown_key_in_the_embedded_config(tmp_path, capsys):
+    # the embedded config merges by the --config file's rules
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"trades": [5e4, 5e4], "config": {"n": 1, "x_total": 1.0}}))
+    assert run(["replay", "--schedule", path]) == 2
+    assert "unknown config key 'x_total'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", 2.5, -1], ids=repr)
+def test_oracle_check_refuses_a_seed_that_is_not_a_count(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "seed": seed}))
+    assert run(["oracle-check", "--config", cfg, "--starts", 3]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be an integer >= 0" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--csv-path"])
+def test_a_directory_for_an_input_file_is_a_usage_error(tmp_path, capsys, flag):
+    argv = ["solve", flag, tmp_path, "--out-dir", tmp_path]
+    if flag == "--csv-path":
+        argv += ["--shape", "tabulated"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_a_csv_path_that_is_not_a_string_is_refused(tmp_path, capsys):
+    # open(5) would read file descriptor 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shape": {"kind": "tabulated", "csv_path": 5}}))
+    assert run(["solve", "--config", cfg, "--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert "csv_path" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--x0", "inf"],
+    ["solve", "--x0", "1e-320"],
+    ["sweep", "--x0", "inf", "--alphas", "0"],
+    ["solve", "--config", "{tmp}/cfg.json"],
+], ids=["solve inf", "solve 1e-320", "sweep inf", "config 1e400"])
+def test_a_size_that_breaks_the_root_bracket_is_refused(tmp_path, capsys, argv):
+    (tmp_path / "cfg.json").write_text('{"x0": 1e400}')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run(argv + ["--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameter: ") and "Traceback" not in err
+    assert "x0" in err or "total size" in err
+    assert not (tmp_path / "schedule.json").exists()

@@ -263,24 +263,6 @@ def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
 
 @pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
-def test_a_batched_walk_split_in_two_adds_the_same_floats(shape, mode):
-    # the lattice walks the first trades once per prefix and goes on from
-    # the book they leave: its costs are impact_costs', bit for bit
-    rng = np.random.default_rng(29)
-    x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
-    for steps in (1, 2, 3):
-        p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
-        x = rng.uniform(-0.25, 1.25, (64, steps + 1)) * x0
-        want = impact_costs(p, shape, x)
-        for cut in range(steps + 2):
-            head, state = premium_steps(p, shape, x[:, :cut].T, np.zeros(64))
-            got, _ = premium_steps(p, shape, x[:, cut:].T, head, state)
-            got = np.where(np.isfinite(got), got, np.inf)
-            assert [v.hex() for v in got] == [v.hex() for v in want], cut
-
-
-@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
-@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 def test_a_batched_walk_split_at_a_pre_trade_state_adds_the_same_floats(shape, mode):
     # the lattice walks the first trades once per prefix, on into the next
     # node's pre-trade state and the premium there, and each point goes on
@@ -624,12 +606,15 @@ def test_a_scalar_walk_goes_on_from_a_start_state(mode):
     p = MarketParams(x0=1e5, horizon=1.0, steps=12, rho=20.0, mode=mode)
     trades = [9000.0, 7000.0, 7000.0, 7000.0, 5000.0] + [8000.0] * 8
     full = walk(p, shape, trades)
-    for cut in (1, 4, 9):
-        first = node_states(p, trades[:cut], shape.volume, shape.offset)
+    for cut in (0, 1, 4, 9):
+        # stopped at node cut's pre-trade state, and gone on from there
+        first = node_states(p, trades[:cut] + [None], shape.volume, shape.offset)
         rest = node_states(p, trades[cut:], shape.volume, shape.offset,
-                           start=(first[2][-1], first[3][-1]))
-        for values, a, b in zip(full, first, rest):
-            assert [v.hex() for v in a + b] == [v.hex() for v in values]
+                           start=(first[0][-1], first[1][-1]))
+        pre = [first[0][:-1] + rest[0], first[1][:-1] + rest[1]]
+        post = [first[2] + rest[2], first[3] + rest[3]]
+        for values, got in zip(full, pre + post):
+            assert [v.hex() for v in got] == [v.hex() for v in values]
 
 
 def test_strategy_of_floats_takes_the_tuple_as_it_is():

@@ -96,6 +96,13 @@ def test_market_params_validation():
     assert [pt.t for pt in replay(p, BlockShape(1.0), [0.2] * 5)] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("x0,horizon", [(math.inf, 1.0), (math.nan, 1.0), (1e5, math.inf),
+                                        (1e5, math.nan)], ids=repr)
+def test_a_size_or_horizon_that_is_not_finite_is_an_invalid_parameter(x0, horizon):
+    with pytest.raises(InvalidParam, match="must be finite"):
+        MarketParams(x0, horizon, 10, 20.0)
+
+
 @pytest.mark.parametrize("steps", [2.5, 0.5, "10", "abc", None, math.nan, math.inf], ids=repr)
 def test_a_step_count_that_is_not_a_whole_number_is_an_invalid_parameter(steps):
     with pytest.raises(InvalidParam, match="steps must be an integer"):

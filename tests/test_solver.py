@@ -225,6 +225,17 @@ def test_spread_limit_refuses_a_concave_premium():
         continuous_limit(Resilience.SPREAD, PowerLawShape(Q, 1.5), Q, 20.0, 1.0)
 
 
+@pytest.mark.parametrize("x0", [1e-320, 0.0, math.inf, math.nan], ids=repr)
+def test_an_x0_that_leaves_no_root_bracket_is_refused(x0, block):
+    # 1e-12 x0 underflows to 0 at x0 = 1e-320, and bracketed_root refused
+    # (0, x0) with a ValueError; an infinite x0 left (inf, nan)
+    with pytest.raises(InvalidParam, match="x0 = .* leaves no root bracket"):
+        continuous_limit(Resilience.VOLUME, block, x0, 20.0, 1.0)
+    if math.isfinite(x0):
+        with pytest.raises(InvalidParam, match="x0 = .* leaves no root bracket"):
+            solve(MarketParams(x0=x0, horizon=1.0, steps=10, rho=20.0), block)
+
+
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 def test_discrete_converges_at_rate_one_over_n(mode, block):
     # halving check: the xi0 gap to the limit shrinks by 2 when N doubles
