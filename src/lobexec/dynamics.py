@@ -64,8 +64,8 @@ class MarketParams:
         if not 0.0 < self.horizon < math.inf:
             raise InvalidParam(f"horizon must be finite and positive, got {self.horizon}")
         steps = whole_number(self.steps, 1, "steps")
-        if not self.rho > 0.0:
-            raise InvalidParam(f"resilience rate must be positive, got {self.rho}")
+        if not 0.0 < self.rho < math.inf:
+            raise InvalidParam(f"resilience rate must be finite and positive, got {self.rho}")
         try:
             mode = Resilience(self.mode)
         except ValueError:
@@ -87,6 +87,12 @@ class MarketParams:
         exceeds about 745.
         """
         return math.exp(-self.rho * self.tau)
+
+    @property
+    def one_minus_a(self) -> float:
+        """1 - a = -expm1(-rho tau), to full relative precision as rho tau
+        goes to 0, where 1 - decay cancels."""
+        return -math.expm1(-self.rho * self.tau)
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,9 @@ def bracketed_root(fn, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0.0:
+    # signs compared, not the product, which underflows to -0.0 for
+    # values near 1e-200
+    if math.isfinite(flo) and math.isfinite(fhi) and (flo < 0.0) != (fhi < 0.0):
         return _brent(value, lo, hi, flo, fhi, xtol)
     grid = np.geomspace(lo, hi, _SUBDIVISIONS)
     fprev, xprev = flo, lo
@@ -105,7 +107,7 @@ def bracketed_root(fn, lo: float, hi: float) -> float:
         fx = value(float(x))
         if fx == 0.0:
             return float(x)
-        if math.isfinite(fprev) and math.isfinite(fx) and fprev * fx < 0.0:
+        if math.isfinite(fprev) and math.isfinite(fx) and (fprev < 0.0) != (fx < 0.0):
             return _brent(value, xprev, float(x), fprev, fx, xtol)
         fprev, xprev = fx, float(x)
     raise NoRootInBracket(

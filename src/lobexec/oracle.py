@@ -1,17 +1,16 @@
 """Brute-force certification of schedules, independent of the solver.
 
 minimize_cost eliminates the last trade through the volume constraint
-and runs a dense BFGS descent (Nocedal & Wright, Numerical Optimization,
-2nd ed., Algorithm 6.1, with Armijo backtracking from the unit step)
-from several starts: the uniform split, everything at once at t0, and
-random Dirichlet splits. Every start's inverse Hessian begins as the
-block book's, in closed form from the decay and N: exact on that book's
-quadratic cost and close on the others, so the descent needs no
-restart. A start whose first cost is not finite lies off the book; it
-is dropped and counted. The N x N inverse Hessian costs O(N^2) a step.
-It touches the cost functional and its gradient only; none of the
-solver's characteristic maps appear here, so agreement between the two
-routes is evidence, not circularity.
+and descends from several starts: the uniform split, everything at once
+at t0, and random Dirichlet splits. Each step is the block book's
+inverse Hessian, in closed form from the decay and N, applied to the
+gradient and rescaled after every step, with Armijo backtracking from
+the unit step: L-BFGS with no stored pairs (Nocedal & Wright, Numerical
+Optimization, 2nd ed., Algorithm 7.4). That map is applied in O(N) and
+never stored. A start whose first cost is not finite lies off the book;
+it is dropped and counted. The descent touches the cost functional and
+its gradient only; none of the solver's characteristic maps appear here,
+so agreement between the two routes is evidence, not circularity.
 
 grid_search exhaustively enumerates a lattice of feasible schedules for
 very small N. It scores the lattice in blocks of consecutive points with
@@ -95,32 +94,42 @@ def _safe_cost(params, shape, x) -> float:
     return c if math.isfinite(c) else math.inf
 
 
-def _block_inverse_hessian(params: MarketParams) -> np.ndarray:
-    """The block book's reduced inverse Hessian, up to scale.
+def _block_inverse_hessian(params: MarketParams):
+    """The block book's reduced inverse Hessian, up to scale, as a map.
 
     The block cost is x'Mx/(2q), M_ij = a^|i-j|, and (1 - a^2) M^-1 = T =
     tridiag(-a; 1, 1 + a^2, ..., 1 + a^2, 1; -a). With x = Cz + x0 e_N,
-    C = [I; -1'], (1 - a^2)(C'MC)^-1 = T11 - b uu'/(2 + (N - 1) b): T11 is
-    T less its last row and column, b = 1 - a, u = (1, b, ..., b). It is
-    positive definite for every a in [0, 1] and reads no shape.
+    C = [I; -1'], (1 - a^2)(C'MC)^-1 = T11 - c uu', c = b/(2 + (N - 1) b):
+    T11 is T less its last row and column, b = 1 - a, u = (1, b, ..., b).
+    It is positive definite for every a in [0, 1] and reads no shape;
+    the map applies it in O(N).
     """
-    n, a = params.steps, params.decay
-    b = -math.expm1(-params.rho * params.tau)
-    h = (1.0 + a * a) * np.eye(n) - a * (np.eye(n, k=1) + np.eye(n, k=-1))
-    h[0, 0] = 1.0
+    n, a, b = params.steps, params.decay, params.one_minus_a
+    diag = np.full(n, 1.0 + a * a)
+    diag[0] = 1.0
     u = np.full(n, b)
     u[0] = 1.0
-    return h - (b / (2.0 + (n - 1) * b)) * np.outer(u, u)
+    c = b / (2.0 + (n - 1) * b)
+
+    def h0(v: np.ndarray) -> np.ndarray:
+        out = diag * v
+        out[1:] -= a * v[:-1]
+        out[:-1] -= a * v[1:]
+        out -= (c * float(u @ v)) * u
+        return out
+
+    return h0
 
 
-def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0: np.ndarray,
-             max_iter: int):
-    """BFGS in the reduced coordinates (last trade eliminated), from h0.
+def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0, max_iter: int):
+    """Descent along -gamma h0(g) in the reduced coordinates (last trade
+    eliminated): L-BFGS with no stored pairs (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., Algorithm 7.4, m = 0).
 
-    The first trial step goes along -h0 g and moves its largest
-    coordinate by _FIRST_STEP x0; the first update scales h0 by
-    s.y / y'h0y. It stops when the cost stops moving. converged is a
-    finite cost with max |reduced gradient| <= 1e-8 (1 + |f|).
+    The first trial step moves its largest coordinate by _FIRST_STEP x0;
+    each accepted step with s.y > 0 rescales to gamma = s.y / y'h0(y). It
+    stops when the cost stops moving. converged is a finite cost with
+    max |reduced gradient| <= 1e-8 (1 + |f|).
     """
     x0, n_free = params.x0, params.steps
 
@@ -140,18 +149,12 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0: np.ndarray,
 
     z = np.array(z0, dtype=float)
     f, g = value_grad(z)
-    h = None  # the scaled h0, set at the first update
+    if g is None:
+        return full(z), f, False
+    size = float(np.max(np.abs(h0(g))))
+    gamma = _FIRST_STEP * x0 / size if size > 0.0 else 0.0
     for _ in range(max_iter):
-        if g is None:
-            break
-        if h is None:
-            p = -(h0 @ g)
-            size = float(np.max(np.abs(p)))
-            if size == 0.0:
-                break
-            p *= _FIRST_STEP * x0 / size
-        else:
-            p = -(h @ g)
+        p = -gamma * h0(g)
         slope = float(g @ p)
         # Armijo backtracking from the unit step. Along a convex line the
         # cost falls by at most -step * slope, so once that is within the
@@ -172,14 +175,8 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0: np.ndarray,
             break
         sy = float(s @ y)
         if sy > 0.0:
-            if h is None:
-                h = (sy / float(y @ h0 @ y)) * h0
-            # h <- (I - s y'/sy) h (I - y s'/sy) + s s'/sy, as w + w'
-            hy = h @ y
-            w = np.outer(((sy + float(y @ hy)) / (2.0 * sy * sy)) * s - hy / sy, s)
-            h += w
-            h += w.T
-    converged = g is not None and float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
+            gamma = sy / float(y @ h0(y))
+    converged = float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
     return full(z), f, converged
 
 

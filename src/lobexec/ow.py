@@ -20,7 +20,6 @@ the coefficients at n+1, and the last trade clears the remainder.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,7 @@ def closed_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     """
     kappa = _check_params(q, lam, params)
     a = params.decay
-    b = -math.expm1(-params.rho * params.tau)
+    b = params.one_minus_a
     b2 = b * (1.0 + a)  # 1 - a^2
     m = np.arange(params.steps, -1, -1, dtype=float)
     den = m * b + (1.0 + a)

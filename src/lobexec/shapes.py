@@ -817,9 +817,9 @@ def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
     return _scan(shape, a, x0, _h1_failure, in_offsets=False)
 
 
-def _growth_proxy(branch: Shape, a: float, x: float) -> float:
-    """x^2 * min f over [a x, x] on one branch."""
-    return x * x * min(map(branch.density, np.linspace(a * x, x, _GROWTH_SAMPLES).tolist()))
+def _least_density(branch: Shape, a: float, x: float) -> float:
+    """min f over [a x, x] on one branch, sampled."""
+    return min(map(branch.density, np.linspace(a * x, x, _GROWTH_SAMPLES).tolist()))
 
 
 def _h2_failure(branch: Shape, a: float, grid: list):
@@ -841,7 +841,13 @@ def _h2_failure(branch: Shape, a: float, grid: list):
         prev_h2, prev_x = h2, x
     if len(grid) >= 4:
         x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])
-        if not _growth_proxy(branch, a, x_edge) > _growth_proxy(branch, a, x_mid):
+        # the growth proxy x^2 min f over [ax, x] rises from the grid's
+        # middle to its edge; compared as a ratio, since x^2 underflows to
+        # 0 at offsets below about 1e-162 (and on a deep book at a tiny
+        # size x_mid itself underflows to 0)
+        grows = x_mid == 0.0 or (
+            (x_edge / x_mid) ** 2 * _least_density(branch, a, x_edge) > _least_density(branch, a, x_mid))
+        if not grows:
             return "explosion_violated", x_edge
     return None
 

@@ -36,7 +36,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .costs import Strategy, lagrange_residual
-from .dynamics import MarketParams, Resilience
+from .dynamics import MarketParams, Resilience, whole_number
 from .errors import InvalidParam, OutOfDomain, PreconditionFailed
 from .numerics import bracketed_root
 from .shapes import (
@@ -201,9 +201,7 @@ def sqrt_shape_xi0(q: float, mu: float, x0: float, n_steps: int, a: float) -> fl
         raise InvalidParam("need q > 0, mu >= 0, x0 > 0")
     if not (0.0 <= a < 1.0):
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
-    if int(n_steps) != n_steps or n_steps < 1:
-        raise InvalidParam(f"steps must be an integer >= 1, got {n_steps}")
-    n = float(n_steps)
+    n = float(whole_number(n_steps, 1, "steps"))
     if mu == 0.0:
         return x0 / ((n - 1.0) * (1.0 - a) + 2.0)
     b = mu / (4.0 * q)

@@ -174,6 +174,8 @@ MALFORMED_CONFIGS = {
     "not JSON": "{not json",
     "not an object": [1, 2],
     "shape not an object": {"shape": "block"},
+    "unknown shape kind": {"shape": {"kind": "wedge"}},
+    "unknown shape key": {"shape": {"depth": 1.0}},
 }
 
 

@@ -96,11 +96,15 @@ def test_market_params_validation():
     assert [pt.t for pt in replay(p, BlockShape(1.0), [0.2] * 5)] == [0.0, 0.5, 1.0, 1.5, 2.0]
 
 
-@pytest.mark.parametrize("x0,horizon", [(math.inf, 1.0), (math.nan, 1.0), (1e5, math.inf),
-                                        (1e5, math.nan)], ids=repr)
-def test_a_size_or_horizon_that_is_not_finite_is_an_invalid_parameter(x0, horizon):
+@pytest.mark.parametrize("x0,horizon,rho", [
+    (math.inf, 1.0, 20.0), (math.nan, 1.0, 20.0), (1e5, math.inf, 20.0), (1e5, math.nan, 20.0),
+    (1e5, 1.0, math.inf), (1e5, 1.0, math.nan),
+], ids=["inf-1.0", "nan-1.0", "100000.0-inf", "100000.0-nan", "rho inf", "rho nan"])
+def test_a_size_or_horizon_that_is_not_finite_is_an_invalid_parameter(x0, horizon, rho):
+    # a resilience rate of inf would be full recovery; like x0 and the
+    # horizon it must be a finite number
     with pytest.raises(InvalidParam, match="must be finite"):
-        MarketParams(x0, horizon, 10, 20.0)
+        MarketParams(x0, horizon, 10, rho)
 
 
 @pytest.mark.parametrize("steps", [2.5, 0.5, "10", "abc", None, math.nan, math.inf], ids=repr)

@@ -148,6 +148,17 @@ def test_nan_inside_the_bracket_raises_no_root():
         numerics.bracketed_root(f, 0.5, 2.0)
 
 
+@pytest.mark.parametrize("f, hi", [
+    (lambda x: 1e-200 * (x - 1.0), 2.0),
+    # the ends agree in sign: the fallback scan finds the change
+    (lambda x: 1e-200 * (x - 1.0) * (x - 4.0), 5.0),
+], ids=["bracket", "scan"])
+def test_a_sign_change_between_tiny_values_is_found(f, hi):
+    # the product of two values near 1e-200 underflows to -0.0, so the
+    # ends are compared by their signs
+    assert numerics.bracketed_root(f, 0.5, hi) == pytest.approx(1.0, rel=1e-12)
+
+
 def _fresh_python(code, **kw):
     """Run code in a fresh interpreter that imports this checkout's lobexec."""
     src = str(Path(lobexec.__file__).resolve().parents[1])

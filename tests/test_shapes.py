@@ -176,6 +176,12 @@ def test_power_law_rejects_bad_params():
         PowerLawShape(-1.0, 1.0)
 
 
+@pytest.mark.parametrize("q,mu", [(0.0, 1.0), (-1.0, 1.0), (Q, -0.5)], ids=repr)
+def test_sqrt_shape_rejects_bad_params(q, mu):
+    with pytest.raises(InvalidParam):
+        SqrtShape(q, mu)
+
+
 def test_sqrt_shape_offset_closed_form():
     # offset(y) = y/q + mu*y^2/(4 q^2), exact for every mu >= 0
     for mu in (0.0, 0.5, 2.0, 10.0):
@@ -339,6 +345,31 @@ def test_load_tabulated_csv(tmp_path):
     bad.write_text("x,f\n0,1\n1,1\n")
     with pytest.raises(InvalidParam):
         load_tabulated_csv(bad)
+
+
+def test_load_tabulated_csv_skips_blank_rows_and_refuses_a_bad_one(tmp_path):
+    p = tmp_path / "shape.csv"
+    p.write_text("offset,density\n-5,100\n\n ,\n0,120\n5,90\n")
+    assert load_tabulated_csv(p).density(0.0) == 120.0
+    for row in ("0,abc", "1"):
+        p.write_text(f"offset,density\n-5,100\n{row}\n5,90\n")
+        with pytest.raises(InvalidParam, match="bad row"):
+            load_tabulated_csv(p)
+
+
+@pytest.mark.parametrize("validate", [validate_model1, validate_model2])
+@pytest.mark.parametrize("a,x0", [(1.0, 1e5), (-0.1, 1e5), (math.nan, 1e5), (0.5, 0.0),
+                                  (0.5, -1.0), (0.5, math.nan)], ids=repr)
+def test_validators_refuse_a_decay_or_size_out_of_range(validate, a, x0):
+    with pytest.raises(InvalidParam):
+        validate(BlockShape(Q), a, x0)
+
+
+def test_model2_validator_accepts_the_block_book_at_a_tiny_size():
+    # x^2 underflows to 0 at the scan's offsets near 4e-204; the growth
+    # proxy is compared as a ratio, so the block book is not refused
+    rep = validate_model2(BlockShape(Q), math.exp(-2.0), 1e-200)
+    assert rep.ok, rep
 
 
 def test_validation_report_scan_covers_requested_range():

@@ -152,6 +152,12 @@ def test_sqrt_xi0_matches_root_solver():
     assert sqrt_shape_xi0(Q, 1.0, X0, 10, p.decay) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("steps", [0, 2.5, math.nan, math.inf, "10"], ids=repr)
+def test_sqrt_xi0_refuses_a_step_count_that_is_not_a_whole_number(steps):
+    with pytest.raises(InvalidParam, match="steps must be an integer"):
+        sqrt_shape_xi0(Q, 1.0, X0, steps, math.exp(-2.0))
+
+
 def test_sqrt_xi0_recovers_block_at_mu_zero():
     a = math.exp(-2.0)
     got = sqrt_shape_xi0(Q, 0.0, X0, 10, a)
