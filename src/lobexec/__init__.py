@@ -16,7 +16,6 @@ from .costs import (
     impact_cost,
     impact_costs,
     lagrange_residual,
-    ow_cost,
 )
 from .dynamics import (
     MarketParams,
@@ -33,7 +32,7 @@ from .errors import (
     PreconditionFailed,
 )
 from .oracle import OracleResult, gradient_check, grid_search, minimize_cost
-from .ow import OWCoefficients, backward_coeffs, closed_coeffs, coeffs_to_csv, forward_strategy
+from .ow import OWCoefficients, backward_coeffs, closed_coeffs, coeffs_to_csv, forward_strategy, ow_cost
 from .shapes import (
     BlockShape,
     CounterexampleShape,

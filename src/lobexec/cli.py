@@ -136,15 +136,15 @@ def make_shape(shape_cfg: dict) -> shapes.Shape:
     q = _number(shape_cfg, "q")
     if kind == "block":
         return shapes.BlockShape(q)
-    if kind in ("power", "power-law", "powerlaw"):
-        alpha = _number(shape_cfg, "alpha")
-        if alpha > 1.0:
+    if kind == "power":
+        shape = shapes.PowerLawShape(q, _number(shape_cfg, "alpha"))
+        if shape.alpha > 1.0:
             print(
-                f"warning: alpha = {alpha} > 1, book volume saturates at "
-                f"{q / (alpha - 1.0):.6g}; optimality guarantees need alpha <= 1",
+                f"warning: alpha = {shape.alpha} > 1, book volume saturates at "
+                f"{q / (shape.alpha - 1.0):.6g}; optimality guarantees need alpha <= 1",
                 file=sys.stderr,
             )
-        return shapes.PowerLawShape(q, alpha)
+        return shape
     if kind == "sqrt":
         return shapes.SqrtShape(q, _number(shape_cfg, "mu"))
     if kind == "piecewise-ce":
@@ -283,9 +283,8 @@ def cmd_oracle_check(args) -> int:
     cfg = _resolve_config(args)
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
-    seed = dynamics.whole_number(cfg["seed"], 0, "seed")
     sched = solver.solve(params, shape, skip_validation=args.force)
-    result = oracle.minimize_cost(params, shape, starts=args.starts, seed=seed)
+    result = oracle.minimize_cost(params, shape, starts=args.starts, seed=cfg["seed"])
     solver_cost = costs.impact_cost(params, shape, sched.strategy)
     per_trade_gap = max(
         abs(a - b) for a, b in zip(sched.trades, result.best_strategy.trades)
@@ -441,7 +440,7 @@ def main(argv=None) -> int:
     except InvalidParam as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
         return 2
-    except (OutOfDomain, NoRootInBracket, BudgetExceeded, OverflowError) as exc:
+    except (OutOfDomain, NoRootInBracket, BudgetExceeded, OverflowError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # a file named on the command line that cannot be read or written

@@ -9,10 +9,6 @@ That F-tilde-difference sum is the one implementation here; the tests
 check it against the expanded forms in terms of the volume potential G
 (premium as a function of volume), one per model.
 
-ow_cost is the classical quadratic cost for a block book with an extra
-permanent-impact slope lambda; it exists so the optimizers can be tied
-back to the known block-book solution for every admissible lambda.
-
 analytic_gradient implements the exact backward recursions for the
 partial derivatives of the impact cost in both resilience models. At an
 optimum all components agree (the Lagrange multiplier of the volume
@@ -23,8 +19,9 @@ Each of impact_cost, analytic_gradient, cost_and_gradient (both at once,
 for the descent referee), lagrange_residual and cost_report walks the
 schedule once: dynamics.walk runs the book on plain floats and returns
 the pre- and post-trade offsets, with each settled run of nodes held
-once, and everything here is read off those lists. impact_costs runs the
-same recursion on (M,) columns through the shape's array maps, by
+once, and everything here is read off those lists (dynamics.expand
+writes a run out where each node needs its own value). impact_costs runs
+the same recursion on (M,) columns through the shape's array maps, by
 premium_steps, which the lattice referee also calls to walk a block of
 schedules that share their first trades once: up to the pre-trade state
 of the node after them, where each schedule goes on.
@@ -36,12 +33,11 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 # replay stays bound here: benchmarks/tracing.py times costs.replay
-from .dynamics import MarketParams, Resilience, node_states, replay, walk
+from .dynamics import MarketParams, Resilience, expand, node_states, replay, walk
 from .errors import InvalidParam
 from .shapes import Shape
 
@@ -63,16 +59,6 @@ class Strategy:
         object.__setattr__(strategy, "trades", trades)
         return strategy
 
-    @property
-    def total(self) -> float:
-        return math.fsum(self.trades)
-
-    def assert_feasible(self, x0: float, tol: float = 1e-9) -> None:
-        if abs(self.total - x0) > tol * max(1.0, abs(x0)):
-            raise InvalidParam(
-                f"trades sum to {self.total}, expected {x0}"
-            )
-
 
 def as_trades(strategy) -> Sequence[float]:
     """The trades of a Strategy (its tuple, not a copy) or of any
@@ -88,8 +74,7 @@ def impact_cost(params: MarketParams, shape: Shape, strategy) -> float:
     Defined for any trade vector of the right length, feasible or not;
     the optimizers rely on off-constraint evaluations.
     """
-    runs = []
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    _, d_pre, _, d_post, runs = walk(params, shape, as_trades(strategy))
     return _impact(shape, d_pre, d_post, runs)
 
 
@@ -98,18 +83,7 @@ def _impact(shape: Shape, d_pre, d_post, runs) -> float:
     walk that holds its runs once (see dynamics.node_states)."""
     premium = shape.premium
     terms = [premium(post) - premium(pre) for pre, post in zip(d_pre, d_post)]
-    return math.fsum(_expand(terms, runs))
-
-
-def _expand(values, runs):
-    """A list of walked values with each run's value repeated for the
-    nodes it stands for: one value per node."""
-    if not runs:
-        return values
-    counts = [1] * len(values)
-    for i, k in runs:
-        counts[i] += k
-    return list(chain.from_iterable(map(repeat, values, counts)))
+    return math.fsum(expand(terms, runs))
 
 
 def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
@@ -140,7 +114,7 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
     """
     resumed = start is not None
     with np.errstate(all="ignore"):
-        e_pre, d_pre, _, d_post = node_states(
+        e_pre, d_pre, _, d_post, _ = node_states(
             params, columns, shape.volume_array, shape.offset_array, start)
         low = [shape.premium_array(d) for d in d_pre[resumed:]]
         if resumed:
@@ -149,37 +123,6 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
             total = total + (shape.premium_array(post) - pre)
     stopped = len(d_pre) > len(d_post)
     return total, ((e_pre[-1], d_pre[-1], low[-1]) if stopped else None)
-
-
-def ow_cost(q: float, lam: float, params: MarketParams, strategy, a0: float = 0.0) -> float:
-    """Quadratic block-book cost with permanent-impact slope lam.
-
-    kappa = 1/q - lam is the decaying part of the impact. Requires
-    lam < 1/q so that kappa > 0.
-    """
-    if not q > 0.0:
-        raise InvalidParam(f"depth must be positive, got {q}")
-    kappa = 1.0 / q - lam
-    if not kappa > 0.0:
-        raise InvalidParam(f"permanent slope {lam} must stay below 1/q = {1.0 / q}")
-    x = np.asarray(as_trades(strategy), dtype=float)
-    if x.size != params.steps + 1:
-        raise InvalidParam(f"expected {params.steps + 1} trades, got {x.size}")
-    a = params.decay
-    tot = float(x.sum())
-    decayed = 0.0
-    cross = 0.0
-    for k in range(x.size):
-        if k > 0:
-            decayed *= a
-        cross += decayed * x[k]
-        decayed += x[k]
-    return (
-        a0 * tot
-        + 0.5 * lam * tot * tot
-        + kappa * cross
-        + 0.5 * kappa * float(np.dot(x, x))
-    )
 
 
 def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarray:
@@ -197,8 +140,7 @@ def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarra
         g_N = Dp_N
         g_n = Dp_n + a f(D_{n+1}) / f(Dp_n) * (g_{n+1} - D_{n+1})
     """
-    runs = []
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    _, d_pre, _, d_post, runs = walk(params, shape, as_trades(strategy))
     return _gradient(params, shape, d_pre, d_post, runs)
 
 
@@ -256,8 +198,7 @@ def _gradient(params: MarketParams, shape: Shape, d_pre, d_post, runs) -> np.nda
 
 def cost_and_gradient(params: MarketParams, shape: Shape, strategy) -> tuple[float, np.ndarray]:
     """(impact_cost, analytic_gradient) of one schedule from one walk."""
-    runs = []
-    _, d_pre, _, d_post = walk(params, shape, as_trades(strategy), runs)
+    _, d_pre, _, d_post, runs = walk(params, shape, as_trades(strategy))
     return _impact(shape, d_pre, d_post, runs), _gradient(params, shape, d_pre, d_post, runs)
 
 
@@ -289,12 +230,13 @@ class CostReport:
 def cost_report(
     params: MarketParams, shape: Shape, strategy, a0: float = 0.0
 ) -> CostReport:
+    if not math.isfinite(a0):
+        raise InvalidParam(f"unaffected ask a0 must be finite, got {a0}")
     trades = as_trades(strategy)
-    runs = []
-    _, d_pre, _, d_post = walk(params, shape, trades, runs)
+    _, d_pre, _, d_post, runs = walk(params, shape, trades)
     # per-trade cash adds the two premiums in turn, as order_cost does
-    high = _expand([shape.premium(d) for d in d_post], runs)
-    low = _expand([shape.premium(d) for d in d_pre], runs)
+    high = expand([shape.premium(d) for d in d_post], runs)
+    low = expand([shape.premium(d) for d in d_pre], runs)
     per = [a0 * x + hi - lo for x, hi, lo in zip(trades, high, low)]
     impact = math.fsum(hi - lo for hi, lo in zip(high, low))
     base = a0 * math.fsum(trades)

@@ -14,8 +14,8 @@ maps it prices a batch of schedules (costs.impact_costs). A walk can
 stop at a node's pre-trade state and go on from it later, so that the
 lattice referee walks the trades many of its schedules share once. On
 floats it walks a run of equal trades whose state has settled once (see
-node_states), which is most of an optimal schedule; the cost functionals
-keep that run as one node, and replay writes it out node by node.
+node_states), which is most of an optimal schedule, and holds that run
+as one node; expand writes a list of such nodes out node by node.
 
 This is the simplified single-state book: signed trades cancel, and it
 is the state the cost functional and the optimizers work on.
@@ -28,7 +28,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .errors import InvalidParam
 from .shapes import Shape
@@ -105,7 +105,7 @@ class TrajectoryPoint:
     offset_post: float
 
 
-def node_states(params: MarketParams, trades, volume, offset, start=None, runs=None):
+def node_states(params: MarketParams, trades, volume, offset, start=None):
     """Pre- and post-trade volumes and offsets at each node of a trade run.
 
     The one recursion of the simplified book: the book starts flat, each
@@ -114,7 +114,7 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
     while the other is recomputed. The maps are the shape's scalar ones
     with a float per trade, or its array ones with an (M,) column per
     node, which runs M schedules at once. Returns the lists (E_pre,
-    D_pre, E_post, D_post), indexed by node.
+    D_pre, E_post, D_post), indexed by walked node, and runs.
 
     A walk can stop and go on later from where it stopped, and the two
     walks compute what one walk would, bit for bit. On a last trade of
@@ -128,19 +128,18 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
     once. The step from one node to the next is a pure function of the
     state (E, D) it starts from and of the trade. So once a step returns
     the state it found, and the trades after it equal the one it used,
-    each of those steps returns that state again, bit for bit: the lists
-    are extended with the node's four values to the end of the run, and
-    the maps are not called there. Equal floats are equal bits except 0.0
-    and -0.0, so the trade and the state must also be nonzero. Given a
-    list runs, the lists are not extended: they hold the run once, and
-    runs gets (i, k) for each entry i that stands for the k nodes after
-    it as well. (M,) columns never skip.
+    each of those steps returns that state again, bit for bit, and the
+    maps are not called there. Equal floats are equal bits except 0.0 and
+    -0.0, so the trade and the state must also be nonzero. The lists hold
+    such a run once, and runs holds (i, k) for each entry i that stands
+    for the k nodes after it as well (expand writes them out). (M,)
+    columns never skip, so their runs is empty.
     """
     a = params.decay
     volume_mode = params.mode is Resilience.VOLUME
     n, end = 0, len(trades)
     listed = end and isinstance(trades, (list, tuple)) and isinstance(trades[0], float)
-    states = e_pre, d_pre, e_post, d_post = [], [], [], []
+    e_pre, d_pre, e_post, d_post, runs = [], [], [], [], []
     e, d = (0.0, 0.0) if start is None else start[:2]  # flat, or where a walk stopped
     x_prev = None
     while n < end:
@@ -163,15 +162,22 @@ def node_states(params: MarketParams, trades, volume, offset, start=None, runs=N
         if (listed and x == x_prev and e == e_post[-2] and d == d_post[-2]
                 and 0.0 not in (x, e, d)):
             k = equal_run(trades, n + 1)
-            if runs is None:
-                for values in states:
-                    values.extend(repeat(values[-1], k))
-            else:
-                runs.append((len(e_post) - 1, k))
+            runs.append((len(e_post) - 1, k))
             n += k
         x_prev = x
         n += 1
-    return states
+    return e_pre, d_pre, e_post, d_post, runs
+
+
+def expand(values, runs):
+    """A list of walked values with each run's value repeated for the
+    nodes it stands for: one value per node (see node_states)."""
+    if not runs:
+        return values
+    counts = [1] * len(values)
+    for i, k in runs:
+        counts[i] += k
+    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
 def equal_run(values, start: int) -> int:
@@ -195,18 +201,18 @@ def equal_run(values, start: int) -> int:
     return k
 
 
-def walk(params: MarketParams, shape: Shape, trades, runs=None):
+def walk(params: MarketParams, shape: Shape, trades):
     """node_states on plain floats through the shape's scalar maps.
 
     Trades is a sequence (a list, a tuple or an array row) of length
-    steps+1; it is read in place. With a list runs, the lists hold each
-    run of repeated nodes once, and runs says where (see node_states).
+    steps+1; it is read in place. The lists hold each run of repeated
+    nodes once, and runs says where (see node_states).
     """
     if len(trades) != params.steps + 1:
         raise InvalidParam(
             f"expected {params.steps + 1} trades, got {len(trades)}"
         )
-    return node_states(params, trades, shape.volume, shape.offset, runs=runs)
+    return node_states(params, trades, shape.volume, shape.offset)
 
 
 def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:
@@ -215,10 +221,11 @@ def replay(params: MarketParams, shape: Shape, trades) -> list[TrajectoryPoint]:
     Returns one point per node with the pre/post state. Trades must have
     length steps+1.
     """
+    *states, runs = walk(params, shape, trades)
     tau = params.tau
     return [
         TrajectoryPoint(n, n * tau, *state)
-        for n, state in enumerate(zip(*walk(params, shape, trades)))
+        for n, state in enumerate(zip(*(expand(values, runs) for values in states)))
     ]
 
 

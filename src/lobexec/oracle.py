@@ -27,7 +27,6 @@ the acceptance suite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,7 +40,7 @@ from .costs import (
     impact_cost,
     premium_steps,
 )
-from .dynamics import MarketParams
+from .dynamics import MarketParams, whole_number
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 from .shapes import Shape
 
@@ -72,18 +71,6 @@ class OracleResult:
     grid_resolution: float | None = None
     # descent starts dropped because their first cost was not finite
     off_book: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "best_cost": self.best_cost,
-            "trades": list(self.best_strategy.trades),
-            "starts": self.starts,
-            "converged": self.converged,
-            "off_book": self.off_book,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _safe_cost(params, shape, x) -> float:
@@ -127,9 +114,9 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0, max_iter: i
     Optimization, 2nd ed., Algorithm 7.4, m = 0).
 
     The first trial step moves its largest coordinate by _FIRST_STEP x0;
-    each accepted step with s.y > 0 rescales to gamma = s.y / y'h0(y). It
-    stops when the cost stops moving. converged is a finite cost with
-    max |reduced gradient| <= 1e-8 (1 + |f|).
+    each accepted step with s.y > 0 and y'h0(y) > 0 rescales to
+    gamma = s.y / y'h0(y). It stops when the cost stops moving. converged
+    is a finite cost with max |reduced gradient| <= 1e-8 (1 + |f|).
     """
     x0, n_free = params.x0, params.steps
 
@@ -173,9 +160,11 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0, max_iter: i
         z, f, g = z_new, f_new, g_new
         if not moved:
             break
-        sy = float(s @ y)
-        if sy > 0.0:
-            gamma = sy / float(y @ h0(y))
+        # y'h0(y) underflows to 0 on a book so deep that the gradient is
+        # near 1e-300; gamma then stays as it was
+        sy, yhy = float(s @ y), float(y @ h0(y))
+        if sy > 0.0 and yhy > 0.0:
+            gamma = sy / yhy
     converged = float(np.max(np.abs(g))) <= _GRAD_TOL * (1.0 + abs(f))
     return full(z), f, converged
 
@@ -207,10 +196,11 @@ def minimize_cost(
     depth, or where an offset overflows): it is dropped and counted in
     off_book. converged reports whether every other start met the
     stopping criterion; the best point is returned either way, never
-    silently dropped. No start priced finitely is InvalidParam.
+    silently dropped. No start priced finitely is InvalidParam, and so
+    is a count of starts or a seed that is not a whole number in range.
     """
-    if starts < 1:
-        raise InvalidParam(f"need at least one start, got {starts}")
+    starts = whole_number(starts, 1, "number of starts (at least one start)")
+    seed = whole_number(seed, 0, "seed")
     h0 = _block_inverse_hessian(params)
     best_x, best_f = None, math.inf
     all_ok, off_book = True, 0

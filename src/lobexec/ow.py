@@ -1,9 +1,11 @@
 """Recursive scheme for the block book with permanent impact.
 
-The quadratic cost ow_cost(q, lam, ...) admits a dynamic-programming
-solution whose value function is quadratic in the state (remaining
-shares X, decaying impact D). The backward recursion computes its
-coefficients alpha/beta/gamma and the control coefficients
+ow_cost is the classical quadratic cost for a block book with an extra
+permanent-impact slope lam; it ties the optimizers back to the known
+block-book solution for every admissible lam. It admits a
+dynamic-programming solution whose value function is quadratic in the
+state (remaining shares X, decaying impact D). The backward recursion
+computes its coefficients alpha/beta/gamma and the control coefficients
 delta/epsilon/phi; all six also have closed forms, kept here as an
 independent check of the recursion.
 
@@ -20,11 +22,12 @@ the coefficients at n+1, and the last trade clears the remainder.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import Strategy
+from .costs import Strategy, as_trades
 from .dynamics import MarketParams
 from .errors import InvalidParam
 
@@ -44,20 +47,50 @@ class OWCoefficients:
     phi: np.ndarray
 
 
-def _check_params(q: float, lam: float, params: MarketParams) -> float:
-    if not q > 0.0:
-        raise InvalidParam(f"depth must be positive, got {q}")
+def _check_params(q: float, lam: float) -> float:
+    """kappa = 1/q - lam, the decaying part of the impact; q must be
+    positive with 1/q finite, and lam finite and below 1/q, so that kappa
+    is finite and positive."""
+    if not (q > 0.0 and 1.0 / q < math.inf):
+        raise InvalidParam(f"depth must be positive, with 1/q finite, got {q}")
     kappa = 1.0 / q - lam
-    if not kappa > 0.0:
-        raise InvalidParam(
-            f"permanent slope {lam} must stay below 1/q = {1.0 / q}"
-        )
+    if not 0.0 < kappa < math.inf:
+        raise InvalidParam(f"permanent slope {lam} must be finite and below 1/q = {1.0 / q}")
     return kappa
+
+
+def ow_cost(q: float, lam: float, params: MarketParams, strategy, a0: float = 0.0) -> float:
+    """Quadratic block-book cost with permanent-impact slope lam.
+
+    kappa = 1/q - lam is the decaying part of the impact. Requires
+    lam < 1/q so that kappa > 0.
+    """
+    kappa = _check_params(q, lam)
+    if not math.isfinite(a0):
+        raise InvalidParam(f"unaffected ask a0 must be finite, got {a0}")
+    x = np.asarray(as_trades(strategy), dtype=float)
+    if x.size != params.steps + 1:
+        raise InvalidParam(f"expected {params.steps + 1} trades, got {x.size}")
+    a = params.decay
+    tot = float(x.sum())
+    decayed = 0.0
+    cross = 0.0
+    for k in range(x.size):
+        if k > 0:
+            decayed *= a
+        cross += decayed * x[k]
+        decayed += x[k]
+    return (
+        a0 * tot
+        + 0.5 * lam * tot * tot
+        + kappa * cross
+        + 0.5 * kappa * float(np.dot(x, x))
+    )
 
 
 def backward_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     """Value-function coefficients by backward recursion from node N."""
-    kappa = _check_params(q, lam, params)
+    kappa = _check_params(q, lam)
     a = params.decay
     n_steps = params.steps
     al = np.empty(n_steps + 1)
@@ -96,7 +129,7 @@ def closed_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     These are the forms in r = 1/a multiplied through by a power of a, so
     they stay finite as rho tau grows, down to a = 0, where 1/a overflows.
     """
-    kappa = _check_params(q, lam, params)
+    kappa = _check_params(q, lam)
     a = params.decay
     b = params.one_minus_a
     b2 = b * (1.0 + a)  # 1 - a^2

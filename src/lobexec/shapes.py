@@ -11,11 +11,11 @@ from the unaffected best quote. Everything downstream needs four maps:
 plus premium_by_volume(y) = premium(offset(y)), the sweep premium as a
 function of executed volume. Its derivative is offset(y), which is what
 makes it the natural cost potential for the execution problem. The
-premium's second derivative f(x) + x f'(x), premium_curvature, decides
-whether the spread-recovery continuous limit exists; each family gives
-it in closed form, so it does not cancel where f and x f' nearly do.
-The limit reads it as relative_curvature, (f + x f')/f, which keeps its
-sign and stays finite where both underflow far from the quote.
+sign of the premium's second derivative f(x) + x f'(x) decides whether
+the spread-recovery continuous limit exists; the limit reads it as
+relative_curvature, (f + x f')/f, which each family gives in closed
+form, so it does not cancel where f and x f' nearly do, and which keeps
+its sign and stays finite where both underflow far from the quote.
 
 Every book is two one-sided branches, each a function of the distance
 from the quote: an ask branch for x >= 0, which buys eat, and a bid
@@ -92,6 +92,12 @@ def _sides(x, ask_map, bid_map):
     return out
 
 
+def _check_depth(q, name: str) -> None:
+    """Refuse a family's depth scale q unless it is finite and positive."""
+    if not 0.0 < q < math.inf:
+        raise InvalidParam(f"{name} depth must be finite and positive, got {q}")
+
+
 class Shape:
     """Interface for order-book densities: two one-sided branches.
 
@@ -129,11 +135,8 @@ class Shape:
     def _premium(self, t: float) -> float:
         raise NotImplementedError
 
-    def _premium_curvature(self, t: float) -> float:
-        raise NotImplementedError
-
     def _relative_curvature(self, t: float) -> float:
-        return self._premium_curvature(t) / self._density(t)
+        raise NotImplementedError
 
     # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
     # where the scalar map raises OutOfDomain, inf where it overflows
@@ -174,17 +177,14 @@ class Shape:
     def premium_by_volume(self, y: float) -> float:
         return self.premium(self.offset(y))
 
-    def premium_curvature(self, x: float) -> float:
-        """f(x) + x f'(x), the premium's second derivative."""
-        return self._bid._premium_curvature(-x) if x < 0.0 else self._premium_curvature(x)
-
     def relative_curvature(self, x: float) -> float:
-        """(f(x) + x f'(x)) / f(x), the premium's curvature over the density.
+        """(f(x) + x f'(x)) / f(x), the premium's second derivative over
+        the density.
 
         It has the curvature's sign, since f > 0, and is the reciprocal
-        of the ratio f / (f + x f') the spread-recovery limit needs. A
-        family whose f underflows far from the quote gives it in closed
-        form, where it stays finite.
+        of the ratio f / (f + x f') the spread-recovery limit needs. Each
+        family gives it in closed form, where it stays finite even as f
+        underflows far from the quote.
         """
         return self._bid._relative_curvature(-x) if x < 0.0 else self._relative_curvature(x)
 
@@ -236,8 +236,9 @@ class PowerLawShape(Shape):
     name = "power"
 
     def __post_init__(self):
-        if not self.q > 0.0:
-            raise InvalidParam(f"power-law depth must be positive, got {self.q}")
+        _check_depth(self.q, self.name)
+        if not math.isfinite(self.alpha):
+            raise InvalidParam(f"power-law exponent must be finite, got {self.alpha}")
         # near the quote the closed premium subtracts two terms of about t
         # to leave q t^2/2 (5e-4 relative off at t = 1e-6), so below the
         # crossover it is the Taylor series
@@ -350,11 +351,8 @@ class PowerLawShape(Shape):
             return math.inf
         return q * (ub / b - uc / c)
 
-    def _premium_curvature(self, t):
-        # q (1 + (1-alpha) t) / (1+t)^(alpha+1)
-        return self._density(t) * self._relative_curvature(t)
-
     def _relative_curvature(self, t):
+        # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
     # the closed form already maps arrays, where numpy's ** gives inf
@@ -441,11 +439,6 @@ class BlockShape(PowerLawShape):
     alpha: float = field(default=0.0, init=False, repr=False)
     name = "block"
 
-    def __post_init__(self):
-        if not self.q > 0.0:
-            raise InvalidParam(f"block depth must be positive, got {self.q}")
-        super().__post_init__()
-
 
 @dataclass(frozen=True)
 class SqrtShape(Shape):
@@ -457,10 +450,9 @@ class SqrtShape(Shape):
     name = "sqrt"
 
     def __post_init__(self):
-        if not self.q > 0.0:
-            raise InvalidParam(f"sqrt-shape depth must be positive, got {self.q}")
-        if self.mu < 0.0:
-            raise InvalidParam(f"sqrt-shape curvature must be >= 0, got {self.mu}")
+        _check_depth(self.q, self.name)
+        if not 0.0 <= self.mu < math.inf:
+            raise InvalidParam(f"sqrt-shape curvature must be finite and >= 0, got {self.mu}")
 
     def _density(self, t):
         return self.q / math.sqrt(1.0 + self.mu * t)
@@ -482,9 +474,9 @@ class SqrtShape(Shape):
         w = self.mu * t / (1.0 + r)
         return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
 
-    def _premium_curvature(self, t):
-        # q (1 + mu t/2) / (1 + mu t)^(3/2)
-        return self._density(t) * (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
+    def _relative_curvature(self, t):
+        # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f
+        return (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
 
     def _density_array(self, t):
         return self.q / np.sqrt(1.0 + self.mu * t)
@@ -593,10 +585,11 @@ class _Ramp(Shape):
         i, w = self._locate(t)
         return self._p[i] + _segment_premium(self._t[i], self._c[i], self._m[i], w)
 
-    def _premium_curvature(self, t):
-        # c + m w + t m on the segment
+    def _relative_curvature(self, t):
+        # f + t f' = c + m w + t m on the segment, over f = c + m w
         i, w = self._locate(t)
-        return self._c[i] + self._m[i] * (t + w)
+        c, m = self._c[i], self._m[i]
+        return (c + m * (t + w)) / (c + m * w)
 
     def _locate_array(self, t):
         i = np.searchsorted(self._ta, t, side="right") - 1
@@ -690,7 +683,8 @@ class TabulatedShape(_Ramp):
 def load_tabulated_csv(path) -> TabulatedShape:
     """Read a shape table from CSV with header ``offset,density``."""
     offsets, dens = [], []
-    with open(path, newline="") as fh:
+    # utf-8-sig: a spreadsheet's export may start with a byte-order mark
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["offset", "density"]:

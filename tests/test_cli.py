@@ -4,14 +4,19 @@ Everything goes through main(argv) in-process so the tests see real exit
 codes and real files without shelling out.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lobexec.cli as cli
 from lobexec import OracleResult, Strategy
@@ -211,10 +216,33 @@ def test_validation_failure_is_exit_2(capsys):
     assert "witness" in err
 
 
+@pytest.mark.parametrize("argv, reason", [
+    (["--shape", "power", "--alpha", "nan"], "exponent must be finite"),
+    (["--shape", "power", "--alpha", "inf"], "exponent must be finite"),
+    (["--shape", "sqrt", "--mu", "nan"], "curvature must be finite"),
+    (["--q", "inf"], "depth must be finite"),
+    (["--a0", "nan"], "a0 must be finite"),
+], ids=["alpha nan", "alpha inf", "mu nan", "q inf", "a0 nan"])
+def test_a_value_that_is_not_finite_is_an_invalid_parameter(tmp_path, capsys, argv, reason):
+    # each was read as something else: a numeric failure (exit 3), a
+    # failed scan, or a cost of nan (exit 0)
+    assert run(["solve"] + argv + ["--out-dir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid parameter: ") and reason in err
+    assert not (tmp_path / "schedule.json").exists()
+
+
 def test_numeric_failure_is_exit_3(tmp_path):
     # alpha=3 book holds only q/2 = 2500 shares on the ask side
     assert run(["solve", "--shape", "power", "--alpha", 3.0, "--x0", 1e5,
                 "--out-dir", tmp_path]) == 3
+
+
+def test_a_sqrt_depth_whose_square_underflows_is_exit_3(tmp_path, capsys):
+    # q * q underflows to 0 in the sqrt book's offset: a ZeroDivisionError
+    # that ended in a traceback
+    assert run(["solve", "--shape", "sqrt", "--q", 5e-324, "--out-dir", tmp_path]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_offset_overflow_is_exit_3(tmp_path):
@@ -348,3 +376,92 @@ def test_a_size_that_breaks_the_root_bracket_is_refused(tmp_path, capsys, argv):
     assert err.startswith("invalid parameter: ") and "Traceback" not in err
     assert "x0" in err or "total size" in err
     assert not (tmp_path / "schedule.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# generated flags and configs: a reason and an exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+ODD_NUMBERS = [math.inf, -math.inf, math.nan, 5e-324, 1e-310, 1e308, -1e308, 0.0, -0.0, -1.0]
+NUMBERS = st.one_of(st.sampled_from(ODD_NUMBERS), st.floats(-1e6, 1e6), st.integers(-3, 12))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=5,
+)
+VALUES = st.one_of(NUMBERS, JSON_VALUES)
+# a step count stays small, or is not a count at all: the commands hold
+# O(N) lists, and N = 1e9 would be a test of the machine's memory
+COUNTS = st.one_of(st.integers(-1, 12), st.sampled_from([2.5, math.nan, math.inf, "10", [10], None, True]))
+KINDS = ["block", "power", "sqrt", "piecewise-ce", "tabulated"]
+SHAPE_CONFIGS = st.one_of(VALUES, st.fixed_dictionaries({}, optional={
+    "kind": st.one_of(st.sampled_from(KINDS), VALUES),
+    "q": VALUES, "alpha": VALUES, "mu": VALUES, "n": COUNTS, "csv_path": VALUES, "depth": VALUES,
+}))
+CONFIGS = st.one_of(VALUES, st.fixed_dictionaries({}, optional={
+    "x0": VALUES, "t": VALUES, "n": COUNTS, "rho": VALUES,
+    "model": st.one_of(st.sampled_from([1, 2, 3, 2.0]), VALUES),
+    "a0": VALUES, "seed": st.one_of(st.integers(-1, 3), VALUES), "shape": SHAPE_CONFIGS,
+    "x_total": VALUES,
+}))
+FLOAT_FLAGS = ["--x0", "--t", "--rho", "--a0", "--q", "--alpha", "--mu"]
+FLAGS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(FLOAT_FLAGS), NUMBERS.map(str)),
+    st.tuples(st.just("--n"), st.sampled_from(["1", "3", "10", "0", "2.5", "x"])),
+    st.tuples(st.just("--model"), st.sampled_from(["1", "2", "3"])),
+    st.tuples(st.just("--shape"), st.sampled_from(KINDS)),
+    st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-1"])),
+), max_size=4)
+NUMBER_LISTS = st.lists(NUMBERS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
+EXTRAS = {
+    "solve": st.just([]),
+    "replay": st.just([]),
+    "sweep": st.tuples(NUMBER_LISTS, st.sampled_from(["1", "2", "1,2"])).map(
+        lambda t: ["--alphas", t[0], "--models", t[1]]),
+    "oracle-check": st.tuples(st.sampled_from(["0", "1", "2"]), st.booleans()).map(
+        lambda t: ["--starts", t[0]] + ["--force"] * t[1]),
+    "ow-compare": NUMBER_LISTS.map(lambda s: ["--lambdas", s]),
+}
+
+
+def _promised_files(command, out: Path, argv):
+    """The files a command that exits 0 has written."""
+    if command == "solve":
+        return [out / "schedule.csv", out / "schedule.json"]
+    if command == "replay":
+        return [out / "trajectory.csv", out / "report.json"]
+    if command == "sweep":
+        return [out / "sweep.csv"]
+    if command == "ow-compare":
+        count = len([s for s in argv[argv.index("--lambdas") + 1].split(",") if s.strip()])
+        return [out / "ow_compare.csv"] + [out / f"ow_coeffs_lambda{i}.csv" for i in range(count)]
+    return []
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
+@given(command=st.sampled_from(list(EXTRAS)), config=st.one_of(st.none(), CONFIGS),
+       flags=FLAGS, data=st.data())
+def test_generated_flags_and_configs_end_in_an_exit_code(command, config, flags, data):
+    extra = data.draw(EXTRAS[command])
+    trades = data.draw(st.lists(st.one_of(st.just(1e5 / 11), NUMBERS, st.text(max_size=2)), max_size=12))
+    with tempfile.TemporaryDirectory() as work:
+        out = Path(work) / "out"
+        argv = [command, "--out-dir", str(out)] + [s for pair in flags for s in pair] + extra
+        if config is not None:
+            (Path(work) / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(Path(work) / "cfg.json")]
+        if command == "replay":
+            schedule = Path(work) / "schedule.json"
+            schedule.write_text(json.dumps({"trades": trades, "config": data.draw(CONFIGS)}))
+            argv += ["--schedule", str(schedule), "--trajectory", str(out / "trajectory.csv"),
+                     "--report", str(out / "report.json")]
+            out.mkdir()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in {0, 1, 2, 3, 4}, (argv, code)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 0:
+            for path in _promised_files(command, out, argv):
+                assert path.is_file(), (argv, path)

@@ -28,15 +28,15 @@ from lobexec import (
     impact_cost,
     impact_costs,
     lagrange_residual,
-    ow_cost,
     solve,
     solve_block,
     replay,
 )
 from lobexec.costs import CostReport, as_trades, premium_steps
-from lobexec.dynamics import TrajectoryPoint, equal_run, node_states, walk
+from lobexec.dynamics import TrajectoryPoint, equal_run, expand, node_states, walk
 from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
+from lobexec.ow import ow_cost
 from reference_models import SimplifiedState, apply_order, decay, impact_cost_gform, order_cost
 
 Q = 5000.0
@@ -109,14 +109,6 @@ def test_vanishing_resilience_telescopes():
         assert impact_cost(p, b, [float(v) for v in x]) == pytest.approx(G(40_000.0), rel=1e-9)
 
 
-def test_strategy_helpers():
-    s = Strategy(trades=(1.0, 2.0, 3.5))
-    assert s.total == 6.5
-    s.assert_feasible(6.5)
-    with pytest.raises(InvalidParam):
-        s.assert_feasible(7.0)
-
-
 def test_cost_report_consistency(fig3_params, block):
     sched = solve_block(fig3_params, Q)
     rep = cost_report(fig3_params, block, sched.strategy, a0=2.0)
@@ -126,6 +118,15 @@ def test_cost_report_consistency(fig3_params, block):
     assert rep.lagrange_residual <= 1e-6 * abs(rep.impact_term)
     d = rep.to_dict()
     assert set(d) == {"total", "base_term", "impact_term", "per_trade", "lagrange_residual"}
+
+
+@pytest.mark.parametrize("a0", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_price_that_is_not_finite_is_refused(fig3_params, block, a0):
+    trades = solve_block(fig3_params, Q).trades
+    with pytest.raises(InvalidParam, match="a0 must be finite"):
+        cost_report(fig3_params, block, trades, a0=a0)
+    with pytest.raises(InvalidParam, match="a0 must be finite"):
+        ow_cost(Q, 0.0, fig3_params, trades, a0=a0)
 
 
 def test_cost_report_dict_keeps_its_key_order(fig3_params, block):
@@ -586,16 +587,18 @@ def test_a_walk_that_records_its_runs_holds_each_run_once(mode):
     schedules = list(_run_schedules(p.steps, p.x0).values())
     big = MarketParams(x0=1e5, horizon=1.0, steps=10_000, rho=20.0, mode=mode)
     for params, trades in [(p, t) for t in schedules] + [(big, solve(big, shape).trades)]:
-        full = walk(params, shape, trades)
-        runs = []
-        held = walk(params, shape, trades, runs)
+        *held, runs = walk(params, shape, trades)
         counts = [1] * len(held[0])
         for i, k in runs:
             counts[i] += k
         assert sum(counts) == len(trades)
-        for values, once in zip(full, held):
+        # node by node, as the reference book steps every node
+        full = [(pt.volume_pre, pt.offset_pre, pt.volume_post, pt.offset_post)
+                for pt in _replay_by_states(params, shape, trades)]
+        for values, once in zip(zip(*full), held):
             expanded = [v for v, k in zip(once, counts) for _ in range(k)]
             assert [v.hex() for v in expanded] == [v.hex() for v in values]
+            assert expand(once, runs) == expanded
     # the solver's schedule: a first block, one settled run, the last block
     assert len(held[0]) <= 10 and len(runs) == 1
 
@@ -605,12 +608,15 @@ def test_a_scalar_walk_goes_on_from_a_start_state(mode):
     shape = SqrtShape(Q, 1.0)
     p = MarketParams(x0=1e5, horizon=1.0, steps=12, rho=20.0, mode=mode)
     trades = [9000.0, 7000.0, 7000.0, 7000.0, 5000.0] + [8000.0] * 8
-    full = walk(p, shape, trades)
+    *full, runs = walk(p, shape, trades)
+    full = [expand(values, runs) for values in full]
     for cut in (0, 1, 4, 9):
         # stopped at node cut's pre-trade state, and gone on from there
-        first = node_states(p, trades[:cut] + [None], shape.volume, shape.offset)
-        rest = node_states(p, trades[cut:], shape.volume, shape.offset,
-                           start=(first[0][-1], first[1][-1]))
+        *first, first_runs = node_states(p, trades[:cut] + [None], shape.volume, shape.offset)
+        *rest, rest_runs = node_states(p, trades[cut:], shape.volume, shape.offset,
+                                       start=(first[0][-1], first[1][-1]))
+        first = [expand(values, first_runs) for values in first]
+        rest = [expand(values, rest_runs) for values in rest]
         pre = [first[0][:-1] + rest[0], first[1][:-1] + rest[1]]
         post = [first[2] + rest[2], first[3] + rest[3]]
         for values, got in zip(full, pre + post):
@@ -621,4 +627,4 @@ def test_strategy_of_floats_takes_the_tuple_as_it_is():
     trades = (1.0, 2.5, -0.0)
     s = Strategy.of_floats(trades)
     assert s.trades is trades
-    assert s == Strategy(trades) and s.total == 3.5
+    assert s == Strategy(trades)

@@ -200,15 +200,6 @@ def test_gradient_check_on_random_points(mode):
         assert gradient_check(p, sh, x) <= 1e-5
 
 
-def test_oracle_result_serializes():
-    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0)
-    r = minimize_cost(p, BlockShape(Q), starts=2)
-    d = r.to_dict()
-    assert d["best_cost"] == r.best_cost
-    assert len(d["trades"]) == 3
-    assert isinstance(r.to_json(), str)
-
-
 def test_descent_never_loses_to_random_candidates():
     rng = np.random.default_rng(17)
     for shape in (BlockShape(Q), PowerLawShape(Q, 0.5)):
@@ -282,6 +273,29 @@ def test_descent_refuses_when_no_start_is_on_the_book():
     p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0)
     with pytest.raises(InvalidParam):
         minimize_cost(p, PowerLawShape(Q, 1.5), starts=4)
+
+
+@pytest.mark.parametrize("counts, what", [
+    ({"starts": 2.5}, "number of starts"),
+    ({"starts": "3"}, "number of starts"),
+    ({"seed": -1}, "seed"),
+    ({"seed": 0.5}, "seed"),
+], ids=["starts 2.5", "starts str", "seed -1", "seed 0.5"])
+def test_descent_refuses_counts_that_are_not_whole_numbers(counts, what):
+    # a fractional count was a TypeError from a slice, a negative seed numpy's ValueError
+    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0)
+    with pytest.raises(InvalidParam, match=f"{what}.* must be an integer"):
+        minimize_cost(p, BlockShape(Q), **counts)
+
+
+@pytest.mark.parametrize("q", [1e300, 1e308], ids=repr)
+def test_descent_on_a_book_so_deep_that_its_curvature_underflows(q):
+    # the gradient is near 1e-300, and y'h0(y) underflowed to 0: the
+    # rescaling divided by it (oracle-check --q 1e308 ended in a traceback)
+    p = MarketParams(x0=X0, horizon=1.0, steps=10, rho=20.0)
+    result = minimize_cost(p, BlockShape(q), starts=2)
+    want = solve_block(p, q).trades
+    assert max(abs(a - b) for a, b in zip(result.best_strategy.trades, want)) <= 1e-8 * X0
 
 
 def test_descent_refuses_a_count_of_no_starts():

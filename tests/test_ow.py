@@ -153,3 +153,22 @@ def test_coeffs_csv(tmp_path):
     assert lines[0] == "n,alpha,beta,gamma,delta,epsilon,phi"
     assert len(lines) == 6
     assert float(lines[-1].split(",")[1]) == c.alpha[4]
+
+
+@pytest.mark.parametrize("q", [0.0, -1.0, math.nan, 1e-310, 5e-324], ids=repr)
+def test_a_depth_whose_reciprocal_overflows_is_refused(q):
+    # at q = 1e-310, 1/q is inf, and the recursion formed inf - inf with a
+    # numpy warning before it refused the degenerate node
+    p = _params(10)
+    for form in (backward_coeffs, closed_coeffs):
+        with pytest.raises(InvalidParam, match="depth must be positive, with 1/q finite"):
+            form(q, 0.0, p)
+
+
+@pytest.mark.parametrize("lam", [-math.inf, math.inf, math.nan], ids=repr)
+def test_a_permanent_slope_that_is_not_finite_is_refused(lam):
+    # lam = -inf made kappa = inf, and the recursion formed inf - inf
+    p = _params(10)
+    for form in (backward_coeffs, closed_coeffs):
+        with pytest.raises(InvalidParam, match="must be finite and below 1/q"):
+            form(Q, lam, p)

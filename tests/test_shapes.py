@@ -114,6 +114,31 @@ def test_block_values():
         BlockShape(0.0)
 
 
+NOT_FINITE = [math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("q", NOT_FINITE, ids=repr)
+@pytest.mark.parametrize("family", [
+    lambda q: BlockShape(q), lambda q: PowerLawShape(q, 0.5), lambda q: SqrtShape(q, 1.0),
+], ids=["block", "power", "sqrt"])
+def test_a_depth_that_is_not_finite_is_refused(family, q):
+    with pytest.raises(InvalidParam, match="depth must be finite and positive"):
+        family(q)
+
+
+@pytest.mark.parametrize("alpha", NOT_FINITE, ids=repr)
+def test_a_power_exponent_that_is_not_finite_is_refused(alpha):
+    with pytest.raises(InvalidParam, match="exponent must be finite"):
+        PowerLawShape(Q, alpha)
+
+
+@pytest.mark.parametrize("mu", NOT_FINITE + [-1.0], ids=repr)
+def test_a_sqrt_curvature_that_is_not_finite_and_nonnegative_is_refused(mu):
+    # NaN passes a test of mu < 0
+    with pytest.raises(InvalidParam, match="curvature must be finite and >= 0"):
+        SqrtShape(Q, mu)
+
+
 FLAT_OFFSETS = [0.0, 1e-300, 1e-12, 0.3, 2.5, 1e3, 1e12, 1e300]
 
 
@@ -347,6 +372,17 @@ def test_load_tabulated_csv(tmp_path):
         load_tabulated_csv(bad)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+def test_load_tabulated_csv_reads_a_spreadsheet_export(tmp_path, newline):
+    # a UTF-8 byte-order mark before the header, as spreadsheets write it
+    text = newline.join(["offset,density", "-5,100", "0,120", "5,90", ""])
+    for bom in ("", "\ufeff"):
+        p = tmp_path / "shape.csv"
+        p.write_bytes((bom + text).encode("utf-8"))
+        t = load_tabulated_csv(p)
+        assert t.density(0.0) == 120.0 and t.density(-5.0) == 100.0
+
+
 def test_load_tabulated_csv_skips_blank_rows_and_refuses_a_bad_one(tmp_path):
     p = tmp_path / "shape.csv"
     p.write_text("offset,density\n-5,100\n\n ,\n0,120\n5,90\n")
@@ -437,9 +473,9 @@ def test_table_integrals_are_exact_near_the_quote_and_far(table, x):
 # The counterexample's maps before it became a ramp, kept verbatim as
 # the reference (its array forms were the same expressions under
 # np.select). The ramp must match them to rounding, with one exception
-# at the knee x = 1, where f' jumps: premium_curvature there took the
-# ramp's slope and now takes the tail's, since every ramp knot is
-# right-continuous.
+# at the knee x = 1, where f' jumps: the premium's curvature f + x f'
+# there took the ramp's slope and now takes the tail's, since every ramp
+# knot is right-continuous.
 
 
 @dataclass(frozen=True)
@@ -503,13 +539,19 @@ class _ClosedFormCounterexample(Shape):
         )
         return p1 + 0.5 * (t * t - 1.0)
 
-    def _premium_curvature(self, t):
-        n = self.n
+    def premium_curvature(self, x):
+        """f(x) + x f'(x), even in x."""
+        n, t = self.n, abs(x)
         if t < 1.0 / n:
             return n + 1.0
         if t <= 1.0:
             return (n + 1.0) - self._s * (2.0 * t - 1.0 / n)
         return 1.0
+
+
+def _curvature(shape, x):
+    """The premium's curvature f + x f' as relative_curvature forms it."""
+    return shape.relative_curvature(x) * shape.density(x)
 
 
 def _knee_offsets(n):
@@ -532,8 +574,11 @@ def test_counterexample_ramp_matches_its_closed_forms(n):
             if forms == "array" and name == "premium_curvature":
                 continue
             want = np.array([getattr(ref, name)(v) for v in args])
-            got = (np.array([getattr(ramp, name)(v) for v in args]) if forms == "scalar"
-                   else getattr(ramp, name + "_array")(args))
+            if name == "premium_curvature":
+                got = np.array([_curvature(ramp, v) for v in args])
+            else:
+                got = (np.array([getattr(ramp, name)(v) for v in args]) if forms == "scalar"
+                       else getattr(ramp, name + "_array")(args))
             if name == "premium_curvature":
                 knee = np.abs(args) == 1.0
                 got, want = got[~knee], want[~knee]
@@ -548,10 +593,10 @@ def test_counterexample_curvature_at_the_knee_is_the_tails(n):
     # ramp's side, (n+1) - n(2n-1)/(n-1) < 0, and the ramp takes the tail's
     ramp, ref = CounterexampleShape(n), _ClosedFormCounterexample(n)
     for x in (1.0, -1.0):
-        assert ramp.premium_curvature(x) == 1.0
+        assert _curvature(ramp, x) == 1.0
         assert ref.premium_curvature(x) == pytest.approx((n + 1) - n * (2 * n - 1) / (n - 1))
         left = float(np.nextafter(x, 0.0))
-        assert ramp.premium_curvature(left) == pytest.approx(ref.premium_curvature(left), rel=1e-14)
+        assert _curvature(ramp, left) == pytest.approx(ref.premium_curvature(left), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -739,23 +784,35 @@ def test_premium_curvature_is_the_derivative_of_x_f(shape, x):
     # and inside one segment of the table
     h = 1e-6 * x
     fd = ((x + h) * shape.density(x + h) - (x - h) * shape.density(x - h)) / (2 * h)
-    assert abs(shape.premium_curvature(x) - fd) <= 1e-6 * shape.density(x)
+    assert abs(_curvature(shape, x) - fd) <= 1e-6 * shape.density(x)
     if not isinstance(shape, TabulatedShape):
-        assert shape.premium_curvature(-x) == shape.premium_curvature(x)
+        assert _curvature(shape, -x) == _curvature(shape, x)
 
 
 @pytest.mark.parametrize("shape", FAMILIES + [_table_401()], ids=_ids(FAMILIES) + ["tabulated"])
 @pytest.mark.parametrize("x", [0.3, 0.7, 7.5, 40.5])
 def test_relative_curvature_is_the_curvature_over_the_density(shape, x):
-    want = shape.premium_curvature(x) / shape.density(x)
+    want = _closed_curvature(shape, x) / shape.density(x)
     assert shape.relative_curvature(x) == pytest.approx(want, rel=1e-15)
+
+
+def _closed_curvature(shape, x):
+    """f + x f' in closed form, at x > 0: q (1 + (1-alpha) x)/(1+x)^(alpha+1)
+    on the power law, q (1 + mu x/2)/(1 + mu x)^(3/2) on the sqrt book,
+    and c + m (x + w) on a ramp segment of density c + m w."""
+    if isinstance(shape, PowerLawShape):
+        return shape.q * (1.0 + (1.0 - shape.alpha) * x) / (1.0 + x) ** (shape.alpha + 1.0)
+    if isinstance(shape, SqrtShape):
+        return shape.q * (1.0 + 0.5 * shape.mu * x) / (1.0 + shape.mu * x) ** 1.5
+    i, w = shape._locate(x)
+    return shape._c[i] + shape._m[i] * (x + w)
 
 
 def test_power_relative_curvature_stays_finite_far_from_the_quote():
     # at alpha = 1 it is 1/(1+x), which stays normal where f + x f' =
     # q/(1+x)^2 has underflowed to 0; alpha = 1.5 turns negative past x = 2
     x = 5.2e173
-    assert PowerLawShape(Q, 1.0).premium_curvature(x) == 0.0
+    assert _curvature(PowerLawShape(Q, 1.0), x) == 0.0
     assert PowerLawShape(Q, 1.0).relative_curvature(x) == pytest.approx(1.0 / (1.0 + x), rel=1e-15)
     sh = PowerLawShape(Q, 1.5)
     assert sh.relative_curvature(1.9) > 0.0 > sh.relative_curvature(2.1)
@@ -766,9 +823,9 @@ def test_power_premium_curvature_far_from_the_quote():
     # f + x f' = q/(1+x)^2 at alpha = 1; formed as f + x f' it cancelled to
     # 0 at x = 6.4e24, and alpha = 1.5 turns concave past x = 2
     x = 6.4e24
-    assert PowerLawShape(Q, 1.0).premium_curvature(x) == pytest.approx(Q / (1 + x) ** 2, rel=1e-15)
+    assert _curvature(PowerLawShape(Q, 1.0), x) == pytest.approx(Q / (1 + x) ** 2, rel=1e-15)
     sh = PowerLawShape(Q, 1.5)
-    assert sh.premium_curvature(1.9) > 0.0 > sh.premium_curvature(2.1)
+    assert _curvature(sh, 1.9) > 0.0 > _curvature(sh, 2.1)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +833,7 @@ def test_power_premium_curvature_far_from_the_quote():
 # ---------------------------------------------------------------------------
 
 SIGNED_MAPS = ("density", "volume", "offset", "premium", "premium_by_volume",
-               "premium_curvature", "relative_curvature", "density_array",
+               "relative_curvature", "density_array",
                "volume_array", "offset_array", "premium_array", "volume_bounds")
 
 
@@ -823,7 +880,7 @@ def test_a_table_of_the_counterexample_ramp_maps_as_it_bit_for_bit(n):
     vs = [s * v for s in (1.0, -1.0) for v in (0.0, 1e-9, (n + 1.0) / n, float(np.nextafter(depth, 0.0)))]
     vs += rng.uniform(-depth, depth, 200).tolist()
     assert all(-1.0 < x < 1.0 for x in xs) and all(abs(v) < depth for v in vs)
-    for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("premium_curvature", xs),
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs),
                        ("relative_curvature", xs), ("offset", vs), ("premium_by_volume", vs)):
         assert [getattr(table, name)(a).hex() for a in args] == [getattr(ramp, name)(a).hex() for a in args], name
     for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("offset", vs)):
