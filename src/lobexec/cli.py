@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, replay, oracle-check, ow-compare. Parameters
+Each subcommand takes only the flags it reads. The book is --shape --q
+--alpha --mu --n-param --csv-path, the market --x0 --t --n --rho --model.
+solve takes the book, the market, --a0 --config --out-dir; replay the
+book, the market, --a0 --config --schedule --trajectory --report;
+oracle-check the book, the market, --seed --config --starts --force;
+sweep --q --x0 --t --n --rho --config --out-dir --alphas --models; and
+ow-compare the same with --lambdas for --alphas --models. An abbreviated
+flag, or one the command does not take, is a usage error. Parameters
 resolve as flags > JSON config file > built-in defaults, where the
 defaults are the baseline of the exponent sweep (x0=100000, q=5000,
-rho=20, T=1, N=10). Console output rounds to 6 significant digits;
-files carry full precision.
+rho=20, T=1, N=10). A config file may carry keys that a command does not
+read, so that one file serves every command. Console output rounds to 6
+significant digits; files carry full precision.
 
 Exit codes: 0 fine, 1 usage, 2 precondition or parameter rejection,
 3 numerical failure, 4 verification mismatch.
@@ -19,6 +27,8 @@ import math
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import costs, dynamics, oracle, ow, shapes, solver
 from .dynamics import MarketParams
@@ -54,22 +64,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--shape", choices=["block", "power", "sqrt", "piecewise-ce", "tabulated"])
-    p.add_argument("--q", type=float, help="depth scale")
-    p.add_argument("--alpha", type=float, help="power-law exponent")
-    p.add_argument("--mu", type=float, help="sqrt-shape curvature")
-    p.add_argument("--n-param", type=int, dest="n_param", help="counterexample index")
-    p.add_argument("--csv-path", dest="csv_path", help="tabulated shape CSV")
-    p.add_argument("--x0", type=float, help="total shares to buy")
-    p.add_argument("--t", type=float, help="trading horizon")
-    p.add_argument("--n", type=int, help="number of steps (N+1 trades)")
-    p.add_argument("--rho", type=float, help="resilience rate")
-    p.add_argument("--model", type=int, choices=[1, 2], help="1 volume, 2 spread recovery")
-    p.add_argument("--a0", type=float, help="unaffected best ask")
-    p.add_argument("--seed", type=int, help="RNG seed for the oracle")
-    p.add_argument("--out-dir", default=".", help="output directory")
+# Each parameter that commands share, declared once: its config key, which
+# is also its dest ("shape.q" is cfg["shape"]["q"]; None for a flag that
+# is not one), and its add_argument keywords.
+_PARAMS = {
+    "--config": (None, {"help": "JSON config file"}),
+    "--shape": ("shape.kind", {"choices": ["block", "power", "sqrt", "piecewise-ce", "tabulated"]}),
+    "--q": ("shape.q", {"type": float, "help": "depth scale"}),
+    "--alpha": ("shape.alpha", {"type": float, "help": "power-law exponent"}),
+    "--mu": ("shape.mu", {"type": float, "help": "sqrt-shape curvature"}),
+    "--n-param": ("shape.n", {"type": int, "help": "counterexample index"}),
+    "--csv-path": ("shape.csv_path", {"help": "tabulated shape CSV"}),
+    "--x0": ("x0", {"type": float, "help": "total shares to buy"}),
+    "--t": ("t", {"type": float, "help": "trading horizon"}),
+    "--n": ("n", {"type": int, "help": "number of steps (N+1 trades)"}),
+    "--rho": ("rho", {"type": float, "help": "resilience rate"}),
+    "--model": ("model", {"type": int, "choices": [1, 2], "help": "1 volume, 2 spread recovery"}),
+    "--a0": ("a0", {"type": float, "help": "unaffected best ask"}),
+    "--seed": ("seed", {"type": int, "help": "RNG seed for the oracle"}),
+    "--out-dir": (None, {"type": Path, "default": ".", "help": "output directory"}),
+}
+_BOOK = ("--shape", "--q", "--alpha", "--mu", "--n-param", "--csv-path")
+_MARKET = ("--x0", "--t", "--n", "--rho", "--model")
+# sweep and ow-compare set the shape and the model themselves
+_DEPTH_AND_MARKET = ("--q", "--x0", "--t", "--n", "--rho", "--config", "--out-dir")
 
 
 def _read_json(path, what: str):
@@ -105,20 +123,11 @@ def _resolve_config(args, embedded=None) -> dict:
         _merge_config(cfg, embedded, "the schedule's config")
     if args.config:
         _merge_config(cfg, _read_json(args.config, "config file"), f"config file {args.config}")
-    flag_map = {
-        "x0": args.x0, "t": args.t, "n": args.n, "rho": args.rho,
-        "model": args.model, "a0": args.a0, "seed": args.seed,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            cfg[key] = val
-    shape_map = {
-        "kind": args.shape, "q": args.q, "alpha": args.alpha,
-        "mu": args.mu, "n": args.n_param, "csv_path": args.csv_path,
-    }
-    for key, val in shape_map.items():
-        if val is not None:
-            cfg["shape"][key] = val
+    flags = vars(args)
+    for key, _ in _PARAMS.values():
+        if key in flags and flags[key] is not None:
+            section, _, name = key.rpartition(".")
+            (cfg[section] if section else cfg)[name] = flags[key]
     return cfg
 
 
@@ -188,7 +197,7 @@ def cmd_solve(args) -> int:
     params = make_params(cfg)
     sched = solver.solve(params, shape)
     report = costs.cost_report(params, shape, sched.strategy, a0=_number(cfg, "a0"))
-    _write_schedule(Path(args.out_dir), sched, cfg)
+    _write_schedule(args.out_dir, sched, cfg)
     print(f"model {int(sched.model)} schedule over {params.steps + 1} trades")
     print(f"xi0   = {sched.xi0:.6g}")
     print(f"xi1   = {sched.trades[1]:.6g}")
@@ -201,9 +210,8 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _resolve_config(args)
     alphas, models = args.alphas, args.models
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "sweep.csv"
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    out_path = args.out_dir / "sweep.csv"
     q = _number(cfg["shape"], "q")
     solved = {}
     with open(out_path, "w", newline="") as fh:
@@ -225,17 +233,8 @@ def cmd_sweep(args) -> int:
                     continue
                 solved[alpha, model] = sched.trades
                 cost = costs.impact_cost(params, shape, sched.strategy)
-                writer.writerow(
-                    [
-                        alpha,
-                        model,
-                        f"{sched.xi0:.17g}",
-                        f"{sched.trades[1]:.17g}",
-                        f"{sched.trades[-1]:.17g}",
-                        f"{cost:.17g}",
-                        "ok",
-                    ]
-                )
+                values = (sched.xi0, sched.trades[1], sched.trades[-1], cost)
+                writer.writerow([alpha, model] + [f"{v:.17g}" for v in values] + ["ok"])
     print(f"wrote {out_path}")
     # how the schedule tilts: first vs last trade, and which model trades
     # its intermediates harder
@@ -316,37 +315,35 @@ def cmd_ow_compare(args) -> int:
     lambdas = args.lambdas
     q = _number(cfg["shape"], "q")
     params = make_params(cfg)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     reference = solver.solve_block(params, q)
-    columns = {}
-    worst_coeff = 0.0
-    worst_trade = 0.0
+    columns, worst_coeff, worst_trade = {}, 0.0, 0.0
     for i, lam in enumerate(lambdas):
-        back = ow.backward_coeffs(q, lam, params)
-        closed = ow.closed_coeffs(q, lam, params)
-        for name in ("alpha", "beta", "gamma", "delta", "epsilon", "phi"):
-            b = getattr(back, name)
-            c = getattr(closed, name)
-            scale = max(1.0, float(max(abs(c.min()), abs(c.max()))))
-            worst_coeff = max(worst_coeff, float(abs(b - c).max()) / scale)
-        strat = ow.forward_strategy(back, params, params.x0)
+        # an overflow shows as a gap that is not finite, refused below
+        with np.errstate(all="ignore"):
+            back = ow.backward_coeffs(q, lam, params)
+            closed = ow.closed_coeffs(q, lam, params)
+            coeff_gap = max(
+                float(np.max(abs(getattr(back, name) - getattr(closed, name))))
+                / max(1.0, float(np.max(abs(getattr(closed, name)))))
+                for name in ("alpha", "beta", "gamma", "delta", "epsilon", "phi")
+            )
+            strat = ow.forward_strategy(back, params, params.x0)
+            trade_gap = (float(np.max(abs(np.subtract(strat.trades, reference.trades))))
+                         / max(1.0, params.x0))
+        if not (math.isfinite(coeff_gap) and math.isfinite(trade_gap)):
+            raise OverflowError(f"permanent slope {lam}: a coefficient or trade is not finite")
+        worst_coeff = max(worst_coeff, coeff_gap)
+        worst_trade = max(worst_trade, trade_gap)
         columns[lam] = strat.trades
-        worst_trade = max(
-            worst_trade,
-            max(abs(a - b) for a, b in zip(strat.trades, reference.trades))
-            / max(1.0, params.x0),
-        )
-        ow.coeffs_to_csv(back, out_dir / f"ow_coeffs_lambda{i}.csv")
-    out_path = out_dir / "ow_compare.csv"
+        ow.coeffs_to_csv(back, args.out_dir / f"ow_coeffs_lambda{i}.csv")
+    out_path = args.out_dir / "ow_compare.csv"
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "block_closed"] + [f"lambda_{lam:g}" for lam in lambdas])
         for n in range(params.steps + 1):
-            writer.writerow(
-                [n, f"{reference.trades[n]:.17g}"]
-                + [f"{columns[lam][n]:.17g}" for lam in lambdas]
-            )
+            writer.writerow([n, f"{reference.trades[n]:.17g}"]
+                            + [f"{columns[lam][n]:.17g}" for lam in lambdas])
     print(f"wrote {out_path}")
     print(f"worst coefficient gap (backward vs closed) = {worst_coeff:.6g}")
     print(f"worst trade gap vs block closed form       = {worst_trade:.6g}")
@@ -372,38 +369,41 @@ def _model_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lobexec", description=__doc__)
+    # no abbreviations: "sweep --alpha 1" would be read as --alphas
+    parser = _Parser(prog="lobexec", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="optimal schedule for the configured shape/model")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
+    def command(name, func, help, flags):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for flag in flags:
+            key, kwargs = _PARAMS[flag]
+            p.add_argument(flag, **kwargs, **({"dest": key} if key else {}))
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sweep", help="power-law exponent sweep, both models")
-    _add_common(p)
+    command("solve", cmd_solve, "optimal schedule for the configured shape/model",
+            _BOOK + _MARKET + ("--a0", "--config", "--out-dir"))
+
+    p = command("sweep", cmd_sweep, "power-law exponent sweep, both models", _DEPTH_AND_MARKET)
     p.add_argument("--alphas", type=_float_list, default="-2,-1,-0.5,0,0.5,1",
                    help="comma-separated exponents")
     p.add_argument("--models", type=_model_list, default="1,2", help="comma-separated models")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("replay", help="replay a stored schedule and report its cost")
-    _add_common(p)
+    p = command("replay", cmd_replay, "replay a stored schedule and report its cost",
+                _BOOK + _MARKET + ("--a0", "--config"))
     p.add_argument("--schedule", required=True, help="schedule.json from solve")
     p.add_argument("--trajectory", help="write node states to this CSV")
     p.add_argument("--report", help="write the cost report to this JSON")
-    p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("oracle-check", help="certify the solver against the descent oracle")
-    _add_common(p)
+    p = command("oracle-check", cmd_oracle_check, "certify the solver against the descent oracle",
+                _BOOK + _MARKET + ("--seed", "--config"))
     p.add_argument("--starts", type=int, default=8)
     p.add_argument("--force", action="store_true", help="skip the validator preflight")
-    p.set_defaults(func=cmd_oracle_check)
 
-    p = sub.add_parser("ow-compare", help="recursive block scheme vs closed forms")
-    _add_common(p)
+    p = command("ow-compare", cmd_ow_compare, "recursive block scheme vs closed forms",
+                _DEPTH_AND_MARKET)
     p.add_argument("--lambdas", type=_float_list, default="0,5e-5,1.5e-4",
                    help="comma-separated permanent slopes")
-    p.set_defaults(func=cmd_ow_compare)
 
     return parser
 

@@ -120,7 +120,7 @@ def closed_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     """The same coefficients from their closed forms.
 
     With m = N-n, b = 1-a = -expm1(-rho tau) and D = m b + (1+a):
-        alpha_n   = [(1+a) - q lam (m b + 2(1+a))] / (2 q D)
+        alpha_n   = [(1+a)/q - lam (m b + 2(1+a))] / (2 D)
         beta_n    = (1+a) / D
         gamma_n   = -m b / (2 kappa D)
         delta_n   = 2 D / (kappa (1-a^2) (m+2-m a))
@@ -135,7 +135,7 @@ def closed_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficients:
     b2 = b * (1.0 + a)  # 1 - a^2
     m = np.arange(params.steps, -1, -1, dtype=float)
     den = m * b + (1.0 + a)
-    al = ((1.0 + a) - q * lam * (m * b + 2.0 * (1.0 + a))) / (2.0 * q * den)
+    al = ((1.0 + a) / q - lam * (m * b + 2.0 * (1.0 + a))) / (2.0 * den)
     be = (1.0 + a) / den
     ga = -m * b / (2.0 * kappa * den)
     de = 2.0 * den / (kappa * b2 * (m + 2.0 - m * a))

@@ -117,6 +117,12 @@ def test_sweep_prints_orderings(tmp_path, capsys):
     assert "alpha=-2.0: back-loaded; intermediate volume-rec < spread-rec" in lines
 
 
+def test_sweep_prints_a_tie(tmp_path, capsys):
+    # on the flat book both models give the same symmetric schedule
+    assert run(["sweep", "--alphas", "0", "--out-dir", tmp_path]) == 0
+    assert "alpha=+0.0: symmetric; intermediate volume-rec = spread-rec" in capsys.readouterr().out
+
+
 def test_sweep_takes_a_leading_negative_alpha(tmp_path):
     assert run(["sweep", "--alphas", "-2,-1", "--out-dir", tmp_path]) == 0
     rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
@@ -133,8 +139,30 @@ def test_ow_compare(tmp_path, capsys):
     assert (tmp_path / "ow_coeffs_lambda0.csv").exists()
 
 
-def test_oracle_check_small(tmp_path, capsys):
-    assert run(["oracle-check", "--n", 3, "--starts", 3, "--out-dir", tmp_path]) == 0
+@pytest.mark.filterwarnings("error")
+def test_ow_compare_at_a_depth_near_the_float_limit_agrees(tmp_path, capsys):
+    # q lam overflowed in the closed-form alpha: every alpha was NaN, the
+    # NaN gap was dropped, and the command agreed with two RuntimeWarnings
+    assert run(["ow-compare", "--q", 1e308, "--lambdas", -1, "--out-dir", tmp_path]) == 0
+    assert "agrees" in capsys.readouterr().out
+    params = cli.make_params(cli.DEFAULTS)
+    closed = cli.ow.closed_coeffs(1e308, -1.0, params)
+    back = cli.ow.backward_coeffs(1e308, -1.0, params)
+    assert closed.alpha == pytest.approx(back.alpha, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ow_compare_with_a_forward_pass_that_overflows_is_exit_3(tmp_path, capsys):
+    # the forward pass overflows at x0 = 1e308: a numerical failure that
+    # names the slope, not a verification mismatch (exit 4)
+    assert run(["ow-compare", "--x0", 1e308, "--lambdas", -11, "--out-dir", tmp_path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: permanent slope -11.0")
+    assert "agrees" not in captured.out
+
+
+def test_oracle_check_small(capsys):
+    assert run(["oracle-check", "--n", 3, "--starts", 3]) == 0
     assert "oracle agrees with the solver" in capsys.readouterr().out
 
 
@@ -149,7 +177,7 @@ def test_oracle_check_notes_starts_off_the_book(capsys):
     assert "not every oracle start converged" not in captured.err
 
 
-def test_oracle_check_mismatch_is_exit_4(monkeypatch, tmp_path):
+def test_oracle_check_mismatch_is_exit_4(monkeypatch):
     # force a fake oracle that claims a different, much better minimum
     def fake(params, shape, starts=8, seed=0, max_iter=100_000):
         n = params.steps + 1
@@ -162,7 +190,65 @@ def test_oracle_check_mismatch_is_exit_4(monkeypatch, tmp_path):
         )
 
     monkeypatch.setattr(cli.oracle, "minimize_cost", fake)
-    assert run(["oracle-check", "--n", 3, "--out-dir", tmp_path]) == 4
+    assert run(["oracle-check", "--n", 3]) == 4
+
+
+# (command, flag) pairs that every command took and the command never read
+FLAGS_A_COMMAND_DOES_NOT_READ = [
+    ("solve", "--seed"),
+    ("replay", "--seed"), ("replay", "--out-dir"),
+    ("oracle-check", "--a0"), ("oracle-check", "--out-dir"),
+] + [(command, flag) for command in ("sweep", "ow-compare")
+     for flag in ("--shape", "--alpha", "--mu", "--n-param", "--csv-path", "--model", "--a0", "--seed")]
+FLAG_VALUES = {"--seed": "1", "--a0": "1", "--out-dir": "elsewhere", "--shape": "power",
+               "--alpha": "1", "--mu": "1", "--n-param": "2", "--csv-path": "shape.csv",
+               "--model": "2"}
+COMMAND_ARGV = {
+    "solve": ["solve", "--out-dir", "{tmp}"],
+    "replay": ["replay", "--schedule", "{tmp}/schedule.json"],
+    "oracle-check": ["oracle-check", "--n", "2", "--starts", "1"],
+    "sweep": ["sweep", "--alphas", "0", "--models", "1", "--out-dir", "{tmp}"],
+    "ow-compare": ["ow-compare", "--out-dir", "{tmp}"],
+}
+
+
+@pytest.mark.parametrize("command, flag", FLAGS_A_COMMAND_DOES_NOT_READ,
+                         ids=[" ".join(pair) for pair in FLAGS_A_COMMAND_DOES_NOT_READ])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    # each was taken and silently ignored
+    if command == "replay":
+        assert run(["solve", "--n", 1, "--out-dir", tmp_path]) == 0
+        capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in COMMAND_ARGV[command]]
+    assert run(argv + [flag, FLAG_VALUES[flag]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}")
+
+
+def test_each_command_registers_only_the_flags_it_reads():
+    book = {"--shape", "--q", "--alpha", "--mu", "--n-param", "--csv-path"}
+    market = {"--x0", "--t", "--n", "--rho", "--model"}
+    depth_and_market = {"--q", "--x0", "--t", "--n", "--rho", "--config", "--out-dir"}
+    want = {
+        "solve": book | market | {"--a0", "--config", "--out-dir"},
+        "replay": book | market | {"--a0", "--config", "--schedule", "--trajectory", "--report"},
+        "oracle-check": book | market | {"--seed", "--config", "--starts", "--force"},
+        "sweep": depth_and_market | {"--alphas", "--models"},
+        "ow-compare": depth_and_market | {"--lambdas"},
+    }
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    got = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+           for name, sub in commands.choices.items()}
+    assert got == want
+    assert sum(map(len, got.values())) == 62
+
+
+def test_an_abbreviated_flag_is_a_usage_error(tmp_path, capsys):
+    # with abbreviations, sweep would read --alpha as --alphas
+    assert run(["sweep", "--alpha", "0", "--out-dir", tmp_path]) == 1
+    assert run(["solve", "--out", tmp_path]) == 1
+    assert "unrecognized arguments: --alpha 0" in capsys.readouterr().err
 
 
 def test_usage_errors():
@@ -249,7 +335,7 @@ def test_offset_overflow_is_exit_3(tmp_path):
     # at x0 = 1e15 the log-law offset overflows inside the validator scan
     argv = ["--shape", "power", "--alpha", 1.0, "--x0", 1e15, "--model", 1, "--out-dir", tmp_path]
     assert run(["solve"] + argv) == 3
-    assert run(["sweep", "--alphas", "1"] + argv) == 0
+    assert run(["sweep", "--alphas", "1", "--models", "1", "--x0", 1e15, "--out-dir", tmp_path]) == 0
     lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
     assert lines[1].split(",")[-1] == "numeric"
 
@@ -405,14 +491,25 @@ CONFIGS = st.one_of(VALUES, st.fixed_dictionaries({}, optional={
     "a0": VALUES, "seed": st.one_of(st.integers(-1, 3), VALUES), "shape": SHAPE_CONFIGS,
     "x_total": VALUES,
 }))
-FLOAT_FLAGS = ["--x0", "--t", "--rho", "--a0", "--q", "--alpha", "--mu"]
-FLAGS = st.lists(st.one_of(
-    st.tuples(st.sampled_from(FLOAT_FLAGS), NUMBERS.map(str)),
-    st.tuples(st.just("--n"), st.sampled_from(["1", "3", "10", "0", "2.5", "x"])),
-    st.tuples(st.just("--model"), st.sampled_from(["1", "2", "3"])),
-    st.tuples(st.just("--shape"), st.sampled_from(KINDS)),
-    st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-1"])),
-), max_size=4)
+FLAG_VALUES_DRAWN = {
+    **{flag: NUMBERS.map(str) for flag in ["--x0", "--t", "--rho", "--a0", "--q", "--alpha", "--mu"]},
+    "--n": st.sampled_from(["1", "3", "10", "0", "2.5", "x"]),
+    "--model": st.sampled_from(["1", "2", "3"]),
+    "--shape": st.sampled_from(KINDS),
+    "--seed": st.sampled_from(["0", "7", "-1"]),
+}
+# the drawn flags each command reads; every command takes --config, and
+# solve, sweep and ow-compare take --out-dir
+BOOK_AND_MARKET = ["--shape", "--q", "--alpha", "--mu", "--x0", "--t", "--n", "--rho", "--model"]
+DEPTH_AND_MARKET = ["--q", "--x0", "--t", "--n", "--rho"]
+COMMAND_FLAGS = {
+    "solve": BOOK_AND_MARKET + ["--a0"],
+    "replay": BOOK_AND_MARKET + ["--a0"],
+    "sweep": DEPTH_AND_MARKET,
+    "oracle-check": BOOK_AND_MARKET + ["--seed"],
+    "ow-compare": DEPTH_AND_MARKET,
+}
+TAKES_OUT_DIR = {"solve", "sweep", "ow-compare"}
 NUMBER_LISTS = st.lists(NUMBERS, min_size=1, max_size=3).map(lambda xs: ",".join(map(str, xs)))
 EXTRAS = {
     "solve": st.just([]),
@@ -440,14 +537,22 @@ def _promised_files(command, out: Path, argv):
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
-@given(command=st.sampled_from(list(EXTRAS)), config=st.one_of(st.none(), CONFIGS),
-       flags=FLAGS, data=st.data())
-def test_generated_flags_and_configs_end_in_an_exit_code(command, config, flags, data):
+@given(command=st.sampled_from(list(EXTRAS)), config=st.one_of(st.none(), CONFIGS), data=st.data())
+def test_generated_flags_and_configs_end_in_an_exit_code(command, config, data):
+    flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]).flatmap(
+        lambda flag: FLAG_VALUES_DRAWN[flag].map(lambda value: [flag, value])), max_size=4))
     extra = data.draw(EXTRAS[command])
     trades = data.draw(st.lists(st.one_of(st.just(1e5 / 11), NUMBERS, st.text(max_size=2)), max_size=12))
+    # now and then a flag the command does not take, which is a usage error
+    foreign = [flag for flag in FLAG_VALUES_DRAWN if flag not in COMMAND_FLAGS[command]]
+    foreign += [] if command in TAKES_OUT_DIR else ["--out-dir"]
+    stray = data.draw(st.sampled_from(foreign)) if data.draw(st.integers(0, 4)) == 0 else None
     with tempfile.TemporaryDirectory() as work:
         out = Path(work) / "out"
-        argv = [command, "--out-dir", str(out)] + [s for pair in flags for s in pair] + extra
+        argv = [command] + (["--out-dir", str(out)] if command in TAKES_OUT_DIR else [])
+        argv += [s for pair in flags for s in pair] + extra
+        if stray is not None:
+            argv += [stray, "1"]
         if config is not None:
             (Path(work) / "cfg.json").write_text(json.dumps(config))
             argv += ["--config", str(Path(work) / "cfg.json")]
@@ -460,7 +565,7 @@ def test_generated_flags_and_configs_end_in_an_exit_code(command, config, flags,
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
-        assert code in {0, 1, 2, 3, 4}, (argv, code)
+        assert code in ({1} if stray is not None else {0, 1, 2, 3, 4}), (argv, code)
         assert "Traceback" not in stderr.getvalue()
         if code == 0:
             for path in _promised_files(command, out, argv):

@@ -103,6 +103,14 @@ def test_exact_zero_at_an_endpoint(root):
     assert brentq(f, 0.5, 2.0, xtol=2e-13, rtol=RTOL) == root
 
 
+def test_an_exact_zero_on_the_scan_grid_is_returned():
+    # (x - g)^2 touches 0 at g without a sign change: the full bracket's
+    # endpoints agree in sign, and the fallback scan lands on g exactly
+    lo, hi = 0.5, 4.0
+    g = float(np.geomspace(lo, hi, numerics._SUBDIVISIONS)[20])
+    assert numerics.bracketed_root(lambda x: (x - g) ** 2, lo, hi) == g
+
+
 @pytest.mark.parametrize(
     "f, lo, hi",
     [
@@ -181,12 +189,12 @@ def test_import_leaves_scipy_unloaded():
     assert out.split() == ["[]", "[]"]
 
 
-def test_oracle_check_runs_without_scipy(tmp_path):
+def test_oracle_check_runs_without_scipy():
     # a None entry in sys.modules makes every import of scipy fail
     code = (
         "import sys; sys.modules['scipy'] = None; "
         "from lobexec.cli import main; "
-        f"sys.exit(main(['oracle-check', '--n', '4', '--out-dir', {str(tmp_path)!r}]))"
+        "sys.exit(main(['oracle-check', '--n', '4']))"
     )
     proc = _fresh_python(code)
     assert proc.returncode == 0, proc.stderr

@@ -118,6 +118,19 @@ def test_a_table_unsound_on_the_bid_side_only_is_refused():
                      -3.4699999999999998, 66.66666666666667))
 
 
+def test_an_h2_that_stops_increasing_is_refused():
+    # the density rises outward, from 1 at |x| <= 1 to 100 past 1.1: where
+    # x passes 1, f(x) - a f(ax) stays positive, but h2 falls back
+    a = math.exp(-2.0)
+    rising = TabulatedShape([-10.0, -1.1, -1.0, 1.0, 1.1, 10.0],
+                            [100.0, 100.0, 1.0, 1.0, 100.0, 100.0])
+    rep = validate_model2(rising, a, 5.0)
+    _assert_verdict(rep, (False, "h2_not_injective", 1.0080568921027735))
+    x = rep.witness
+    assert rising.density(x) - a * rising.density(a * x) > 0.0
+    assert 0.0 < spread_recovery_gap(rising, a, x) < spread_recovery_gap(rising, a, 1.0)
+
+
 # (ok, reason, witness) of validate_model1 and validate_model2 at x0 = 1e5,
 # rho = 20, T = 1, on the books of the benchmark's solve cases, and on
 # the table (scan_lo, scan_hi): each side clamped to its covered mass
