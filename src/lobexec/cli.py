@@ -408,12 +408,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_negative_alphas(argv) -> list[str]:
-    """Pass "--alphas -2,-1" on as "--alphas=-2,-1": argparse takes a value
-    that starts with "-" and is not a single number for a flag."""
+# the flags that take a comma-separated list of numbers
+_LIST_FLAGS = ("--alphas", "--models", "--lambdas")
+
+
+def _attach_negative_lists(argv) -> list[str]:
+    """Pass "--alphas -2,-1" on as "--alphas=-2,-1", and so for every list
+    flag: argparse takes a value that starts with "-" and is not a single
+    number (-1e-4 and -1,-2 are not) for a flag."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--alphas" and re.match(r"-\.?\d", arg):
+        if out and out[-1] in _LIST_FLAGS and re.match(r"-\.?\d", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -424,7 +429,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = parser.parse_args(_attach_negative_alphas(argv))
+        args = parser.parse_args(_attach_negative_lists(argv))
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -104,7 +104,11 @@ def backward_coeffs(q: float, lam: float, params: MarketParams) -> OWCoefficient
     ga[n_steps] = 0.0
     for n in range(n_steps, -1, -1):
         inv = 1.0 / (2.0 * q) + al[n] - be[n] * kappa * a + ga[n] * kappa * kappa * a * a
-        if not inv > 0.0 or not np.isfinite(inv):
+        # q and lam are finite here, so an inv that is not finite is an
+        # overflow of the recursion (kappa^2 a^2 near 1e308), not a bad slope
+        if not np.isfinite(inv):
+            raise OverflowError(f"recursion overflows at node {n}: 1/delta = {inv}")
+        if not inv > 0.0:
             raise InvalidParam(f"degenerate recursion at node {n}: 1/delta = {inv}")
         de[n] = 1.0 / inv
         ep[n] = lam + 2.0 * al[n] - be[n] * kappa * a

@@ -47,7 +47,7 @@ import csv
 import functools
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,6 +58,10 @@ _EXP_CAP = 700.0  # exp overflows doubles just above this
 # terms of the power-law premium's series near the quote: at the
 # crossover offset they leave about 2e-16 relative for |alpha| <= 50
 _SERIES_TERMS = 20
+# the array premium drops a term of the series where it stays below this
+# at the call's largest offset, so the dropped tail is under 2^-70: 2^-16
+# of the last bit of the series' sum, which is above 1/4 there
+_SERIES_DROP = 2.0 ** -70 / _SERIES_TERMS
 
 
 def _quiet(array_map):
@@ -251,6 +255,16 @@ class PowerLawShape(Shape):
             coeffs.append(binom / (k + 2))
             binom *= -(self.alpha + k) / (k + 1)
         object.__setattr__(self, "_series", tuple(reversed(coeffs)))
+        # the array map runs only the first k terms of the series where
+        # its largest offset is at most _series_reach[k - 1]: there each
+        # later term c_j t^j is at most _SERIES_DROP. A negative integer
+        # alpha has a polynomial premium, whose zero terms reach any offset
+        reach, r = [math.inf], math.inf
+        for j in range(_SERIES_TERMS - 1, 0, -1):
+            if coeffs[j]:
+                r = min(r, (_SERIES_DROP / abs(coeffs[j])) ** (1.0 / j))
+            reach.append(r)
+        object.__setattr__(self, "_series_reach", tuple(reversed(reach)))
         object.__setattr__(self, "_crossover", 0.5 / max(5.0, abs(self.alpha)))
         # past it the closed form subtracts 1 from (1+t)^p, p = 2 - alpha
         # and 1 - alpha, which cancels where the power is near 1, and the
@@ -325,8 +339,8 @@ class PowerLawShape(Shape):
             return math.inf
 
     def _near_quote(self, t):
-        """The premium's series below the crossover, by Horner; t a float
-        or an array."""
+        """The premium's series below the crossover, by Horner on all its
+        terms (the array map's is _series_array)."""
         s = 0.0
         for c in self._series:
             s = s * t + c
@@ -398,23 +412,48 @@ class PowerLawShape(Shape):
         return x
 
     def _premium_array(self, t):
+        # each offset takes the value of the one formula _premium takes
+        # there: the series below the crossover, the expm1 terms up to
+        # _near_edge and the closed form past it (and at NaN). A call whose
+        # offsets are all near the quote (decayed pre-trade offsets) forms
+        # no power at all. Any other call runs the closed form on every
+        # offset and puts the series and the expm1 terms over their own
+        # few: that is cheaper than gathering its far offsets, which are
+        # nearly all of them
+        if self.alpha == 0.0:
+            return 0.5 * self.q * t * t
+        near = np.flatnonzero(t < self._crossover)
+        if near.size == t.size:
+            return self._series_array(t)
         a, q, u = self.alpha, self.q, t + 1.0
-        if a == 0.0:
-            return 0.5 * q * t * t
         if a == 1.0:
             p = q * (t - np.log1p(t))
         elif a == 2.0:
             p = q * (np.log1p(t) + 1.0 / u - 1.0)
         else:
             p = q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
-        p, t = np.array(p), np.asarray(t)
-        band = (t >= self._crossover) & (t < self._near_edge)
-        if band.any():
-            p[band] = self._expm1_terms(t[band])
-        near = t < self._crossover
-        if near.any():
-            p[near] = self._near_quote(t[near])
+        p = np.asarray(p)  # a 0-d t gives a numpy scalar
+        if near.size:
+            p.put(near, self._series_array(t.take(near)))
+        if self._near_edge > self._crossover:
+            band = np.flatnonzero((t >= self._crossover) & (t < self._near_edge))
+            if band.size:
+                p.put(band, self._expm1_terms(t.take(band)))
         return p
+
+    def _series_array(self, t):
+        """_near_quote on an array of offsets below the crossover, by
+        Horner on as many terms as its largest offset needs (see
+        _series_reach). What it drops can move the last bit of the full
+        series' value for at most about one offset in 2^16."""
+        terms = bisect_left(self._series_reach, t.max(initial=0.0)) + 1
+        coeffs = self._series[_SERIES_TERMS - terms:]
+        # in place, one array for the sum: s * t + c, term by term
+        s = np.full(t.shape, coeffs[0])
+        for c in coeffs[1:]:
+            s *= t
+            s += c
+        return self.q * t * t * s
 
     def _expm1_terms(self, t):
         """The closed premium on an array of offsets between the crossover

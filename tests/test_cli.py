@@ -151,6 +151,36 @@ def test_ow_compare_at_a_depth_near_the_float_limit_agrees(tmp_path, capsys):
     assert closed.alpha == pytest.approx(back.alpha, rel=1e-15)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ow-compare", "--lambdas", "-1e-4"],
+    ["ow-compare", "--lambdas", "-1,-2"],
+    ["ow-compare", "--lambdas", "-.5e-4,0"],
+    ["sweep", "--alphas", "-0.5e0,1"],
+], ids=["lambdas -1e-4", "lambdas -1,-2", "lambdas -.5e-4,0", "alphas -0.5e0,1"])
+def test_a_list_flag_takes_a_negative_list(argv, tmp_path, capsys):
+    # argparse takes a value that starts with "-" and is not a plain
+    # number for a flag: --lambdas -1e-4 was "expected one argument"
+    values = [float(v) for v in argv[-1].split(",")]
+    assert run(argv + ["--out-dir", tmp_path]) == 0
+    assert "usage error" not in capsys.readouterr().err
+    if argv[0] == "ow-compare":
+        header = (tmp_path / "ow_compare.csv").read_text().splitlines()[0].split(",")
+        assert header == ["n", "block_closed"] + [f"lambda_{v:g}" for v in values]
+    else:
+        rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+        assert sorted({float(r.split(",")[0]) for r in rows}) == sorted(values)
+
+
+@pytest.mark.filterwarnings("error")
+def test_ow_compare_with_a_recursion_that_overflows_is_exit_3(tmp_path, capsys):
+    # lam = -1e308 is finite and below 1/q, but kappa^2 a^2 overflows in the
+    # recursion: a numerical failure at a node, not an invalid parameter
+    for lambdas in ("-1e308,0", "-1.7e308"):
+        assert run(["ow-compare", f"--lambdas={lambdas}", "--out-dir", tmp_path]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: recursion overflows at node 9")
+
+
 @pytest.mark.filterwarnings("error")
 def test_ow_compare_with_a_forward_pass_that_overflows_is_exit_3(tmp_path, capsys):
     # the forward pass overflows at x0 = 1e308: a numerical failure that

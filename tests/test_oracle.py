@@ -70,7 +70,7 @@ def test_every_descent_start_converges(shape, mode, steps):
 def test_descent_call_budget(monkeypatch):
     # the benchmark's certify books at N = 10, 8 starts each: stepping along
     # the block book's inverse Hessian, rescaled at each step, the descent
-    # makes 893 cost and gradient calls
+    # makes 894 cost and gradient calls
     calls = []
     counted = lobexec.oracle.cost_and_gradient
 
@@ -411,3 +411,94 @@ def test_grid_search_refuses_a_lattice_of_infinite_costs():
     assert _lattice_point_by_point(p, PowerLawShape(Q, 1.5), X0 / 20) == (None, math.inf)
     with pytest.raises(InvalidParam):
         grid_search(p, PowerLawShape(Q, 1.5), X0 / 20)
+
+
+# grid_search's answers on the benchmark's certify books at N = 2
+# (rho = 20, resolution x0/200), pinned from the lattice that walked each
+# block's prefixes itself: every book's best point is the same schedule
+CERTIFY_LATTICE_TRADES = ("0x1.05b8000000000p+15", "0x1.01d0000000000p+15", "0x1.05b8000000000p+15")
+CERTIFY_LATTICE_COSTS = {
+    ("block", 1): "0x1.458e84e249e91p+18",
+    ("block", 2): "0x1.458e84e249e91p+18",
+    ("power-2", 1): "0x1.bb72c62c7df25p+16",
+    ("power-2", 2): "0x1.bb6edf3a00a9bp+16",
+    ("power-1", 1): "0x1.44e13640e53bap+17",
+    ("power-1", 2): "0x1.44dec50673ecap+17",
+    ("power0", 1): "0x1.458e84e249e91p+18",
+    ("power0", 2): "0x1.458e84e249e91p+18",
+    ("power0.5", 1): "0x1.57aaa9379316ep+19",
+    ("power0.5", 2): "0x1.57b5c48e6d8b1p+19",
+    ("power1", 1): "0x1.64a7a578c3f8ap+23",
+    ("power1", 2): "0x1.6cfd1459b0709p+23",
+}
+
+
+def _certify_book(label):
+    return BlockShape(Q) if label == "block" else PowerLawShape(Q, float(label[len("power"):]))
+
+
+@pytest.mark.parametrize("label,model", sorted(CERTIFY_LATTICE_COSTS),
+                         ids=[f"{b}-m{m}" for b, m in sorted(CERTIFY_LATTICE_COSTS)])
+def test_grid_search_on_the_certify_books_is_pinned(label, model):
+    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0, mode=Resilience(model))
+    got = grid_search(p, _certify_book(label), X0 / 200)
+    assert tuple(v.hex() for v in got.best_strategy.trades) == CERTIFY_LATTICE_TRADES
+    assert got.best_cost.hex() == CERTIFY_LATTICE_COSTS[label, model]
+
+
+def _count_walks(monkeypatch):
+    """The lattice's premium_steps calls, in order: the number of prefixes
+    of each prefix walk (its columns end with None), "points" for a block."""
+    walks = []
+    counted = lobexec.oracle.premium_steps
+
+    def count(params, shape, columns, *rest):
+        walks.append(len(columns[0]) if columns[-1] is None else "points")
+        return counted(params, shape, columns, *rest)
+
+    monkeypatch.setattr(lobexec.oracle, "premium_steps", count)
+    return walks
+
+
+def test_grid_search_at_n_3_walks_its_prefixes_in_chunks(monkeypatch):
+    # 92^2 = 8464 prefixes: one chunk, then, at 1000 points a block, nine
+    # chunks of at most 1000 prefixes, each cut into blocks of 10 rows
+    p = MarketParams(x0=X0, horizon=1.0, steps=3, rho=2.0, mode=Resilience.VOLUME)
+    want = ["0x1.f9e4325c53ef4p+14", "0x1.c042192e29f78p+13",
+            "0x1.f37cda3ac10c8p+13", "0x1.235e29f79b476p+15"]
+    walks = _count_walks(monkeypatch)
+    for slab, chunks in ((lobexec.oracle._SLAB_POINTS, [8464]), (1000, [1000] * 8 + [464])):
+        monkeypatch.setattr(lobexec.oracle, "_SLAB_POINTS", slab)
+        walks.clear()
+        got = grid_search(p, PowerLawShape(Q, -1.0), X0 / 61)
+        assert [v.hex() for v in got.best_strategy.trades] == want
+        assert got.best_cost.hex() == "0x1.b9c9747bbcb5ap+17"
+        assert [w for w in walks if w != "points"] == chunks
+
+
+def test_grid_search_walks_the_prefixes_once_per_search(monkeypatch):
+    # at N = 2 the 301 prefixes are walked by one call, before the six
+    # blocks of 54 rows that score their points
+    walks = _count_walks(monkeypatch)
+    for shape in (BlockShape(Q), PowerLawShape(Q, 0.5)):
+        for mode in (Resilience.VOLUME, Resilience.SPREAD):
+            walks.clear()
+            grid_search(MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0, mode=mode),
+                        shape, X0 / 200)
+            assert walks == [301] + ["points"] * 6
+
+
+@pytest.mark.parametrize("x0", [1e-150, 1e-158, 1e-170, 0.0], ids=repr)
+def test_the_converged_flag_is_free_of_the_scale_of_x0(x0):
+    # the gradient test was absolute, max |g| <= 1e-8 (1 + |f|): at x0 =
+    # 1e-158 and 1e-170 every gradient passes it, and the descent reported
+    # converged 1.13e-2 x0 off the optimum. Read against the full gradient,
+    # a start either meets the optimum or says it did not. At x0 = 0 the
+    # gradient is 0, and so is the schedule
+    p = MarketParams(x0=x0, horizon=1.0, steps=10, rho=20.0)
+    res = minimize_cost(p, BlockShape(5000.0), starts=4)
+    want = solve_block(p, 5000.0).trades if x0 else [0.0] * 11
+    gap = max(abs(a - b) for a, b in zip(res.best_strategy.trades, want))
+    assert not res.converged or gap <= 1e-9 * x0, (gap, x0)
+    if x0 in (0.0, 1e-150):
+        assert res.converged

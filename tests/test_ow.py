@@ -172,3 +172,12 @@ def test_a_permanent_slope_that_is_not_finite_is_refused(lam):
     for form in (backward_coeffs, closed_coeffs):
         with pytest.raises(InvalidParam, match="must be finite and below 1/q"):
             form(Q, lam, p)
+
+
+@pytest.mark.parametrize("lam", [-1e308, -1.7e308], ids=repr)
+def test_a_recursion_that_overflows_at_a_valid_slope_is_a_numerical_failure(lam):
+    # lam is finite and below 1/q, so kappa is finite and positive, but
+    # kappa^2 a^2 overflows: 1/delta = -inf at node 9 was refused as a
+    # degenerate parameter (InvalidParam, exit 2)
+    with np.errstate(all="ignore"), pytest.raises(OverflowError, match="at node 9"):
+        backward_coeffs(Q, lam, _params(10))

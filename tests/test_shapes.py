@@ -772,6 +772,72 @@ def test_power_premium_is_continuous_across_the_crossover(alpha):
         assert abs(sh.premium_array([t])[0] - want) <= 2e-14 * want, t
 
 
+PREMIUM_ALPHAS = [-50.0, -7.0, -2.0, -1.0, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 50.0]
+
+
+def _premium_regimes(sh, rng):
+    """Offsets all near the quote (below the crossover), all in the band
+    of expm1 terms (up to _near_edge), all far, and the three mixed."""
+    cross, edge = sh._crossover, sh._near_edge
+    near = np.concatenate([cross * rng.uniform(0.0, 1.0, 300),
+                           cross * 10.0 ** rng.uniform(-15.0, 0.0, 300),
+                           [0.0, np.nextafter(cross, 0.0)]])
+    # the series on as few terms as possible: every offset at most the reach
+    near_few = [sh._series_reach[k] * rng.uniform(0.5, 1.0, 50)
+                for k in range(len(sh._series_reach)) if sh._series_reach[k] < cross]
+    band = (cross + (edge - cross) * rng.uniform(0.0, 1.0, 300)) if edge > cross else np.empty(0)
+    far = np.concatenate([edge * 10.0 ** rng.uniform(0.0, 6.0, 300), [edge]])
+    mixed = rng.permutation(np.concatenate([near[::10], band[::10], far[::10], [np.nan, np.inf]]))
+    return [near, *near_few, band, far, mixed]
+
+
+def _closed_terms(alpha, t):
+    """q (1+t)^(2-alpha) / |2-alpha| + q (1+t)^(1-alpha) / |1-alpha|, the
+    size of the closed premium's two terms, which it rounds relative to
+    (q at alpha = 1 and 2, whose closed forms take no such terms). At
+    alpha = -50 and t = 0.19 they are 7x the premium they leave."""
+    if alpha in (1.0, 2.0):
+        return np.full(np.shape(t), Q)
+    u = 1.0 + np.abs(t)
+    with np.errstate(over="ignore"):
+        return Q * (u ** (2.0 - alpha) / abs(2.0 - alpha) + u ** (1.0 - alpha) / abs(1.0 - alpha))
+
+
+@pytest.mark.parametrize("alpha", PREMIUM_ALPHAS)
+def test_the_power_premium_array_takes_the_scalar_formula_in_each_regime(alpha):
+    # the array map evaluates each regime's formula on its own offsets and
+    # the series on only the terms its largest offset needs: near the
+    # quote it is the scalar map bit for bit, and everywhere within the
+    # other array maps' tolerance, 1e-15 of the value or of q, or past the
+    # crossover of the closed form's terms
+    sh = PowerLawShape(Q, alpha)
+    rng = np.random.default_rng(abs(int(1000 * alpha)))
+    for t in _premium_regimes(sh, rng):
+        for args in (t, -t):
+            want = np.array([sh.premium(float(v)) for v in args])
+            got = sh.premium_array(args)
+            assert got.shape == args.shape
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+            fin = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), fin)
+            scale = np.maximum(np.abs(want), Q)
+            far = np.abs(args) >= sh._crossover
+            scale[far] = np.maximum(scale[far], _closed_terms(alpha, args[far]))
+            assert np.all(np.abs(got[fin] - want[fin]) <= 1e-15 * scale[fin]), alpha
+        near = t[t < sh._crossover]
+        want = np.array([sh.premium(float(v)) for v in near])
+        assert [v.hex() for v in sh.premium_array(t)[t < sh._crossover]] == [v.hex() for v in want]
+        assert [v.hex() for v in sh.premium_array(-near)] == [v.hex() for v in want]
+    # 0-d, as the lattice passes the flat book's first pre-trade offset
+    for v in (0.0, 0.5 * sh._crossover, 0.5 * (sh._crossover + sh._near_edge), 2.0 * sh._near_edge):
+        got, want = sh.premium_array(np.float64(v)), sh.premium(v)
+        assert np.ndim(got) == 0
+        assert abs(float(got) - want) <= 1e-15 * max(want, MAP_SCALE["premium"]), v
+        if v < sh._crossover:
+            assert float(got).hex() == want.hex()
+
+
 # ---------------------------------------------------------------------------
 # premium curvature f + x f'
 # ---------------------------------------------------------------------------
