@@ -99,7 +99,8 @@ def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != params.steps + 1:
         raise InvalidParam(f"expected an (M, {params.steps + 1}) trade array, got {x.shape}")
     total, _ = premium_steps(params, shape, x.T, np.zeros(x.shape[0]))
-    return np.where(np.isfinite(total), total, np.inf)
+    total[~np.isfinite(total)] = np.inf
+    return total
 
 
 def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None):
@@ -111,6 +112,10 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
     nodes from there on adds the same floats in the same order as one
     walk of all the columns: it takes the premium at D from start instead
     of the array map. start None is a flat book.
+
+    total and start are only read. The sums are one array of this
+    walk's own, into which each node's difference is added in place; a
+    walk of no trade returns total itself.
     """
     resumed = start is not None
     with np.errstate(all="ignore"):
@@ -119,10 +124,16 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
         low = [shape.premium_array(d) for d in d_pre[resumed:]]
         if resumed:
             low.insert(0, start[2])
+        sums = None
         for pre, post in zip(low, d_post):
-            total = total + (shape.premium_array(post) - pre)
+            step = shape.premium_array(post)
+            step -= pre
+            if sums is None:  # the first node's sums, total + step, in step
+                sums = np.add(total, step, out=step)
+            else:
+                sums += step
     stopped = len(d_pre) > len(d_post)
-    return total, ((e_pre[-1], d_pre[-1], low[-1]) if stopped else None)
+    return (total if sums is None else sums), ((e_pre[-1], d_pre[-1], low[-1]) if stopped else None)
 
 
 def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarray:

@@ -66,7 +66,12 @@ _RESCORE_BAND = 1e-9
 # lattice points per batched block, and prefixes per chunk of the prefix
 # walk: each array of a block or a chunk stays near 128 kB, so the
 # search's memory does not grow with the lattice (a whole 301^2 plane at
-# once peaked at 8-11 MB)
+# once peaked at 8-11 MB). glibc gives the heap back after a block and
+# grows it again for the next: a search at N = 2 on the certify books
+# takes 280-720 minor page faults, since the array maps work in arrays
+# of their own (970-1500 when each made three or four temporaries per
+# result). Blocks of 2^12 points took none, but the search 13.1 ms
+# against 10.5 with those maps, in Python's overhead per block
 _SLAB_POINTS = 1 << 14
 
 
@@ -255,6 +260,9 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
     prefixes, each taking its prefixes' walked sums and states. Each
     point goes on from that state by its last two trades, so its batched
     cost is the sum impact_costs forms, node by node in the same order.
+    The blocks' arrays are allocated afresh, and the heap that glibc
+    trims after each block is grown again: at N = 2 (301^2 points on the
+    benchmark's books) a search takes 280-720 minor page faults.
     A point is rescored with impact_cost, its tail recomputed as x0 -
     fsum(head), when its batched cost lies within a relative band of 1e-9
     above the lower of the block's least batched cost and the best
@@ -306,9 +314,9 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
                 keep = np.flatnonzero((tails >= lo - slack) & (tails <= hi + slack))
                 row, col = np.divmod(keep, last.size)
                 row += r0
-                cost, _ = premium_steps(params, shape, np.vstack([last[col], tails[keep]]),
+                cost, _ = premium_steps(params, shape, (last[col], tails[keep]),
                                         walked[row], tuple(v[row] for v in state))
-                cost = np.where(np.isfinite(cost), cost, np.inf)
+                cost[~np.isfinite(cost)] = np.inf
                 # a point more than the band above this can be neither the
                 # block's least scalar cost nor better than the best so far
                 bound = min(cost.min(initial=math.inf), best_f)

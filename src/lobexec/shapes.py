@@ -66,12 +66,19 @@ _SERIES_DROP = 2.0 ** -70 / _SERIES_TERMS
 
 def _quiet(array_map):
     """Run an array map on a float array with numpy's floating-point
-    warnings off: the NaN and inf it returns are answers, not accidents."""
+    warnings off: the NaN and inf it returns are answers, not accidents.
+
+    A 0-d argument (a float, a numpy scalar) runs as one element and
+    comes back 0-d: on 0-d arrays numpy's ufuncs return scalars, which
+    the maps could not then work in."""
 
     @functools.wraps(array_map)
     def wrapper(self, x):
+        x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            return array_map(self, np.asarray(x, dtype=float))
+            if x.ndim:
+                return array_map(self, x)
+            return array_map(self, x.reshape(1)).reshape(())
 
     return wrapper
 
@@ -96,6 +103,13 @@ def _sides(x, ask_map, bid_map):
     return out
 
 
+def _expm1_power(t, c):
+    """(1 + t)^c - 1 as expm1(c log1p(t)), in one new array."""
+    u = np.log1p(t)
+    u *= c
+    return np.expm1(u, out=u)
+
+
 def _check_depth(q, name: str) -> None:
     """Refuse a family's depth scale q unless it is finite and positive."""
     if not 0.0 < q < math.inf:
@@ -112,6 +126,11 @@ class Shape:
     offsets negated. _bid is the shape itself, a mirrored book, unless a
     subclass sets another one-sided shape there. Subclasses fill in the primitives
     and, for finite depth, _depth; the signed maps are written here once.
+
+    An array map may overwrite only arrays it allocated itself: never its
+    argument, which may be the caller's array or a read-only view, and so
+    it works in place in the arrays it made. Each returns a new array of
+    its argument's shape, which the signed maps then work in.
     """
 
     name = "shape"
@@ -198,15 +217,19 @@ class Shape:
     def density_array(self, x) -> np.ndarray:
         return _sides(x, self._density_array, self._bid._density_array)
 
+    # a branch's volume or offset is >= 0; the bid side's is negated in
+    # place, where the argument is < 0, as the scalar maps do: +-0 stay
+    # on the ask branch, whose map gives +0.0 there
+
     @_quiet
     def volume_array(self, x) -> np.ndarray:
         vol = _sides(x, self._volume_array, self._bid._volume_array)
-        return np.where(x != 0.0, np.copysign(vol, x), 0.0)
+        return np.copysign(vol, x, out=vol, where=x < 0.0)
 
     @_quiet
     def offset_array(self, y) -> np.ndarray:
         x = _sides(y, self._offset_array, self._bid._offset_array)
-        return np.where(y != 0.0, np.copysign(x, y), 0.0)
+        return np.copysign(x, y, out=x, where=y < 0.0)
 
     @_quiet
     def premium_array(self, x) -> np.ndarray:
@@ -372,44 +395,74 @@ class PowerLawShape(Shape):
     # the closed form already maps arrays, where numpy's ** gives inf
     _density_array = _density
 
+    # the array maps compute in place, in the arrays they allocate, each
+    # float in the order the expressions of the scalar maps take
+
     def _volume_array(self, t):
-        a = self.alpha
+        a, q = self.alpha, self.q
         if a == 1.0:
-            return self.q * np.log1p(t)
+            vol = np.log1p(t)
+            vol *= q
+            return vol
         if a == 0.0:
-            return self.q * t
+            return q * t
         if a == 2.0:
-            return self.q * (t / (t + 1.0))
+            vol = t + 1.0
+            np.divide(t, vol, out=vol)
+            vol *= q
+            return vol
         # the expm1 form below t_c, as the scalar map; where every offset
         # is below it (decayed volumes), the power is not formed at all
         c = 1.0 - a
         near = np.flatnonzero(t < self._expm1_below[1])
         if near.size == t.size:
-            return self.q / c * np.expm1(c * np.log1p(t))
-        uc = np.asarray((t + 1.0) ** c - 1.0)
-        uc.put(near, np.expm1(c * np.log1p(t.take(near))))
-        return self.q / c * uc
+            uc = _expm1_power(t, c)
+        else:
+            uc = t + 1.0
+            uc **= c
+            uc -= 1.0
+            uc.put(near, _expm1_power(t.take(near), c))
+        uc *= q / c
+        return uc
 
     def _offset_array(self, v):
-        a = self.alpha
+        a, q = self.alpha, self.q
         if a == 1.0:
-            e = v / self.q
-            return np.where(e <= _EXP_CAP, np.expm1(e), np.inf)
+            x = v / q
+            far = ~(x <= _EXP_CAP)  # and NaN, as the scalar map
+            np.expm1(x, out=x)
+            x[far] = np.inf
+            return x
         if a == 0.0:
-            return v / self.q
+            return v / q
         if a == 2.0:
             # NaN beyond the saturation bound q, where the scalar map raises
-            return np.where(v < self.q, v / (self.q - v), np.nan)
+            x = q - v
+            np.divide(v, x, out=x)
+            x[~(v < q)] = np.nan
+            return x
         c = 1.0 - a
-        z = c * v / self.q
+        z = c * v
+        z /= q
         near = np.flatnonzero(v < self._near_volume)
         if near.size == v.size:
-            return np.expm1(np.log1p(z) / c)
-        base = 1.0 + z
-        # NaN beyond the saturation bound, where the scalar map raises
-        x = np.where(base > 0.0, base ** (1.0 / c) - 1.0, np.nan)
-        x.put(near, np.expm1(np.log1p(z.take(near)) / c))
-        return x
+            np.log1p(z, out=z)
+            z /= c
+            np.expm1(z, out=z)
+            return z
+        z_near = z.take(near)
+        z += 1.0  # the base of the power
+        # past the saturation bound (alpha > 1, so c < 0) the base is <= 0
+        # and the scalar map raises: NaN there. Where c > 0 it is > 0
+        beyond = z <= 0.0 if c < 0.0 else None
+        z **= 1.0 / c
+        z -= 1.0
+        if beyond is not None:
+            z[beyond] = np.nan
+        np.log1p(z_near, out=z_near)
+        z_near /= c
+        z.put(near, np.expm1(z_near, out=z_near))
+        return z
 
     def _premium_array(self, t):
         # each offset takes the value of the one formula _premium takes
@@ -420,19 +473,42 @@ class PowerLawShape(Shape):
         # offset and puts the series and the expm1 terms over their own
         # few: that is cheaper than gathering its far offsets, which are
         # nearly all of them
-        if self.alpha == 0.0:
-            return 0.5 * self.q * t * t
+        a, q = self.alpha, self.q
+        if a == 0.0:
+            p = (0.5 * q) * t
+            p *= t
+            return p
         near = np.flatnonzero(t < self._crossover)
         if near.size == t.size:
             return self._series_array(t)
-        a, q, u = self.alpha, self.q, t + 1.0
         if a == 1.0:
-            p = q * (t - np.log1p(t))
+            p = np.log1p(t)
+            np.subtract(t, p, out=p)
         elif a == 2.0:
-            p = q * (np.log1p(t) + 1.0 / u - 1.0)
+            p = t + 1.0
+            np.divide(1.0, p, out=p)
+            p += np.log1p(t)
+            p -= 1.0
         else:
-            p = q * ((u ** (2.0 - a) - 1.0) / (2.0 - a) - (u ** (1.0 - a) - 1.0) / (1.0 - a))
-        p = np.asarray(p)  # a 0-d t gives a numpy scalar
+            # (u^b - 1)/b - (u^c - 1)/c, u = 1 + t
+            b, c = 2.0 - a, 1.0 - a
+            p = t + 1.0
+            uc = p ** c
+            # where c > 1, u^c overflows (and u^b with it) at finite
+            # offsets, where the scalar map's ** raises and it returns
+            # inf: inf - inf would be NaN here
+            over = None
+            if c > 1.0 and np.fmax.reduce(uc) == np.inf:
+                over = (uc == np.inf) & (t < np.inf)
+            p **= b
+            p -= 1.0
+            p /= b
+            uc -= 1.0
+            uc /= c
+            p -= uc
+            if over is not None:
+                p[over] = np.inf
+        p *= q
         if near.size:
             p.put(near, self._series_array(t.take(near)))
         if self._near_edge > self._crossover:
@@ -453,7 +529,11 @@ class PowerLawShape(Shape):
         for c in coeffs[1:]:
             s *= t
             s += c
-        return self.q * t * t * s
+        # q t t s, multiplied in that order
+        qtt = self.q * t
+        qtt *= t
+        s *= qtt
+        return s
 
     def _expm1_terms(self, t):
         """The closed premium on an array of offsets between the crossover
@@ -461,9 +541,18 @@ class PowerLawShape(Shape):
         b, c = 2.0 - self.alpha, 1.0 - self.alpha
         tb, tc = self._expm1_below
         lt = np.log1p(t)
-        ub = np.where(t < tb, np.expm1(b * lt), (t + 1.0) ** b - 1.0)
-        uc = np.where(t < tc, np.expm1(c * lt), (t + 1.0) ** c - 1.0)
-        return self.q * (ub / b - uc / c)
+        ub, uc = b * lt, lt
+        uc *= c
+        for u, p, below in ((ub, b, tb), (uc, c, tc)):
+            np.expm1(u, out=u)
+            at = t >= below
+            if at.any():  # the power, at and past its expm1 edge
+                u[at] = (t[at] + 1.0) ** p - 1.0
+        ub /= b
+        uc /= c
+        ub -= uc
+        ub *= self.q
+        return ub
 
 
 @dataclass(frozen=True)
@@ -511,7 +600,10 @@ class SqrtShape(Shape):
         # cancels and the expression stays exact down to mu = 0
         r = math.sqrt(1.0 + self.mu * t)
         w = self.mu * t / (1.0 + r)
-        return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+        try:
+            return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+        except OverflowError:  # as the power law's maps, and numpy's **
+            return math.inf
 
     def _relative_curvature(self, t):
         # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f

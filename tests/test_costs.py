@@ -290,6 +290,33 @@ def test_a_batched_walk_split_at_a_pre_trade_state_adds_the_same_floats(shape, m
             assert [v.hex() for v in got] == [v.hex() for v in shared], cut
 
 
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_premium_steps_only_reads_its_sums_its_start_and_its_columns(shape, mode):
+    # the walk adds into sums of its own: given read-only views as its
+    # sums, its start and its columns, it walks as on writable copies
+    rng = np.random.default_rng(37)
+    p = MarketParams(x0=1e5, horizon=1.0, steps=2, rho=20.0, mode=mode)
+    x = rng.uniform(-0.25, 1.25, (64, 3)) * 1e5
+    x.flags.writeable = False
+    for cut in range(4):
+        head, state = premium_steps(p, shape, [*x[:, :cut].T, None], np.broadcast_to(0.0, 64))
+        want_head, want_state = premium_steps(p, shape, [*np.array(x[:, :cut].T), None], np.zeros(64))
+        assert head.tobytes() == want_head.tobytes(), cut
+        for got, want in zip(state, want_state):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), cut
+        start = tuple(np.broadcast_to(v, 64) for v in state)
+        total = np.broadcast_to(head, 64)
+        got, _ = premium_steps(p, shape, x[:, cut:].T, total, start)
+        want, _ = premium_steps(p, shape, np.array(x[:, cut:].T), np.array(head),
+                                tuple(np.array(np.broadcast_to(v, 64)) for v in state))
+        assert got.tobytes() == want.tobytes(), cut
+        if cut < 3:  # a walk that trades returns sums of its own
+            assert not any(np.shares_memory(got, v) for v in (total, *start))
+    assert impact_costs(p, shape, x).tobytes() == impact_costs(p, shape, np.array(x)).tobytes()
+
+
 def test_impact_costs_rejects_a_wrong_width():
     p = MarketParams(x0=1e5, horizon=1.0, steps=2, rho=20.0)
     with pytest.raises(InvalidParam):

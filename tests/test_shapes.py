@@ -686,6 +686,89 @@ def test_power_law_overflow_is_inf():
         assert getattr(sh, name + "_array")([arg])[0] == math.inf
 
 
+
+def test_a_premium_that_overflows_is_inf_in_both_maps():
+    # far enough out both powers of the power law's closed premium
+    # overflow (alpha < 0), where the array map formed inf - inf; and the
+    # flat sqrt book's square overflowed with OverflowError
+    for al in (-2.0, -1.0, -0.5):
+        sh = PowerLawShape(Q, al)
+        for t in (1e300, 1e250):
+            assert sh.premium(t) == math.inf
+            assert np.array_equal(sh.premium_array([t, -t, 1.0, np.inf, np.nan])[:3],
+                                  [math.inf, math.inf, sh.premium(1.0)])
+            assert np.isnan(sh.premium_array([np.inf, np.nan])).all()
+    flat = SqrtShape(Q, 0.0)
+    assert flat.premium(1e300) == math.inf == flat.premium_array(1e300)
+
+
+# an uneven table: its bid branch is a ramp of its own, so an argument with
+# no negative element goes to the ask branch's map as it is
+UNEVEN_TABLE = TabulatedShape([-3.0, -1.0, 2.0, 5.0], [1.0, 4.0, 2.0, 7.0])
+ARRAY_MAPS = ("density", "volume", "offset", "premium")
+
+
+def _read_only(values):
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+def _distances(shape):
+    """Read-only arrays of distances from the quote (offsets or volumes)
+    that reach each branch of each array map: all near the quote, the
+    power law's band and far regimes mixed, past a finite depth, NaN and
+    inf, and a zero-strided view."""
+    grid = 10.0 ** np.linspace(-12.0, 12.0, 97)
+    args = [grid, grid[grid < 1e-3], [0.0, np.nan, np.inf, 1e300]]
+    if isinstance(shape, PowerLawShape):
+        edges = [shape._crossover, shape._near_edge, shape._near_volume, *shape._expm1_below]
+        args.append([v * f for v in edges for f in (0.5, 1.0, 1.5)])
+    if math.isfinite(shape._depth):
+        args.append([0.5 * shape._depth, shape._depth, 2.0 * shape._depth])
+    return [_read_only(a) for a in args] + [np.broadcast_to(0.25, (5,))]
+
+
+@pytest.mark.parametrize("shape", ARRAY_FAMILIES + [UNEVEN_TABLE], ids=ARRAY_IDS + ["uneven"])
+def test_an_array_map_never_writes_into_its_argument(shape):
+    # the maps work in place, in arrays they allocate: each takes a
+    # read-only argument, gives what it gives on a writable copy, and
+    # returns an array that shares no memory with it. The signed maps are
+    # called on both signs (on the uneven table an all-nonnegative
+    # argument reaches the ask map as it is); the branch maps directly
+    for dist in _distances(shape):
+        for args in (dist, _read_only(-dist), _read_only(np.concatenate([dist, -dist]))):
+            for name in ARRAY_MAPS:
+                got = getattr(shape, name + "_array")(args)
+                assert not np.shares_memory(got, args), name
+                want = getattr(shape, name + "_array")(np.array(args))
+                assert got.tobytes() == want.tobytes(), name
+        for branch in {id(shape): shape, id(shape._bid): shape._bid}.values():
+            for name in ARRAY_MAPS:
+                with np.errstate(all="ignore"):
+                    got = getattr(branch, f"_{name}_array")(dist)
+                    want = getattr(branch, f"_{name}_array")(np.array(dist))
+                assert not np.shares_memory(got, dist), name
+                assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("shape", ARRAY_FAMILIES, ids=ARRAY_IDS)
+@pytest.mark.parametrize("name", ARRAY_MAPS)
+def test_a_0d_argument_maps_to_a_0d_array(shape, name):
+    # a float, a numpy scalar or a 0-d array gives a 0-d array, the
+    # element the map gives on one, so the maps can work in their result:
+    # at +-0, on the bid side, and past the domain (the saturation, the
+    # table's edge) or into overflow
+    array_map = getattr(shape, name + "_array")
+    for v in (0.0, -0.0, -1.5, 1e300, -1e300):
+        one = array_map(np.array([v]))
+        assert_array_map_matches_scalar(shape, name, [v])
+        for arg in (v, np.float64(v), np.array(v)):
+            got = array_map(arg)
+            assert type(got) is np.ndarray and got.shape == (), (name, v, type(arg))
+            assert got.tobytes() == one.tobytes(), (name, v, type(arg))
+
+
 # ---------------------------------------------------------------------------
 # the power-law premium near the quote
 # ---------------------------------------------------------------------------
