@@ -103,11 +103,147 @@ def _sides(x, ask_map, bid_map):
     return out
 
 
-def _expm1_power(t, c):
-    """(1 + t)^c - 1 as expm1(c log1p(t)), in one new array."""
-    u = np.log1p(t)
-    u *= c
-    return np.expm1(u, out=u)
+# The power law's maps are compositions of the Box-Cox transform
+#   bc(t, c) = ((1 + t)^c - 1)/c,   bc(t, 0) = log1p(t),
+# and its inverse; these primitives carry every regime split. Where
+# c log1p(t) is small the power is near 1, so (1 + t)^c - 1 cancels,
+# and the 1/c in front magnifies the loss as c nears 0 (1.4e-12
+# relative in the premium at alpha = 0.99). There bc is
+# expm1(c log1p(t))/c instead; past |c log1p(t)| = 0.5 the power is
+# exact to rounding, while expm1 would magnify log1p's rounding by
+# |c log1p(t)|. c = 1, 0 and -1 have forms that cancel nowhere.
+
+# the inverse takes its expm1 form where |log1p(z)| < 0.5, z = c v/q
+_NEAR_Z = (math.expm1(-0.5), math.expm1(0.5))
+
+
+def _expm1_edge(c):
+    """The distance from the quote below which bc(t, c) takes its expm1
+    form, expm1(0.5/|c|): inf where that overflows (|c| < 1/1420), as
+    |c log1p(t)| < 0.5 at every finite t there. 0 where c is 1, 0 or -1,
+    whose forms take no expm1."""
+    if c in (1.0, 0.0, -1.0):
+        return 0.0
+    try:
+        return math.expm1(0.5 / abs(c))
+    except OverflowError:
+        return math.inf
+
+
+def _bc(t, c, below):
+    """bc(t, c) at a distance t >= 0 from the quote (or inf, NaN); below is
+    _expm1_edge(c). c = 1 is t itself, so the flat book stays exact; c = 0
+    is log1p(t); c = -1 is t/(1 + t), and 1, its limit, at inf. Otherwise
+    the expm1 form below the edge and the power past it, with inf where
+    that overflows (c > 1), the limit it overflows toward and what numpy's
+    ** gives in _bc_array."""
+    if c == 1.0:
+        return t
+    if c == 0.0:
+        return math.log1p(t)
+    if c == -1.0:
+        return 1.0 if t == math.inf else t / (t + 1.0)
+    try:
+        if t < below:
+            return math.expm1(c * math.log1p(t)) / c
+        return ((t + 1.0) ** c - 1.0) / c
+    except OverflowError:
+        return math.inf
+
+
+def _bc_inv(v, q, c):
+    """The distance t with q bc(t, c) = v, for v >= 0 (or inf, NaN).
+
+    Past the depth -q/c of a c < 0 it raises OutOfDomain. c = 0 is
+    expm1(v/q), inf past exp(700) (and at NaN); c = -1 is v/(q - v), which
+    forming v/q first would leave 5e-11 relative off near the depth.
+    Otherwise the expm1 form where |log1p(z)| < 0.5, z = c v/q, and the
+    power elsewhere, with inf where either overflows: the expm1 form can,
+    where |c| < 1/1420."""
+    if c == 1.0:
+        return v / q
+    if c == 0.0:
+        e = v / q
+        return math.expm1(e) if e <= _EXP_CAP else math.inf
+    if c == -1.0 and v < q:
+        return v / (q - v)
+    z = c * v / q
+    if z <= -1.0 or c == -1.0:
+        raise OutOfDomain(f"volume {v} exceeds the book's total depth {-q / c}")
+    try:
+        if _NEAR_Z[0] < z < _NEAR_Z[1]:
+            return math.expm1(math.log1p(z) / c)
+        return (1.0 + z) ** (1.0 / c) - 1.0
+    except OverflowError:
+        return math.inf
+
+
+# the same on float arrays, each in one new array that it works in, each
+# float in the order of the scalar forms: NaN where _bc_inv raises
+
+
+def _bc_array(t, c, below):
+    if c == 1.0:
+        return t.copy()
+    if c == 0.0:
+        return np.log1p(t)
+    if c == -1.0:
+        u = t + 1.0
+        np.divide(t, u, out=u)
+        u[t == np.inf] = 1.0
+        return u
+    # the expm1 form below the edge; where every distance is below it
+    # (decayed volumes), the power is not formed at all. Otherwise the
+    # power runs on every distance and the expm1 form is put over the few
+    # below the edge: cheaper than gathering the far ones
+    near = np.flatnonzero(t < below)
+    if near.size == t.size:
+        u = np.log1p(t)
+        u *= c
+        np.expm1(u, out=u)
+    else:
+        u = t + 1.0
+        u **= c
+        u -= 1.0
+        w = np.log1p(t.take(near))
+        w *= c
+        u.put(near, np.expm1(w, out=w))
+    u /= c
+    return u
+
+
+def _bc_inv_array(v, q, c):
+    if c == 1.0:
+        return v / q
+    if c == 0.0:
+        x = v / q
+        far = ~(x <= _EXP_CAP)  # and NaN, as the scalar form
+        np.expm1(x, out=x)
+        x[far] = np.inf
+        return x
+    if c == -1.0:
+        x = q - v
+        np.divide(v, x, out=x)
+        x[~(v < q)] = np.nan
+        return x
+    z = c * v
+    z /= q
+    near = np.flatnonzero((z > _NEAR_Z[0]) & (z < _NEAR_Z[1]))
+    if near.size == v.size:
+        np.log1p(z, out=z)
+        z /= c
+        return np.expm1(z, out=z)
+    w = np.log1p(z.take(near))
+    z += 1.0  # the base of the power
+    # past the depth (c < 0) the base is <= 0: NaN there. Where c > 0 it is > 0
+    beyond = z <= 0.0 if c < 0.0 else None
+    z **= 1.0 / c
+    z -= 1.0
+    if beyond is not None:
+        z[beyond] = np.nan
+    w /= c
+    z.put(near, np.expm1(w, out=w))
+    return z
 
 
 def _check_depth(q, name: str) -> None:
@@ -241,12 +377,6 @@ class Shape:
         """Reachable cumulative-volume range (lo, hi): each branch's depth."""
         return (-self._bid._depth, self._depth)
 
-    @property
-    def unbounded_volume(self) -> bool:
-        """Whether F(x) -> +/-inf as x -> +/-inf on the covered domain."""
-        lo, hi = self.volume_bounds()
-        return math.isinf(lo) and math.isinf(hi)
-
 
 @dataclass(frozen=True)
 class PowerLawShape(Shape):
@@ -256,6 +386,12 @@ class PowerLawShape(Shape):
     that thins out, and alpha = 0 the flat book (BlockShape). For alpha > 1
     the cumulative volume saturates at q/(alpha-1), so offsets only exist
     for volumes below that bound; the optimality guarantees need alpha <= 1.
+
+    Each map is a composition of the Box-Cox transform bc (see _bc):
+    the volume is q bc(t, 1 - alpha), the offset its inverse, and the
+    premium q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover and
+    its Taylor series below it. The flat book (alpha = 0) keeps its
+    premium q t^2/2, where bc(t, 2) - bc(t, 1) = (t + t^2/2) - t cancels.
     """
 
     q: float
@@ -289,77 +425,24 @@ class PowerLawShape(Shape):
             reach.append(r)
         object.__setattr__(self, "_series_reach", tuple(reversed(reach)))
         object.__setattr__(self, "_crossover", 0.5 / max(5.0, abs(self.alpha)))
-        # past it the closed form subtracts 1 from (1+t)^p, p = 2 - alpha
-        # and 1 - alpha, which cancels where the power is near 1, and the
-        # 1/p in front magnifies the loss as p nears 0 (alpha near 1 or 2:
-        # 1.4e-12 relative at alpha = 0.99). Below |p log1p(t)| = 0.5, i.e.
-        # t < expm1(0.5/|p|), the term is expm1(p log1p(t)) instead; above
-        # it the power is exact to rounding, while expm1 would magnify
-        # log1p's rounding by |p log1p(t)|. alpha = 0, 1 and 2 have their
-        # own closed forms (at alpha = 2 the volume is q t/(1+t) and the
-        # offset v/(q-v), which cancel nowhere); the array form recomputes
-        # the offsets below _near_edge. The volume is q uc/c with the same
-        # term for p = c = 1 - alpha, and the offset inverts it on the same
-        # offsets, below the volume at t_c, as expm1(log1p(c v/q)/c)
-        below = (0.0, 0.0) if self.alpha in (0.0, 1.0, 2.0) else tuple(
-            math.expm1(min(0.5 / abs(p), _EXP_CAP)) for p in (2.0 - self.alpha, 1.0 - self.alpha))
+        # the expm1 edges of the premium's two exponents, 2 - alpha and
+        # 1 - alpha, the second the volume's
+        below = (_expm1_edge(2.0 - self.alpha), _expm1_edge(1.0 - self.alpha))
         object.__setattr__(self, "_expm1_below", below)
-        object.__setattr__(self, "_near_edge", max(self._crossover, *below))
-        c = 1.0 - self.alpha
-        near_volume = self.q / c * math.expm1(c * math.log1p(below[1])) if below[1] else 0.0
-        object.__setattr__(self, "_near_volume", near_volume)
         if self.alpha > 1.0:  # the volume saturates
             object.__setattr__(self, "_depth", self.q / (self.alpha - 1.0))
-
-    # a float ** that overflows raises OverflowError; each map returns
-    # inf there instead, the limit it overflows toward and what numpy's **
-    # gives in the array forms
 
     def _density(self, t):
         try:
             return self.q * (t + 1.0) ** (-self.alpha)
-        except OverflowError:
+        except OverflowError:  # inf, as _bc and numpy's ** give
             return math.inf
 
     def _volume(self, t):
-        a = self.alpha
-        if a == 1.0:
-            return self.q * math.log1p(t)
-        if a == 0.0:
-            return self.q * t
-        if a == 2.0:
-            return self.q * (t / (t + 1.0))
-        c = 1.0 - a
-        if t < self._expm1_below[1]:
-            return self.q / c * math.expm1(c * math.log1p(t))
-        try:
-            return self.q / c * ((t + 1.0) ** c - 1.0)
-        except OverflowError:
-            return math.inf
+        return self.q * _bc(t, 1.0 - self.alpha, self._expm1_below[1])
 
     def _offset(self, v):
-        a = self.alpha
-        if a == 1.0:
-            e = v / self.q
-            return math.expm1(e) if e <= _EXP_CAP else math.inf
-        if a == 0.0:
-            return v / self.q
-        if a == 2.0 and v < self.q:
-            return v / (self.q - v)
-        c = 1.0 - a
-        z = c * v / self.q
-        if v < self._near_volume:
-            return math.expm1(math.log1p(z) / c)
-        base = 1.0 + z
-        if base <= 0.0 or a == 2.0:
-            # volume beyond the saturation bound q/(alpha-1)
-            raise OutOfDomain(
-                f"volume {v} exceeds the book's total depth (alpha={a}, q={self.q})"
-            )
-        try:
-            return base ** (1.0 / c) - 1.0
-        except OverflowError:
-            return math.inf
+        return _bc_inv(v, self.q, 1.0 - self.alpha)
 
     def _near_quote(self, t):
         """The premium's series below the crossover, by Horner on all its
@@ -370,23 +453,17 @@ class PowerLawShape(Shape):
         return self.q * t * t * s
 
     def _premium(self, t):
-        a, q, u = self.alpha, self.q, t + 1.0
+        a = self.alpha
         if a == 0.0:
-            return 0.5 * q * t * t
+            return 0.5 * self.q * t * t
         if t < self._crossover:
             return self._near_quote(t)
-        if a == 1.0:
-            return q * (t - math.log1p(t))
-        if a == 2.0:
-            return q * (math.log1p(t) + 1.0 / u - 1.0)
-        b, c = 2.0 - a, 1.0 - a
         tb, tc = self._expm1_below
-        try:
-            ub = math.expm1(b * math.log1p(t)) if t < tb else u ** b - 1.0
-            uc = math.expm1(c * math.log1p(t)) if t < tc else u ** c - 1.0
-        except OverflowError:
+        p = _bc(t, 2.0 - a, tb) - _bc(t, 1.0 - a, tc)
+        if p != p and t < math.inf:
+            # both terms overflow at a finite offset (alpha < 0): inf - inf
             return math.inf
-        return q * (ub / b - uc / c)
+        return self.q * p
 
     def _relative_curvature(self, t):
         # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f
@@ -399,80 +476,20 @@ class PowerLawShape(Shape):
     # float in the order the expressions of the scalar maps take
 
     def _volume_array(self, t):
-        a, q = self.alpha, self.q
-        if a == 1.0:
-            vol = np.log1p(t)
-            vol *= q
-            return vol
-        if a == 0.0:
-            return q * t
-        if a == 2.0:
-            vol = t + 1.0
-            np.divide(t, vol, out=vol)
-            vol *= q
-            return vol
-        # the expm1 form below t_c, as the scalar map; where every offset
-        # is below it (decayed volumes), the power is not formed at all
-        c = 1.0 - a
-        near = np.flatnonzero(t < self._expm1_below[1])
-        if near.size == t.size:
-            uc = _expm1_power(t, c)
-        else:
-            uc = t + 1.0
-            uc **= c
-            uc -= 1.0
-            uc.put(near, _expm1_power(t.take(near), c))
-        uc *= q / c
-        return uc
+        vol = _bc_array(t, 1.0 - self.alpha, self._expm1_below[1])
+        vol *= self.q
+        return vol
 
     def _offset_array(self, v):
-        a, q = self.alpha, self.q
-        if a == 1.0:
-            x = v / q
-            far = ~(x <= _EXP_CAP)  # and NaN, as the scalar map
-            np.expm1(x, out=x)
-            x[far] = np.inf
-            return x
-        if a == 0.0:
-            return v / q
-        if a == 2.0:
-            # NaN beyond the saturation bound q, where the scalar map raises
-            x = q - v
-            np.divide(v, x, out=x)
-            x[~(v < q)] = np.nan
-            return x
-        c = 1.0 - a
-        z = c * v
-        z /= q
-        near = np.flatnonzero(v < self._near_volume)
-        if near.size == v.size:
-            np.log1p(z, out=z)
-            z /= c
-            np.expm1(z, out=z)
-            return z
-        z_near = z.take(near)
-        z += 1.0  # the base of the power
-        # past the saturation bound (alpha > 1, so c < 0) the base is <= 0
-        # and the scalar map raises: NaN there. Where c > 0 it is > 0
-        beyond = z <= 0.0 if c < 0.0 else None
-        z **= 1.0 / c
-        z -= 1.0
-        if beyond is not None:
-            z[beyond] = np.nan
-        np.log1p(z_near, out=z_near)
-        z_near /= c
-        z.put(near, np.expm1(z_near, out=z_near))
-        return z
+        return _bc_inv_array(v, self.q, 1.0 - self.alpha)
 
     def _premium_array(self, t):
         # each offset takes the value of the one formula _premium takes
-        # there: the series below the crossover, the expm1 terms up to
-        # _near_edge and the closed form past it (and at NaN). A call whose
-        # offsets are all near the quote (decayed pre-trade offsets) forms
-        # no power at all. Any other call runs the closed form on every
-        # offset and puts the series and the expm1 terms over their own
-        # few: that is cheaper than gathering its far offsets, which are
-        # nearly all of them
+        # there: the series below the crossover, the closed form past it
+        # (and at NaN). A call whose offsets are all near the quote
+        # (decayed pre-trade offsets) forms no power at all. Any other call
+        # runs the closed form on every offset and puts the series over
+        # its few near ones
         a, q = self.alpha, self.q
         if a == 0.0:
             p = (0.5 * q) * t
@@ -481,40 +498,21 @@ class PowerLawShape(Shape):
         near = np.flatnonzero(t < self._crossover)
         if near.size == t.size:
             return self._series_array(t)
-        if a == 1.0:
-            p = np.log1p(t)
-            np.subtract(t, p, out=p)
-        elif a == 2.0:
-            p = t + 1.0
-            np.divide(1.0, p, out=p)
-            p += np.log1p(t)
-            p -= 1.0
-        else:
-            # (u^b - 1)/b - (u^c - 1)/c, u = 1 + t
-            b, c = 2.0 - a, 1.0 - a
-            p = t + 1.0
-            uc = p ** c
-            # where c > 1, u^c overflows (and u^b with it) at finite
-            # offsets, where the scalar map's ** raises and it returns
-            # inf: inf - inf would be NaN here
-            over = None
-            if c > 1.0 and np.fmax.reduce(uc) == np.inf:
-                over = (uc == np.inf) & (t < np.inf)
-            p **= b
-            p -= 1.0
-            p /= b
-            uc -= 1.0
-            uc /= c
-            p -= uc
-            if over is not None:
-                p[over] = np.inf
+        c = 1.0 - a
+        tb, tc = self._expm1_below
+        p = _bc_array(t, 2.0 - a, tb)
+        pc = _bc_array(t, c, tc)
+        # where c > 1 both terms overflow at finite offsets, where the
+        # scalar map returns inf: inf - inf would be NaN here
+        over = None
+        if c > 1.0 and np.fmax.reduce(pc) == np.inf:
+            over = (pc == np.inf) & (t < np.inf)
+        p -= pc
+        if over is not None:
+            p[over] = np.inf
         p *= q
         if near.size:
             p.put(near, self._series_array(t.take(near)))
-        if self._near_edge > self._crossover:
-            band = np.flatnonzero((t >= self._crossover) & (t < self._near_edge))
-            if band.size:
-                p.put(band, self._expm1_terms(t.take(band)))
         return p
 
     def _series_array(self, t):
@@ -534,25 +532,6 @@ class PowerLawShape(Shape):
         qtt *= t
         s *= qtt
         return s
-
-    def _expm1_terms(self, t):
-        """The closed premium on an array of offsets between the crossover
-        and _near_edge, with each term as _premium takes it."""
-        b, c = 2.0 - self.alpha, 1.0 - self.alpha
-        tb, tc = self._expm1_below
-        lt = np.log1p(t)
-        ub, uc = b * lt, lt
-        uc *= c
-        for u, p, below in ((ub, b, tb), (uc, c, tc)):
-            np.expm1(u, out=u)
-            at = t >= below
-            if at.any():  # the power, at and past its expm1 edge
-                u[at] = (t[at] + 1.0) ** p - 1.0
-        ub /= b
-        uc /= c
-        ub -= uc
-        ub *= self.q
-        return ub
 
 
 @dataclass(frozen=True)

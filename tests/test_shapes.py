@@ -5,9 +5,12 @@ scipy.integrate.quad on the raw density, so the library's formulas never
 certify themselves. Round trips and symmetry laws run under hypothesis.
 """
 
+import decimal
 import io
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -31,7 +34,7 @@ from lobexec import (
     validate_model2,
     volume_recovery_gap,
 )
-from lobexec.shapes import Shape
+from lobexec.shapes import Shape, _bc, _bc_array, _bc_inv, _bc_inv_array, _expm1_edge
 
 Q = 5000.0
 
@@ -104,7 +107,7 @@ def test_block_values():
     assert b.offset(2 * Q) == 2.0
     assert b.premium(2.0) == pytest.approx(2.0 * Q)  # q * x^2 / 2
     assert b.premium_by_volume(100.0) == pytest.approx(100.0**2 / (2 * Q))
-    assert b.unbounded_volume
+    assert b.volume_bounds() == (-math.inf, math.inf)
     # the power law at alpha = 0, with a block book's own name, repr and equality
     assert isinstance(b, PowerLawShape) and b.alpha == 0.0 and b.name == "block"
     assert repr(b) == "BlockShape(q=5000.0)"
@@ -183,7 +186,7 @@ def test_power_law_saturation():
     p = PowerLawShape(Q, 2.0)
     lo, hi = p.volume_bounds()
     assert hi == pytest.approx(Q)
-    assert not p.unbounded_volume
+    assert lo == -hi
     with pytest.raises(OutOfDomain):
         p.offset(Q * 1.0000001)
     # exact up to the last volume below the bound, where 1 - v/q is 22 % off
@@ -335,7 +338,6 @@ def test_tabulated_covered_mass_is_enforced():
     t = TabulatedShape(offsets=(-1.0, 1.0), densities=(10.0, 10.0))
     lo, hi = t.volume_bounds()
     assert (lo, hi) == (-10.0, 10.0)
-    assert not t.unbounded_volume
     with pytest.raises(OutOfDomain):
         t.offset(10.5)
     with pytest.raises(OutOfDomain):
@@ -722,7 +724,9 @@ def _distances(shape):
     grid = 10.0 ** np.linspace(-12.0, 12.0, 97)
     args = [grid, grid[grid < 1e-3], [0.0, np.nan, np.inf, 1e300]]
     if isinstance(shape, PowerLawShape):
-        edges = [shape._crossover, shape._near_edge, shape._near_volume, *shape._expm1_below]
+        # the premium's crossover, the expm1 edges of its terms, and the
+        # volumes at them, about where the offset changes its form
+        edges = [shape._crossover, *shape._expm1_below, *map(shape.volume, shape._expm1_below)]
         args.append([v * f for v in edges for f in (0.5, 1.0, 1.5)])
     if math.isfinite(shape._depth):
         args.append([0.5 * shape._depth, shape._depth, 2.0 * shape._depth])
@@ -844,6 +848,105 @@ def test_power_volume_and_offset_at_alpha_two_are_exact(t):
         assert abs(Fraction(float(got)) - off) <= Fraction(1e-15) * off
 
 
+# the Box-Cox primitives that carry the power law's maps, at the edges of
+# their forms, against 50 digits
+BC_EXPONENTS = [-49.0, -2.0, -1.0, -0.5, 1e-9, -1e-9, 0.0, 0.5, 0.999, 1.0, 1.001, 2.0, 51.0]
+_DIGITS = decimal.Context(prec=50, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _bc_reference(t, c):
+    """((1 + t)^c - 1)/c, or log1p(t) at c = 0, at the float t."""
+    with decimal.localcontext(_DIGITS):
+        log = (1 + Decimal(t)).ln()
+        return log if c == 0.0 else ((Decimal(c) * log).exp() - 1) / Decimal(c)
+
+
+def _bc_inv_reference(v, q, c):
+    """The t with q bc(t, c) = v, at the floats v and q."""
+    with decimal.localcontext(_DIGITS):
+        z = Decimal(v) / Decimal(q)
+        if c == 0.0:
+            return z.exp() - 1
+        return ((1 + Decimal(c) * z).ln() / Decimal(c)).exp() - 1
+
+
+def _agrees(got, want, rel):
+    """got is within rel of want relative, or inf where want is past the
+    largest double."""
+    got = float(got)
+    with decimal.localcontext(_DIGITS):
+        if abs(want) > Decimal(sys.float_info.max):
+            return got == math.copysign(math.inf, want)
+        return abs(Decimal(got) - want) <= Decimal(rel) * abs(want)
+
+
+@pytest.mark.parametrize("c", BC_EXPONENTS, ids=repr)
+def test_box_cox_matches_50_digits_at_the_edge_of_its_expm1_form(c):
+    # distances from 1e-15 to 1e6, and the last float of the expm1 form
+    # with its neighbours; where the edge expm1(0.5/|c|) overflows
+    # (|c| = 1e-9) the form runs to the largest double, and inf is past it
+    below = _expm1_edge(c)
+    ts = (10.0 ** np.arange(-15.0, 6.25, 0.25)).tolist()
+    if below:
+        edge = min(below, sys.float_info.max)
+        ts += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    for t in ts:
+        want = _bc_reference(t, c)
+        with np.errstate(all="ignore"):  # as the array maps run them
+            array = _bc_array(np.array([t]), c, below)[0]
+        for got in (_bc(t, c, below), array):
+            assert _agrees(got, want, 1e-14), (t, got, want)
+
+
+@pytest.mark.parametrize("c", [c for c in BC_EXPONENTS if c not in (0.0, 1.0)], ids=repr)
+def test_the_box_cox_inverse_matches_50_digits_at_the_edge_of_its_expm1_form(c):
+    # the inverse takes its expm1 form where |log1p(z)| < 0.5, z = c v/q:
+    # about the volume at z = expm1(0.5) where c > 0 and expm1(-0.5)
+    # where c < 0. At |c| = 1e-9 the offset there overflows, to inf
+    v0 = Q * math.expm1(math.copysign(0.5, c)) / c
+    for v in (math.nextafter(v0, 0.0), v0, math.nextafter(v0, math.inf)):
+        want = _bc_inv_reference(v, Q, c)
+        with np.errstate(all="ignore"):
+            array = _bc_inv_array(np.array([v]), Q, c)[0]
+        for got in (_bc_inv(v, Q, c), array):
+            assert _agrees(got, want, 1e-14), (v, got, want)
+
+
+@pytest.mark.parametrize("q", [Q, 1e4 / 3.0], ids=repr)
+def test_the_alpha_two_offset_is_exact_up_to_its_depth(q):
+    # v/(q - v) rounds once, since q - v is exact; formed as z/(1 - z)
+    # from z = v/q it is 2^k times z's rounding off at v = q (1 - 2^-k),
+    # where v/q rounds (q = 1e4/3)
+    sh = PowerLawShape(q, 2.0)
+    for k in range(1, 41):
+        v = q * (1.0 - 2.0 ** -k)
+        with decimal.localcontext(_DIGITS):
+            want = Decimal(v) / (Decimal(q) - Decimal(v))
+        for got in (sh.offset(v), sh.offset_array([v])[0], -sh.offset(-v)):
+            assert _agrees(got, want, 1e-15), (k, got, want)
+
+
+def test_the_power_offset_overflows_to_inf_within_its_expm1_form():
+    # within 1/1420 of alpha = 1 the offset's expm1 form, where
+    # |log1p(z)| < 0.5, reaches past exp(709.8): here log1p(z)/c = 720
+    for alpha in (1.0 - 1e-4, 1.0 + 1e-4):
+        sh = PowerLawShape(Q, alpha)
+        c = 1.0 - alpha
+        v = Q * math.expm1(720.0 * c) / c
+        assert sh.offset(v) == math.inf == sh.offset_array([v])[0] == -sh.offset(-v)
+
+
+
+def test_the_power_maps_take_their_limits_at_inf():
+    # bc(t, -1) = t/(1 + t) is 1 at inf, not inf/inf: alpha = 2's volume is
+    # its depth q there, its premium inf and alpha = 3's premium q/2, where
+    # the alpha = 3 depth is also q/2
+    for alpha, volume, premium in ((2.0, Q, math.inf), (3.0, 0.5 * Q, 0.5 * Q)):
+        sh = PowerLawShape(Q, alpha)
+        for x in (math.inf, -math.inf):
+            assert sh.volume(x) == math.copysign(volume, x) == sh.volume_array([x])[0]
+            assert sh.premium(x) == premium == sh.premium_array([x])[0]
+
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
 def test_power_premium_is_continuous_across_the_crossover(alpha):
     sh = PowerLawShape(Q, alpha)
@@ -858,10 +961,16 @@ def test_power_premium_is_continuous_across_the_crossover(alpha):
 PREMIUM_ALPHAS = [-50.0, -7.0, -2.0, -1.0, 0.25, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, 3.0, 50.0]
 
 
+def _near_edge(sh):
+    """The offset past which both of the closed premium's terms take
+    their power forms, or the crossover if that is further."""
+    return max(sh._crossover, *sh._expm1_below)
+
+
 def _premium_regimes(sh, rng):
     """Offsets all near the quote (below the crossover), all in the band
-    of expm1 terms (up to _near_edge), all far, and the three mixed."""
-    cross, edge = sh._crossover, sh._near_edge
+    of expm1 terms (up to the last expm1 edge), all far, and the three mixed."""
+    cross, edge = sh._crossover, _near_edge(sh)
     near = np.concatenate([cross * rng.uniform(0.0, 1.0, 300),
                            cross * 10.0 ** rng.uniform(-15.0, 0.0, 300),
                            [0.0, np.nextafter(cross, 0.0)]])
@@ -913,7 +1022,8 @@ def test_the_power_premium_array_takes_the_scalar_formula_in_each_regime(alpha):
         assert [v.hex() for v in sh.premium_array(t)[t < sh._crossover]] == [v.hex() for v in want]
         assert [v.hex() for v in sh.premium_array(-near)] == [v.hex() for v in want]
     # 0-d, as the lattice passes the flat book's first pre-trade offset
-    for v in (0.0, 0.5 * sh._crossover, 0.5 * (sh._crossover + sh._near_edge), 2.0 * sh._near_edge):
+    edge = _near_edge(sh)
+    for v in (0.0, 0.5 * sh._crossover, 0.5 * (sh._crossover + edge), 2.0 * edge):
         got, want = sh.premium_array(np.float64(v)), sh.premium(v)
         assert np.ndim(got) == 0
         assert abs(float(got) - want) <= 1e-15 * max(want, MAP_SCALE["premium"]), v
