@@ -26,6 +26,15 @@ its ask branch: its density is even and its volume odd in the offset.
 The built-in families carry closed forms and are mirrored. The flat
 block book is the power law at alpha = 0, not a family of its own.
 
+The power law's maps are compositions of one transform, the Box-Cox
+bc(t, c) = ((1 + t)^c - 1)/c, with bc(t, 0) = log1p(t): the volume is
+q bc(t, 1 - alpha), the offset its inverse, and the premium
+q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover near the quote,
+below which it is a Taylor series. Private primitives carry each form of
+bc, and c = 1 is t itself, so the flat book's maps stay exact. Its
+premium stays q t^2/2, because bc(t, 2) - bc(t, 1) subtracts t from
+t + t^2/2 and cancels.
+
 The piecewise-linear books are one private ramp: a one-sided
 piecewise-linear density on knots from the quote outward, whose volume
 and premium are the exact integrals of its interpolant, summed from the
@@ -114,7 +123,7 @@ def _sides(x, ask_map, bid_map):
 # |c log1p(t)|. c = 1, 0 and -1 have forms that cancel nowhere.
 
 # the inverse takes its expm1 form where |log1p(z)| < 0.5, z = c v/q
-_NEAR_Z = (math.expm1(-0.5), math.expm1(0.5))
+_NEAR_LO, _NEAR_HI = math.expm1(-0.5), math.expm1(0.5)
 
 
 def _expm1_edge(c):
@@ -154,7 +163,8 @@ def _bc(t, c, below):
 def _bc_inv(v, q, c):
     """The distance t with q bc(t, c) = v, for v >= 0 (or inf, NaN).
 
-    Past the depth -q/c of a c < 0 it raises OutOfDomain. c = 0 is
+    Past the depth -q/c of a c < 0 it raises OutOfDomain, and at c = -1
+    also at NaN. c = 0 is
     expm1(v/q), inf past exp(700) (and at NaN); c = -1 is v/(q - v), which
     forming v/q first would leave 5e-11 relative off near the depth.
     Otherwise the expm1 form where |log1p(z)| < 0.5, z = c v/q, and the
@@ -168,11 +178,11 @@ def _bc_inv(v, q, c):
     if c == -1.0 and v < q:
         return v / (q - v)
     z = c * v / q
-    if z <= -1.0 or c == -1.0:
-        raise OutOfDomain(f"volume {v} exceeds the book's total depth {-q / c}")
     try:
-        if _NEAR_Z[0] < z < _NEAR_Z[1]:
+        if _NEAR_LO < z < _NEAR_HI:
             return math.expm1(math.log1p(z) / c)
+        if z <= -1.0 or c == -1.0:
+            raise OutOfDomain(f"volume {v} exceeds the book's total depth {-q / c}")
         return (1.0 + z) ** (1.0 / c) - 1.0
     except OverflowError:
         return math.inf
@@ -228,7 +238,7 @@ def _bc_inv_array(v, q, c):
         return x
     z = c * v
     z /= q
-    near = np.flatnonzero((z > _NEAR_Z[0]) & (z < _NEAR_Z[1]))
+    near = np.flatnonzero((z > _NEAR_LO) & (z < _NEAR_HI))
     if near.size == v.size:
         np.log1p(z, out=z)
         z /= c
