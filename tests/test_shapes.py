@@ -936,6 +936,16 @@ def test_the_power_offset_overflows_to_inf_within_its_expm1_form():
         assert sh.offset(v) == math.inf == sh.offset_array([v])[0] == -sh.offset(-v)
 
 
+def test_a_power_offset_whose_c_v_overflows_is_finite():
+    # alpha = -50 holds 9.8e307 shares within t = 1e6 of the quote, where
+    # c v = 51 v overflows: z = c v/q is c (v/q) there, not inf/q
+    sh = PowerLawShape(Q, -50.0)
+    v = sh.volume(1e6)
+    assert v == 9.804421581127655e307
+    for got in (sh.offset(v), sh.offset_array([v])[0], -sh.offset(-v), -sh.offset_array([-v])[0]):
+        assert abs(got - 1e6) <= 1e-14 * 1e6
+
+
 
 def test_the_power_maps_take_their_limits_at_inf():
     # bc(t, -1) = t/(1 + t) is 1 at inf, not inf/inf: alpha = 2's volume is

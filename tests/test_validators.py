@@ -209,3 +209,121 @@ def test_validator_verdicts_on_the_counterexample_are_pinned(n, x0):
     shape, a = CounterexampleShape(n), 1.0 / n
     _assert_verdict(validate_model1(shape, a, x0), PASS)
     _assert_verdict(validate_model2(shape, a, x0), COUNTEREXAMPLE_VERDICTS[(n, x0)])
+
+
+def test_a_book_thinning_faster_than_x_squared_fails_the_growth_proxy():
+    # alpha = 3: x^2 f(x) -> 0, and at x0 = 1e12 the scan, clamped to the
+    # depth q/2, sees the proxy fall from the grid's middle to its edge
+    rep = validate_model2(PowerLawShape(Q, 3.0), math.exp(-50.0), 1e12)
+    assert (rep.ok, rep.reason, rep.witness.hex()) == (False, "explosion_violated", "0x1.e850328461832p+19")
+    assert rep.witness == 1000065.5786597787 == rep.scan_hi == -rep.scan_lo
+
+
+# validate_model2's scan point by point, as it ran before its checks became
+# whole-grid passes: the loop and _least_density verbatim, the reference
+
+
+def _least_density(branch, a, x):
+    """min f over [a x, x] on one branch, sampled."""
+    return min(map(branch.density, np.linspace(a * x, x, shapes._GROWTH_SAMPLES).tolist()))
+
+
+def _h2_failure_point_by_point(branch, a, grid):
+    offset, density = branch.offset, branch.density
+    prev_h2 = prev_x = 0.0
+    for v in grid:
+        x = offset(v)
+        # f(x) and f(ax) once; h2 as spread_recovery_gap forms it
+        fx, fax = density(x), density(a * x)
+        den = fx - a * fax
+        if not den > 0.0:
+            return "h2_not_injective", x
+        h2 = x * (fx - a * a * fax) / den
+        # finite, of the offset's sign, and strictly increasing where the offset grew
+        if not math.isfinite(h2) or h2 * x < 0.0 or (x > prev_x and not h2 > prev_h2):
+            return "h2_not_injective", x
+        prev_h2, prev_x = h2, x
+    if len(grid) >= 4:
+        x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])
+        # the growth proxy x^2 min f over [ax, x] rises from the grid's
+        # middle to its edge; compared as a ratio, since x^2 underflows to
+        # 0 at offsets below about 1e-162 (and on a deep book at a tiny
+        # size x_mid itself underflows to 0)
+        grows = x_mid == 0.0 or (
+            (x_edge / x_mid) ** 2 * _least_density(branch, a, x_edge) > _least_density(branch, a, x_mid))
+        if not grows:
+            return "explosion_violated", x_edge
+    return None
+
+
+class _ArrayMapValues:
+    """A branch whose scalar offset and density give its array maps'
+    values: the offsets of the grid and the densities at them and at a
+    times them from one call each, any other point from a call of its own."""
+
+    def __init__(self, branch, a, grid):
+        self.branch = branch
+        x = branch.offset_array(grid)
+        self.offsets = dict(zip(grid.tolist(), x.tolist()))
+        with np.errstate(all="ignore"):  # 0 inf, as the loop's Python floats give NaN
+            at = np.concatenate((x, a * x))
+        self.densities = dict(zip(at.tolist(), branch.density_array(at).tolist()))
+
+    def offset(self, v):
+        return self.offsets[v]
+
+    def density(self, x):
+        f = self.densities.get(x)
+        return self.branch.density_array(x).item() if f is None else f
+
+
+def _reference(on_array_maps):
+    def branch_failure(branch, a, grid):
+        if on_array_maps:
+            branch = _ArrayMapValues(branch, a, grid)
+        return _h2_failure_point_by_point(branch, a, grid.tolist())
+    return branch_failure
+
+
+def _report_key(rep):
+    witness = None if rep.witness is None else rep.witness.hex()
+    return rep.ok, rep.reason, witness, rep.scan_lo.hex(), rep.scan_hi.hex(), rep.detail
+
+
+REFERENCE_BOOKS = (
+    [BlockShape(Q)]
+    + [PowerLawShape(Q, alpha) for alpha in (-50.0, -2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 3.0)]
+    + [SqrtShape(Q, mu) for mu in (0.0, 1.0, 50.0)]
+    + [CounterexampleShape(n) for n in (2, 3, 7)]
+    + [_table_401(), TabulatedShape([-100.0, -2.0, -1.0, -0.5, 0.0, 100.0],
+                                    [100.0, 100.0, 1.0, 3.0, 3.0, 3.0])]
+)
+REFERENCE_DECAYS = [0.0, math.exp(-2.0), math.exp(-0.2), 1.0 - 1e-9, math.exp(-50.0)]
+REFERENCE_SIZES = [1e-200, 1e-6, 1e5, 1e12, 1e15]
+
+
+@pytest.mark.parametrize("shape", REFERENCE_BOOKS, ids=lambda s: f"{s.name}{getattr(s, 'alpha', '')}")
+def test_the_whole_grid_passes_give_the_point_by_point_verdicts(shape):
+    for a in REFERENCE_DECAYS:
+        for x0 in REFERENCE_SIZES:
+            got = _report_key(validate_model2(shape, a, x0))
+            # on the maps the passes read, every float of the report agrees
+            want = _report_key(shapes._scan(shape, a, x0, _reference(True), in_offsets=True))
+            assert got == want, (a, x0)
+            # on the scalar maps the verdict agrees. Where numpy's SIMD
+            # expm1, log1p or power differ from libm's in the last bit (the
+            # array maps' contract is 1e-15 relative), a refusal that
+            # roundoff makes can move its witness: at alpha = 1, a = e^-2,
+            # x0 = 1e12 it moved from 6.3e17 to 9.4e16 on one AVX-512 machine
+            scalar = _report_key(shapes._scan(shape, a, x0, _reference(False), in_offsets=True))
+            assert got[:2] == scalar[:2] and got[3:] == scalar[3:], (a, x0)
+
+
+def test_the_reference_battery_meets_every_verdict():
+    verdicts = {validate_model2(shape, a, x0).reason for shape in REFERENCE_BOOKS
+                for a in REFERENCE_DECAYS for x0 in REFERENCE_SIZES}
+    assert verdicts == {None, "h2_not_injective", "explosion_violated"}
+    # the known false refusal (power alpha = 1 at N = 100, rho = 20) stays
+    rep = validate_model2(PowerLawShape(Q, 1.0), math.exp(-0.2), 1e5)
+    assert (rep.ok, rep.reason) == (False, "h2_not_injective")
+    assert math.exp(-0.2) == _decay(100)
