@@ -302,7 +302,8 @@ REFERENCE_DECAYS = [0.0, math.exp(-2.0), math.exp(-0.2), 1.0 - 1e-9, math.exp(-5
 REFERENCE_SIZES = [1e-200, 1e-6, 1e5, 1e12, 1e15]
 
 
-@pytest.mark.parametrize("shape", REFERENCE_BOOKS, ids=lambda s: f"{s.name}{getattr(s, 'alpha', '')}")
+@pytest.mark.parametrize("shape", REFERENCE_BOOKS,
+                         ids=lambda s: f"{s.name}{getattr(s, 'alpha', getattr(s, 'mu', getattr(s, 'n', '')))}")
 def test_the_whole_grid_passes_give_the_point_by_point_verdicts(shape):
     for a in REFERENCE_DECAYS:
         for x0 in REFERENCE_SIZES:
