@@ -47,8 +47,7 @@ The module also hosts the preflight validators for the two resilience
 models: scans that check the injectivity of the characteristic maps and
 the growth condition that makes the schedule characterization sound.
 Each scans every distinct branch of the book once, a mirrored book's one
-branch or a table's two, at distances from the quote: model 1 point by
-point on the scalar maps, model 2 in whole-grid passes on the array maps.
+branch or a table's two, at distances from the quote.
 """
 
 from __future__ import annotations
@@ -165,11 +164,12 @@ def _bc_inv(v, q, c):
     """The distance t with q bc(t, c) = v, for v >= 0 (or inf, NaN).
 
     Past the depth -q/c of a c < 0 it raises OutOfDomain, and at c = -1
-    also at NaN. c = 0 is expm1(v/q), inf past exp(700) (and at NaN);
-    c = -1 is v/(q - v), which forming v/q first would leave 5e-11
-    relative off near the depth. Otherwise the expm1 form where
-    |log1p(z)| < 0.5, z = c v/q, and the power elsewhere, with inf where
-    either overflows: the expm1 form can, where |c| < 1/1420."""
+    also at NaN. c = 0 is
+    expm1(v/q), inf past exp(700) (and at NaN); c = -1 is v/(q - v), which
+    forming v/q first would leave 5e-11 relative off near the depth.
+    Otherwise the expm1 form where |log1p(z)| < 0.5, z = c v/q, and the
+    power elsewhere, with inf where either overflows: the expm1 form can,
+    where |c| < 1/1420."""
     if c == 1.0:
         return v / q
     if c == 0.0:
@@ -177,8 +177,10 @@ def _bc_inv(v, q, c):
         return math.expm1(e) if e <= _EXP_CAP else math.inf
     if c == -1.0 and v < q:
         return v / (q - v)
+    z = c * v / q
     # c v overflows only where v/q is within a factor |c| of the float limit
-    z = c * v / q if abs(c * v) < math.inf else c * (v / q)
+    if math.isinf(z):
+        z = c * (v / q)
     try:
         if _NEAR_LO < z < _NEAR_HI:
             return math.expm1(math.log1p(z) / c)
@@ -875,12 +877,12 @@ class ValidationReport:
 
 
 def _scan_grid(branch: Shape, x0: float):
-    """A log-spaced array of positive volumes on one branch, out to
+    """A log-spaced grid of positive volumes on one branch, out to
     _SCAN_COVERAGE x0 or its covered mass, and whether it was clamped."""
     hi = _SCAN_COVERAGE * x0
     lo = max(1e-9 * x0, 1e-300)
     top = min(hi, branch._depth * (1.0 - 1e-12))
-    grid = np.geomspace(lo, top, _SCAN_POINTS) if top > lo else np.empty(0)
+    grid = np.geomspace(lo, top, _SCAN_POINTS).tolist() if top > lo else []
     return grid, top < hi
 
 
@@ -889,7 +891,7 @@ def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool) -
     shape alone where it is its own bid branch, else the shape and _bid.
 
     branch_failure(branch, a, grid) checks one branch on its volume grid,
-    an array in the branch's own coordinates (distances from the quote), and
+    in the branch's own coordinates (distances from the quote), and
     returns its first failure as (reason, witness) or None. The report's
     scan ends are each grid's last volume, or with in_offsets its offset;
     on the bid branch they and the witness are negated.
@@ -900,10 +902,10 @@ def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool) -
         raise InvalidParam(f"working size must be positive, got {x0}")
     branches = (shape,) if shape._bid is shape else (shape, shape._bid)
     grids, clamped = zip(*(_scan_grid(branch, x0) for branch in branches))
-    ends = [0.0 if not grid.size else branch.offset(grid[-1].item()) if in_offsets else grid[-1].item()
+    ends = [0.0 if not grid else branch.offset(grid[-1]) if in_offsets else grid[-1]
             for branch, grid in zip(branches, grids)]
     # an empty bid grid ends at 0.0, not at -0.0
-    scan_lo, scan_hi = (-ends[-1] if grids[-1].size else 0.0), ends[0]
+    scan_lo, scan_hi = (-ends[-1] if grids[-1] else 0.0), ends[0]
     detail = "scan clamped to covered mass" if any(clamped) else ""
     for sign, branch, grid in zip((1.0, -1.0), branches, grids):
         failure = branch_failure(branch, a, grid)
@@ -913,9 +915,9 @@ def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool) -
     return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
 
 
-def _h1_failure(branch: Shape, a: float, grid: np.ndarray):
+def _h1_failure(branch: Shape, a: float, grid: list):
     """The first volume of the grid where l(y) > 0 fails, with its reason."""
-    for y in grid.tolist():
+    for y in grid:
         if not injectivity_margin(branch, a, y) > 0.0:
             finite = math.isfinite(branch.offset(y))
             return ("h1_not_injective" if finite else "offset_not_finite"), y
@@ -934,35 +936,39 @@ def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
     return _scan(shape, a, x0, _h1_failure, in_offsets=False)
 
 
-def _h2_failure(branch: Shape, a: float, grid: np.ndarray):
+def _least_density(branch: Shape, a: float, x: float) -> float:
+    """min f over [a x, x] on one branch, sampled."""
+    return min(map(branch.density, np.linspace(a * x, x, _GROWTH_SAMPLES).tolist()))
+
+
+def _h2_failure(branch: Shape, a: float, grid: list):
     """The first offset on the grid where a spread-recovery check fails,
-    with its reason; the growth proxy is checked last, at the grid's edge.
-    Each check is one pass over the grid through the branch's array maps,
-    in the float order of spread_recovery_gap."""
-    with np.errstate(all="ignore"):  # a failing point's NaN or inf is an answer
-        x = branch.offset_array(grid)
-        fx, fax = branch.density_array(x), branch.density_array(a * x)
+    with its reason; the growth proxy is checked last, at the grid's edge."""
+    offset, density = branch.offset, branch.density
+    prev_h2 = prev_x = 0.0
+    for v in grid:
+        x = offset(v)
+        # f(x) and f(ax) once; h2 as spread_recovery_gap forms it
+        fx, fax = density(x), density(a * x)
         den = fx - a * fax
+        if not den > 0.0:
+            return "h2_not_injective", x
         h2 = x * (fx - a * a * fax) / den
-        # f(x) - a f(ax) > 0, and h2 finite, of the offset's sign, and strictly
-        # increasing where the offset grew from the point before (from 0 at the first)
-        prev_x, prev_h2 = np.append(0.0, x[:-1]), np.append(0.0, h2[:-1])
-        fails = ~(den > 0.0) | ~np.isfinite(h2) | (h2 * x < 0.0) | ((x > prev_x) & ~(h2 > prev_h2))
-        if fails.any():
-            return "h2_not_injective", x[fails.argmax()].item()
-        if grid.size < 4:
-            return None
-        x_edge, x_mid = x[-1].item(), x[grid.size // 2].item()
-        # the growth proxy x^2 min f over [ax, x], f sampled at both in one
-        # call, rises from the grid's middle to its edge; compared as a
-        # ratio, since x^2 underflows to 0 at offsets below about 1e-162
-        # (and on a deep book at a tiny size x_mid itself underflows to 0)
-        least = branch.density_array(np.concatenate((np.linspace(a * x_edge, x_edge, _GROWTH_SAMPLES),
-                                                     np.linspace(a * x_mid, x_mid, _GROWTH_SAMPLES))))
-        least_edge, least_mid = least.reshape(2, -1).min(axis=1).tolist()
-    if x_mid == 0.0 or (x_edge / x_mid) ** 2 * least_edge > least_mid:
-        return None
-    return "explosion_violated", x_edge
+        # finite, of the offset's sign, and strictly increasing where the offset grew
+        if not math.isfinite(h2) or h2 * x < 0.0 or (x > prev_x and not h2 > prev_h2):
+            return "h2_not_injective", x
+        prev_h2, prev_x = h2, x
+    if len(grid) >= 4:
+        x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])
+        # the growth proxy x^2 min f over [ax, x] rises from the grid's
+        # middle to its edge; compared as a ratio, since x^2 underflows to
+        # 0 at offsets below about 1e-162 (and on a deep book at a tiny
+        # size x_mid itself underflows to 0)
+        grows = x_mid == 0.0 or (
+            (x_edge / x_mid) ** 2 * _least_density(branch, a, x_edge) > _least_density(branch, a, x_mid))
+        if not grows:
+            return "explosion_violated", x_edge
+    return None
 
 
 def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
@@ -973,6 +979,6 @@ def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
     h2 has the sign of x and is strictly increasing along the grid, and
     the growth proxy x^2 inf f over [ax,x] keeps rising toward the scan
     edge (a necessary sample of the explosion condition, not a proof of
-    it). Each check runs on the whole grid at once, on the array maps.
+    it).
     """
     return _scan(shape, a, x0, _h2_failure, in_offsets=True)
