@@ -178,8 +178,9 @@ def _bc_inv(v, q, c):
     if c == -1.0 and v < q:
         return v / (q - v)
     z = c * v / q
-    # c v overflows only where v/q is within a factor |c| of the float limit
-    if math.isinf(z):
+    # c v overflows only where c > 1 and v/q is within a factor c of the
+    # float limit (for c < 0 the depth q/|c| is below that limit)
+    if c > 1.0 and math.isinf(z):
         z = c * (v / q)
     try:
         if _NEAR_LO < z < _NEAR_HI:
@@ -246,8 +247,9 @@ def _bc_inv_array(v, q, c):
         np.log1p(z, out=z)
         z /= c
         return np.expm1(z, out=z)
-    over = np.flatnonzero(np.isinf(z))  # as in _bc_inv: c (v/q) where c v overflowed
-    z.put(over, c * (v.take(over) / q))
+    if c > 1.0:  # as in _bc_inv: c (v/q) where c v overflowed
+        over = np.flatnonzero(np.isinf(z))
+        z.put(over, c * (v.take(over) / q))
     w = np.log1p(z.take(near))
     z += 1.0  # the base of the power
     # past the depth (c < 0) the base is <= 0: NaN there. Where c > 0 it is > 0
