@@ -44,10 +44,13 @@ the ramp of its ask side, with the ramp of its bid side as its bid
 branch, so its two sides may differ.
 
 The module also hosts the preflight validators for the two resilience
-models: scans that check the injectivity of the characteristic maps and
-the growth condition that makes the schedule characterization sound.
-Each scans every distinct branch of the book once, a mirrored book's one
-branch or a table's two, at distances from the quote.
+models. They check the injectivity of the characteristic maps and the
+growth condition that makes the schedule characterization sound, on
+every distinct branch of the book once, a mirrored book's one branch or
+a table's two, at distances from the quote. Under volume recovery a
+lemma decides the power-law (so the block) and sqrt branches, from one
+offset at the top of the working range (see validate_model1); the ramps,
+and every branch under spread recovery, are scanned on a grid.
 """
 
 from __future__ import annotations
@@ -288,6 +291,9 @@ class Shape:
 
     name = "shape"
     _depth = math.inf  # the volume the branch covers
+    # whether the branch meets the model-1 lemma, l(y) > 0 wherever its
+    # offsets are finite (see validate_model1)
+    _h1_lemma = False
 
     def __new__(cls, *args, **kwargs):
         shape = super().__new__(cls)
@@ -402,7 +408,9 @@ class PowerLawShape(Shape):
     alpha < 0 gives a book that deepens away from the quote, alpha > 0 one
     that thins out, and alpha = 0 the flat book (BlockShape). For alpha > 1
     the cumulative volume saturates at q/(alpha-1), so offsets only exist
-    for volumes below that bound; the optimality guarantees need alpha <= 1.
+    for volumes below that bound. Under volume recovery the optimality
+    guarantees hold at every alpha (see validate_model1); under spread
+    recovery they need alpha <= 1.
 
     Each map is a composition of the Box-Cox transform bc (see _bc):
     the volume is q bc(t, 1 - alpha), the offset its inverse, and the
@@ -414,6 +422,7 @@ class PowerLawShape(Shape):
     q: float
     alpha: float
     name = "power"
+    _h1_lemma = True
 
     def __post_init__(self):
         _check_depth(self.q, self.name)
@@ -477,8 +486,9 @@ class PowerLawShape(Shape):
             return self._near_quote(t)
         tb, tc = self._expm1_below
         p = _bc(t, 2.0 - a, tb) - _bc(t, 1.0 - a, tc)
-        if p != p and t < math.inf:
-            # both terms overflow at a finite offset (alpha < 0): inf - inf
+        if p != p and t == t:
+            # both terms overflow (alpha < 0), or reach inf at t = inf
+            # (alpha <= 1): inf - inf, where the integral diverges
             return math.inf
         return self.q * p
 
@@ -519,11 +529,12 @@ class PowerLawShape(Shape):
         tb, tc = self._expm1_below
         p = _bc_array(t, 2.0 - a, tb)
         pc = _bc_array(t, c, tc)
-        # where c > 1 both terms overflow at finite offsets, where the
-        # scalar map returns inf: inf - inf would be NaN here
+        # where c >= 0 both terms reach inf at t = inf, and where c > 1
+        # they overflow at finite offsets too; the scalar map returns inf
+        # there, where inf - inf would be NaN here
         over = None
-        if c > 1.0 and np.fmax.reduce(pc) == np.inf:
-            over = (pc == np.inf) & (t < np.inf)
+        if c >= 0.0 and np.fmax.reduce(pc) == np.inf:
+            over = pc == np.inf
         p -= pc
         if over is not None:
             p[over] = np.inf
@@ -572,6 +583,7 @@ class SqrtShape(Shape):
     q: float
     mu: float
     name = "sqrt"
+    _h1_lemma = True
 
     def __post_init__(self):
         _check_depth(self.q, self.name)
@@ -878,43 +890,61 @@ class ValidationReport:
         return asdict(self)
 
 
-def _scan_grid(branch: Shape, x0: float):
-    """A log-spaced grid of positive volumes on one branch, out to
-    _SCAN_COVERAGE x0 or its covered mass, and whether it was clamped."""
+def _scan_range(branch: Shape, x0: float):
+    """The ends (lo, top) of one branch's scan grid, out to _SCAN_COVERAGE
+    x0 or its covered mass, and whether top was clamped to that mass."""
     hi = _SCAN_COVERAGE * x0
     lo = max(1e-9 * x0, 1e-300)
     top = min(hi, branch._depth * (1.0 - 1e-12))
+    return lo, top, top < hi
+
+
+def _scan_grid(branch: Shape, x0: float):
+    """A log-spaced grid of positive volumes on one branch, from lo to top
+    of _scan_range, and whether it was clamped. np.geomspace returns its
+    ends exactly, so a grid ends at top."""
+    lo, top, clamped = _scan_range(branch, x0)
     grid = np.geomspace(lo, top, _SCAN_POINTS).tolist() if top > lo else []
-    return grid, top < hi
+    return grid, clamped
 
 
-def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool) -> ValidationReport:
+def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool,
+          proven=None) -> ValidationReport:
     """The validators' shared scan of each distinct branch of the book: the
     shape alone where it is its own bid branch, else the shape and _bid.
 
     branch_failure(branch, a, grid) checks one branch on its volume grid,
     in the branch's own coordinates (distances from the quote), and
-    returns its first failure as (reason, witness) or None. The report's
-    scan ends are each grid's last volume, or with in_offsets its offset;
-    on the bid branch they and the witness are negated.
+    returns its first failure as (reason, witness) or None. Where given,
+    proven(branch, a, top) says that a branch passes by proof up to its
+    grid's last volume top; its grid is then not built. The report's scan
+    ends are each grid's last volume, or with in_offsets its offset; on
+    the bid branch they and the witness are negated.
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
     if not x0 > 0.0:
         raise InvalidParam(f"working size must be positive, got {x0}")
     branches = (shape,) if shape._bid is shape else (shape, shape._bid)
-    grids, clamped = zip(*(_scan_grid(branch, x0) for branch in branches))
-    ends = [0.0 if not grid else branch.offset(grid[-1]) if in_offsets else grid[-1]
-            for branch, grid in zip(branches, grids)]
+    ranges = [_scan_range(branch, x0) for branch in branches]
+    ends = [0.0 if not top > lo else branch.offset(top) if in_offsets else top
+            for branch, (lo, top, _) in zip(branches, ranges)]
     # an empty bid grid ends at 0.0, not at -0.0
-    scan_lo, scan_hi = (-ends[-1] if grids[-1] else 0.0), ends[0]
-    detail = "scan clamped to covered mass" if any(clamped) else ""
-    for sign, branch, grid in zip((1.0, -1.0), branches, grids):
-        failure = branch_failure(branch, a, grid)
+    lo, top, _ = ranges[-1]
+    scan_lo, scan_hi = (-ends[-1] if top > lo else 0.0), ends[0]
+    notes = ["scan clamped to covered mass"] if any(r[2] for r in ranges) else []
+    decided = 0
+    for sign, branch, (_, top, _) in zip((1.0, -1.0), branches, ranges):
+        if proven is not None and proven(branch, a, top):
+            decided += 1
+            continue
+        failure = branch_failure(branch, a, _scan_grid(branch, x0)[0])
         if failure is not None:
             reason, witness = failure
-            return ValidationReport(False, reason, sign * witness, scan_lo, scan_hi, detail)
-    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail=detail)
+            return ValidationReport(False, reason, sign * witness, scan_lo, scan_hi, "; ".join(notes))
+    if decided == len(branches):
+        notes.insert(0, "model 1 decided by the lemma, no scan")
+    return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail="; ".join(notes))
 
 
 def _h1_failure(branch: Shape, a: float, grid: list):
@@ -926,16 +956,42 @@ def _h1_failure(branch: Shape, a: float, grid: list):
     return None
 
 
+def _h1_proven(branch: Shape, a: float, top: float) -> bool:
+    """Whether l(y) > 0 holds by the lemma on volumes up to top: the
+    branch meets it, and its offset at top, the largest in the range, is
+    finite."""
+    return branch._h1_lemma and math.isfinite(branch.offset(top))
+
+
 def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
-    """Scan the working volume range for failures of l(y) > 0.
+    """Check l(y) > 0 over the working volume range.
 
     A nonpositive margin anywhere means h1 is not one-to-one there, and
     the volume-recovery solver must refuse the shape. Where the offset
     overflows, the margin says nothing about the shape: the reason is
     then "offset_not_finite", a numeric failure. Each distinct branch of
-    the book is scanned once.
+    the book is checked once.
+
+    A branch that meets the lemma (power law at any alpha, block, sqrt)
+    is decided without a scan. Write g = f o F^{-1}, the density as a
+    function of the volume eaten; then l(y) > 0 if and only if
+    g(ay) > a^2 g(y), which holds at a = 0, where g > 0. For 0 < a < 1:
+
+    - for alpha >= 0, and on sqrt, f is nonincreasing outward, so g is
+      nonincreasing, and g(ay) >= g(y) > a^2 g(y): the range stops below
+      the depth, where g > 0;
+    - for alpha < 0, g(v) = q (1 + c v/q)^p with c = 1 - alpha > 1 and
+      p = -alpha/c in (0, 1). As (1 + c a y/q)/(1 + c y/q) >= a,
+      g(ay)/g(y) >= a^p > a^2.
+
+    So only the offset's finiteness is left to evaluate, and the offset
+    rises with the volume: where it is finite at the range's top, it is
+    finite on the whole range, and the branch passes. Elsewhere, on the
+    ramps and where the top offset overflows, the margin is scanned on the
+    grid as before, and an overflow is refused as "offset_not_finite" at
+    the first grid volume where the margin fails.
     """
-    return _scan(shape, a, x0, _h1_failure, in_offsets=False)
+    return _scan(shape, a, x0, _h1_failure, in_offsets=False, proven=_h1_proven)
 
 
 def _least_density(branch: Shape, a: float, x: float) -> float:

@@ -699,7 +699,7 @@ def test_a_premium_that_overflows_is_inf_in_both_maps():
             assert sh.premium(t) == math.inf
             assert np.array_equal(sh.premium_array([t, -t, 1.0, np.inf, np.nan])[:3],
                                   [math.inf, math.inf, sh.premium(1.0)])
-            assert np.isnan(sh.premium_array([np.inf, np.nan])).all()
+            assert np.array_equal(sh.premium_array([np.inf, np.nan]), [np.inf, np.nan], equal_nan=True)
     flat = SqrtShape(Q, 0.0)
     assert flat.premium(1e300) == math.inf == flat.premium_array(1e300)
 
@@ -956,6 +956,19 @@ def test_the_power_maps_take_their_limits_at_inf():
         for x in (math.inf, -math.inf):
             assert sh.volume(x) == math.copysign(volume, x) == sh.volume_array([x])[0]
             assert sh.premium(x) == premium == sh.premium_array([x])[0]
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0])
+def test_the_power_premium_diverges_to_inf_at_inf(alpha):
+    # for alpha <= 1 both of the closed premium's terms reach inf at inf,
+    # where inf - inf was NaN; the integral diverges. NaN stays NaN
+    sh = PowerLawShape(Q, alpha)
+    for x in (math.inf, -math.inf):
+        assert sh.premium(x) == math.inf == sh.premium_array([x])[0]
+    assert math.isnan(sh.premium(math.nan))
+    got = sh.premium_array([math.inf, -math.inf, math.nan, 2.0])
+    want = [math.inf, math.inf, math.nan, sh.premium_array([2.0])[0]]
+    assert np.array_equal(got, want, equal_nan=True)
 
 @pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0, 1.5, 2.0, 20.0])
 def test_power_premium_is_continuous_across_the_crossover(alpha):

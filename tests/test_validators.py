@@ -18,11 +18,13 @@ import pytest
 from lobexec import (
     BlockShape,
     CounterexampleShape,
+    MarketParams,
     PowerLawShape,
     SqrtShape,
     TabulatedShape,
     injectivity_margin,
     shapes,
+    solve,
     spread_recovery_gap,
     validate_model1,
     validate_model2,
@@ -294,3 +296,102 @@ def test_the_reference_battery_meets_every_verdict():
     rep = validate_model2(PowerLawShape(Q, 1.0), math.exp(-0.2), 1e5)
     assert (rep.ok, rep.reason) == (False, "h2_not_injective")
     assert math.exp(-0.2) == _decay(100)
+
+
+# validate_model1's branch check as it scanned every book, verbatim: the
+# reference for the books it now decides by the lemma. On the ramps, and
+# wherever the offset at the top of the range overflows, the scan still
+# runs, and there it must give the same reports bit for bit. On the
+# proven books the only reports that may differ are its refusals at
+# "h1_not_injective", which the lemma shows roundoff made: those pass
+
+
+def _h1_failure_point_by_point(branch, a, grid):
+    for y in grid:
+        if not injectivity_margin(branch, a, y) > 0.0:
+            finite = math.isfinite(branch.offset(y))
+            return ("h1_not_injective" if finite else "offset_not_finite"), y
+    return None
+
+
+LEMMA = "model 1 decided by the lemma, no scan"
+LEMMA_ALPHAS = [-500.0, -50.0, -2.0, -1.0, -0.5, -1e-9, 0.0, 1e-9, 0.25, 0.5, 0.99, 1.0 - 1e-9,
+                1.0, 1.0 + 1e-9, 1.01, 1.0385, 1.039, 1.04, 1.1, 1.5, 2.0, 3.0, 50.0]
+LEMMA_BOOKS = ([BlockShape(Q)] + [PowerLawShape(Q, alpha) for alpha in LEMMA_ALPHAS]
+               + [SqrtShape(Q, mu) for mu in (0.0, 1.0, 50.0, 1e6)])
+LEMMA_DECAYS = [0.0, math.exp(-745.0), math.exp(-50.0), math.exp(-20.0), math.exp(-2.0),
+                math.exp(-0.2), math.exp(-0.002), 1.0 - 1e-9, math.nextafter(1.0, 0.0)]
+LEMMA_SIZES = [1e-300, 1e-200, 1e-6, 1.0, 1e5, 1e12, 1e15, 1e100, 1e157, 1e300]
+
+
+def _lemma_battery(shape):
+    """(a, x0, validate_model1's report, the point-by-point scan's report)."""
+    for a in LEMMA_DECAYS:
+        for x0 in LEMMA_SIZES:
+            yield (a, x0, validate_model1(shape, a, x0),
+                   shapes._scan(shape, a, x0, _h1_failure_point_by_point, in_offsets=False))
+
+
+def _book_id(shape):
+    return f"{shape.name}{getattr(shape, 'alpha', getattr(shape, 'mu', ''))}"
+
+
+@pytest.mark.parametrize("shape", LEMMA_BOOKS, ids=_book_id)
+def test_validate_model1_gives_the_point_by_point_reports_but_roundoff_refusals(shape):
+    for a, x0, got, want in _lemma_battery(shape):
+        if want.reason == "h1_not_injective":
+            # a refusal the lemma rules out: it passes on the same range
+            assert got.ok and got.reason is None and got.witness is None, (a, x0)
+            assert [got.scan_lo.hex(), got.scan_hi.hex()] == [want.scan_lo.hex(), want.scan_hi.hex()]
+        else:
+            assert _report_key(got)[:5] == _report_key(want)[:5], (a, x0)
+        # the lemma decides where the offset at the range's top is finite
+        _, top, _ = shapes._scan_range(shape, x0)
+        if math.isfinite(shape.offset(top)):
+            assert got.detail == "; ".join([LEMMA] + [want.detail] * bool(want.detail)), (a, x0)
+        else:
+            assert got.detail == want.detail, (a, x0)
+
+
+def test_the_lemma_battery_meets_roundoff_refusals_and_overflows():
+    reasons = {(want.reason, got.reason) for shape in LEMMA_BOOKS
+               for _, _, got, want in _lemma_battery(shape)}
+    assert reasons == {(None, None), ("h1_not_injective", None),
+                       ("offset_not_finite", "offset_not_finite")}
+
+
+@pytest.mark.parametrize("shape", [BlockShape(Q), PowerLawShape(Q, -2.0), PowerLawShape(Q, 0.5),
+                                   PowerLawShape(Q, 1.5), SqrtShape(Q, 1.0)], ids=_book_id)
+def test_a_proven_book_is_decided_without_a_scan(shape, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(shapes, "injectivity_margin", no_scan)
+    monkeypatch.setattr(shapes.np, "geomspace", no_scan)
+    rep = validate_model1(shape, _decay(10), X0)
+    assert rep.ok and rep.detail.startswith(LEMMA)
+    # the range is clamped to the covered mass where the volume saturates
+    assert rep.detail.endswith("scan clamped to covered mass") == (shape.volume_bounds()[1] < math.inf)
+
+
+def test_ramps_and_overflowed_offsets_are_still_scanned():
+    # no ramp meets the lemma, and power alpha = 1 at x0 = 1e15 overflows
+    # its offset before the range's top: both keep the scan's verdict
+    rep = validate_model1(CounterexampleShape(3), 1.0 / 3.0, 14.5)
+    assert rep.ok and rep.detail == ""
+    rep = validate_model1(PowerLawShape(Q, 1.0), _decay(10), 1e15)
+    assert (rep.ok, rep.reason, rep.detail) == (False, "offset_not_finite", "")
+
+
+def test_a_roundoff_refusal_of_model_1_now_solves():
+    # at rho = 1e-15 the decay is 1 - 2^-53, and the scan refused power
+    # alpha = -2 at volume 54.13917595685789, where f(F^-1(ay)) and
+    # a^2 f(F^-1(y)) round to the same float. The trades carry the small
+    # rho's own error (ROADMAP item 2), so only the verdict is pinned
+    params = MarketParams(x0=X0, horizon=1.0, steps=10, rho=1e-15)
+    assert params.decay == math.nextafter(1.0, 0.0)
+    shape = PowerLawShape(Q, -2.0)
+    want = shapes._scan(shape, params.decay, X0, _h1_failure_point_by_point, in_offsets=False)
+    assert (want.reason, want.witness) == ("h1_not_injective", 54.13917595685789)
+    report = solve(params, shape).diagnostics.validation
+    assert report.ok and report.detail == LEMMA
