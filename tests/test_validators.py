@@ -10,6 +10,7 @@ branch's own end.
 """
 
 import copy
+import functools
 import math
 
 import numpy as np
@@ -324,12 +325,12 @@ LEMMA_DECAYS = [0.0, math.exp(-745.0), math.exp(-50.0), math.exp(-20.0), math.ex
 LEMMA_SIZES = [1e-300, 1e-200, 1e-6, 1.0, 1e5, 1e12, 1e15, 1e100, 1e157, 1e300]
 
 
+@functools.cache
 def _lemma_battery(shape):
     """(a, x0, validate_model1's report, the point-by-point scan's report)."""
-    for a in LEMMA_DECAYS:
-        for x0 in LEMMA_SIZES:
-            yield (a, x0, validate_model1(shape, a, x0),
-                   shapes._scan(shape, a, x0, _h1_failure_point_by_point, in_offsets=False))
+    return [(a, x0, validate_model1(shape, a, x0),
+             shapes._scan(shape, a, x0, _h1_failure_point_by_point, in_offsets=False))
+            for a in LEMMA_DECAYS for x0 in LEMMA_SIZES]
 
 
 def _book_id(shape):
