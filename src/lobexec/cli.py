@@ -191,12 +191,21 @@ def _write_schedule(out_dir: Path, sched: solver.OptimalSchedule, cfg: dict) -> 
         json.dump(payload, fh, indent=2)
 
 
+def _finite_cost(report: costs.CostReport) -> costs.CostReport:
+    """The report, where its total cost is finite. A premium that
+    overflows leaves the cost inf or NaN, which no schedule file or report
+    may carry: that is a numerical failure."""
+    if not math.isfinite(report.total):
+        raise OverflowError(f"the schedule's cost is {report.total}, not finite")
+    return report
+
+
 def cmd_solve(args) -> int:
     cfg = _resolve_config(args)
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
     sched = solver.solve(params, shape)
-    report = costs.cost_report(params, shape, sched.strategy, a0=_number(cfg, "a0"))
+    report = _finite_cost(costs.cost_report(params, shape, sched.strategy, a0=_number(cfg, "a0")))
     _write_schedule(args.out_dir, sched, cfg)
     print(f"model {int(sched.model)} schedule over {params.steps + 1} trades")
     print(f"xi0   = {sched.xi0:.6g}")
@@ -231,8 +240,13 @@ def cmd_sweep(args) -> int:
                     print(f"alpha={alpha} model={model}: numeric failure: {exc}", file=sys.stderr)
                     writer.writerow([alpha, model, "", "", "", "", "numeric"])
                     continue
-                solved[alpha, model] = sched.trades
                 cost = costs.impact_cost(params, shape, sched.strategy)
+                if not math.isfinite(cost):
+                    print(f"alpha={alpha} model={model}: numeric failure: the cost is {cost}",
+                          file=sys.stderr)
+                    writer.writerow([alpha, model, "", "", "", "", "numeric"])
+                    continue
+                solved[alpha, model] = sched.trades
                 values = (sched.xi0, sched.trades[1], sched.trades[-1], cost)
                 writer.writerow([alpha, model] + [f"{v:.17g}" for v in values] + ["ok"])
     print(f"wrote {out_path}")
@@ -263,7 +277,7 @@ def cmd_replay(args) -> int:
     cfg = _resolve_config(args, payload.get("config", {}))
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
-    report = costs.cost_report(params, shape, trades, a0=_number(cfg, "a0"))
+    report = _finite_cost(costs.cost_report(params, shape, trades, a0=_number(cfg, "a0")))
     print(f"replayed {len(trades)} trades under model {int(params.mode)}")
     print(f"cost  = {report.total:.6g}")
     print(f"impact = {report.impact_term:.6g}")

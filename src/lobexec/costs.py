@@ -24,7 +24,11 @@ writes a run out where each node needs its own value). impact_costs runs
 the same recursion on (M,) columns through the shape's array maps, by
 premium_steps, which the lattice referee also calls to walk a block of
 schedules that share their first trades once: up to the pre-trade state
-of the node after them, where each schedule goes on.
+of the node after them, where each schedule goes on. Under volume
+recovery the cost is the sum of G(E_n + x_n) - G(E_n), with G the
+premium as a function of the volume (premium_by_volume), so that walk
+prices each node by its volume, in closed form, and forms no offset;
+under spread recovery it prices the offsets.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ def impact_costs(params: MarketParams, shape: Shape, trades) -> np.ndarray:
     The rows are replayed together, column by column, by the recursion
     impact_cost walks, through the shape's array maps. A row costs inf
     where impact_cost raises or is not finite. The sum is a plain one,
-    not fsum, so a finite cost may differ from impact_cost's in the last
-    few bits.
+    not fsum, and under volume recovery each node is priced by its volume
+    (see premium_steps), so a finite cost may differ from impact_cost's by
+    a few ulps per node.
     """
     x = np.asarray(trades, dtype=float)
     if x.ndim != 2 or x.shape[1] != params.steps + 1:
@@ -107,11 +112,18 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
     """Walk (M,) trade columns, one per node, through the array maps and
     add each node's premium difference to the (M,) sums total, in node
     order. Returns the new sums and, where the columns end with None, the
-    pre-trade state the walk stopped at as (E, D, premium(D)) (see
-    node_states), else None. Given that state as start, a walk of the
-    nodes from there on adds the same floats in the same order as one
-    walk of all the columns: it takes the premium at D from start instead
-    of the array map. start None is a flat book.
+    pre-trade state the walk stopped at (see node_states), else None.
+    Given that state as start, a walk of the nodes from there on adds the
+    same floats in the same order as one walk of all the columns. start
+    None is a flat book.
+
+    Under volume recovery the premium is a function of the volume alone,
+    premium_by_volume: each node is priced by one premium_by_volume_array
+    call on its volume, the walk forms no offset, and its state is (E,
+    premium_by_volume(E)). So a model-1 cost may differ from the
+    composition premium(offset(E)) that impact_cost takes by a few ulps
+    per node. Under spread recovery the walk runs on the offset D, its
+    native variable, and its state is (E, D, premium(D)).
 
     total and start are only read. The sums are one array of this
     walk's own, into which each node's difference is added in place; a
@@ -119,21 +131,29 @@ def premium_steps(params: MarketParams, shape: Shape, columns, total, start=None
     """
     resumed = start is not None
     with np.errstate(all="ignore"):
-        e_pre, d_pre, _, d_post, _ = node_states(
-            params, columns, shape.volume_array, shape.offset_array, start)
-        low = [shape.premium_array(d) for d in d_pre[resumed:]]
-        if resumed:
-            low.insert(0, start[2])
+        if params.mode is Resilience.VOLUME:
+            # node_states reads D only through its map of E: given
+            # premium_by_volume_array, its D lists are the premiums
+            e_pre, low, _, high, _ = node_states(
+                params, columns, shape.volume_array, shape.premium_by_volume_array, start)
+            state = (e_pre[-1], low[-1]) if len(low) > len(high) else None
+        else:
+            e_pre, d_pre, _, d_post, _ = node_states(
+                params, columns, shape.volume_array, shape.offset_array, start)
+            low = [shape.premium_array(d) for d in d_pre[resumed:]]
+            if resumed:
+                low.insert(0, start[2])
+            high = map(shape.premium_array, d_post)
+            state = (e_pre[-1], d_pre[-1], low[-1]) if len(d_pre) > len(d_post) else None
         sums = None
-        for pre, post in zip(low, d_post):
-            step = shape.premium_array(post)
+        for pre, step in zip(low, high):
+            # each post-trade premium is an array of this walk's own
             step -= pre
             if sums is None:  # the first node's sums, total + step, in step
                 sums = np.add(total, step, out=step)
             else:
                 sums += step
-    stopped = len(d_pre) > len(d_post)
-    return (total if sums is None else sums), ((e_pre[-1], d_pre[-1], low[-1]) if stopped else None)
+    return (total if sums is None else sums), state
 
 
 def analytic_gradient(params: MarketParams, shape: Shape, strategy) -> np.ndarray:

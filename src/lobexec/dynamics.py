@@ -10,12 +10,15 @@ native to the mode, so repeated decays never accumulate F round trips.
 node_states is that recursion, written once: on plain floats through a
 shape's scalar maps it is walk, which the cost functionals, their
 gradients and replay all read, and on (M,) columns through the array
-maps it prices a batch of schedules (costs.impact_costs). A walk can
-stop at a node's pre-trade state and go on from it later, so that the
-lattice referee walks the trades many of its schedules share once. On
-floats it walks a run of equal trades whose state has settled once (see
-node_states), which is most of an optimal schedule, and holds that run
-as one node; expand writes a list of such nodes out node by node.
+maps it prices a batch of schedules (costs.impact_costs). Under volume
+recovery the second variable is read off the volume alone, so that
+batched walk carries the premium premium_by_volume(E) in its place and
+forms no offset. A walk can stop at a node's pre-trade state and go on
+from it later, so that the lattice referee walks the trades many of its
+schedules share once. On floats it walks a run of equal trades whose
+state has settled once (see node_states), which is most of an optimal
+schedule, and holds that run as one node; expand writes a list of such
+nodes out node by node.
 
 This is the simplified single-state book: signed trades cancel, and it
 is the state the cost functional and the optimizers work on.
@@ -122,7 +125,14 @@ def node_states(params: MarketParams, trades, volume, offset, start=None):
     and D_pre, and no post-trade values. start says where a walk goes on
     from: a stopped node's pre-trade state as (E, D, ...), which meets
     the first trade as it is; what follows E and D is the caller's to
-    keep (premium_steps keeps the premium at D there).
+    keep (under spread recovery premium_steps keeps the premium at D
+    there).
+
+    Under volume recovery D is read off E alone, through offset, and
+    volume is never called: any map of the volume may stand for offset,
+    and the D lists then hold its values. premium_steps passes
+    premium_by_volume_array there, so its model-1 walk carries (E,
+    premium) and forms no offset.
 
     On a list or tuple of float trades, runs of equal trades are walked
     once. The step from one node to the next is a pure function of the

@@ -16,9 +16,12 @@ grid_search exhaustively enumerates a lattice of feasible schedules for
 very small N. It scores the lattice in blocks of consecutive points with
 the batched walk of impact_costs. Each prefix of N - 1 trades is walked
 once per search, before the blocks that score its points, on into the
-last free trade's node: its pre-trade state and the premium there. Each
-point goes on from that state with its last two trades. Only the points
-whose batched cost lies in a narrow band above the least cost seen are
+last free trade's node: its pre-trade state and the premium there. Under
+volume recovery that state is the volume and its premium, as the walk
+prices each node by its volume and forms no offset; under spread
+recovery it is the volume, the offset and the premium. Each point goes
+on from that state with its last two trades. Only the points whose
+batched cost lies in a narrow band above the least cost seen are
 rescored with the scalar impact_cost, so its answer is still the scalar
 lattice minimum, bit for bit.
 gradient_check compares the analytic gradient against central finite
@@ -252,9 +255,11 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
 
     The prefixes, the first N - 1 trades, are walked once per search,
     through the array maps, into the last free trade's node: its
-    pre-trade state and the premium there. They are walked in lattice
-    order, in chunks of at most 2^14 prefixes (one chunk for N <= 2), so
-    the memory stays bounded at N = 3. The lattice is then scored in
+    pre-trade state and the premium there, two columns (E, premium) under
+    volume recovery and three (E, D, premium) under spread recovery (see
+    premium_steps). They are walked in lattice order, in chunks of at
+    most 2^14 prefixes (one chunk for N <= 2), so the memory stays
+    bounded at N = 3. The lattice is then scored in
     lattice order, in blocks of at most 2^14 consecutive points: whole
     rows of the last free trade's values after a run of a chunk's
     prefixes, each taking its prefixes' walked sums and states. Each

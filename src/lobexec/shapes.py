@@ -35,6 +35,14 @@ bc, and c = 1 is t itself, so the flat book's maps stay exact. Its
 premium stays q t^2/2, because bc(t, 2) - bc(t, 1) subtracts t from
 t + t^2/2 and cancels.
 
+premium_by_volume and its array form premium_by_volume_array are signed
+maps of their own, over a branch primitive whose default is the
+composition premium(offset(v)). The closed forms skip the offset: on the
+power law (1 + t)^c = 1 + c v/q at t = F^{-1}(v) (the Box-Cox identity),
+so the premium is one power of the volume, and on sqrt the integral of
+the offset, a polynomial in v. The batched walk under volume recovery
+prices every node through it (see costs.premium_steps).
+
 The piecewise-linear books are one private ramp: a one-sided
 piecewise-linear density on knots from the quote outward, whose volume
 and premium are the exact integrals of its interpolant, summed from the
@@ -59,6 +67,7 @@ import csv
 import functools
 import math
 import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 
@@ -320,6 +329,11 @@ class Shape:
     def _relative_curvature(self, t: float) -> float:
         raise NotImplementedError
 
+    def _premium_by_volume(self, v: float) -> float:
+        """The premium at the offset where the volume v is eaten: the
+        composition, unless the family has a closed form in v."""
+        return self._premium(self._offset(v))
+
     # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
     # where the scalar map raises OutOfDomain, inf where it overflows
 
@@ -334,6 +348,9 @@ class Shape:
 
     def _premium_array(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _premium_by_volume_array(self, v: np.ndarray) -> np.ndarray:
+        return self._premium_array(self._offset_array(v))
 
     # signed API: each argument on its own branch ----------------------
 
@@ -357,7 +374,9 @@ class Shape:
         return self._bid._premium(-x) if x < 0.0 else self._premium(x)
 
     def premium_by_volume(self, y: float) -> float:
-        return self.premium(self.offset(y))
+        """premium(offset(y)), the premium as a function of the volume
+        eaten; even in y on a mirrored book."""
+        return self._bid._premium_by_volume(-y) if y < 0.0 else self._premium_by_volume(y)
 
     def relative_curvature(self, x: float) -> float:
         """(f(x) + x f'(x)) / f(x), the premium's second derivative over
@@ -370,7 +389,8 @@ class Shape:
         """
         return self._bid._relative_curvature(-x) if x < 0.0 else self._relative_curvature(x)
 
-    # signed array API: density, volume, offset and premium elementwise
+    # signed array API: density, volume, offset, premium and
+    # premium_by_volume elementwise
 
     @_quiet
     def density_array(self, x) -> np.ndarray:
@@ -393,6 +413,10 @@ class Shape:
     @_quiet
     def premium_array(self, x) -> np.ndarray:
         return _sides(x, self._premium_array, self._bid._premium_array)
+
+    @_quiet
+    def premium_by_volume_array(self, y) -> np.ndarray:
+        return _sides(y, self._premium_by_volume_array, self._bid._premium_by_volume_array)
 
     # domain ------------------------------------------------------------
 
@@ -417,6 +441,12 @@ class PowerLawShape(Shape):
     premium q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover and
     its Taylor series below it. The flat book (alpha = 0) keeps its
     premium q t^2/2, where bc(t, 2) - bc(t, 1) = (t + t^2/2) - t cancels.
+
+    With c = 1 - alpha and z = v/q, the offset t of a volume v has
+    (1 + t)^c = 1 + c z, so bc(t, 2 - alpha) = bc(c z, (1 + c)/c)/c and
+    premium_by_volume is q (bc(c z, (1 + c)/c)/c - z): one power of the
+    volume, q (expm1(z) - z) at alpha = 1 and q (log1p(v/(q - v)) - z)
+    at alpha = 2. Below the volume at the crossover it is the composition.
     """
 
     q: float
@@ -457,6 +487,18 @@ class PowerLawShape(Shape):
         object.__setattr__(self, "_expm1_below", below)
         if self.alpha > 1.0:  # the volume saturates
             object.__setattr__(self, "_depth", self.q / (self.alpha - 1.0))
+        # premium_by_volume: the volume at the crossover, below which it is
+        # the composition, and past it, for c = 1 - alpha not 1, 0 or -1,
+        # the exponent k = (1 + c)/c of bc(c v/q, k) and the band of c v/q
+        # where that takes its expm1 form (see _premium_by_volume)
+        c = 1.0 - self.alpha
+        k = lo = hi = None
+        if c not in (1.0, 0.0, -1.0):
+            k = (1.0 + c) / c
+            edge = 0.5 * max(1.0, 1.0 / abs(k))
+            lo = math.expm1(-edge)
+            hi = math.expm1(edge) if edge <= _EXP_CAP else math.inf
+        object.__setattr__(self, "_by_volume", (self._volume(self._crossover), k, lo, hi))
 
     def _density(self, t):
         try:
@@ -495,6 +537,49 @@ class PowerLawShape(Shape):
     def _relative_curvature(self, t):
         # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
+
+    def _premium_by_volume(self, v):
+        # with c = 1 - alpha and w = c v/q, (1 + t)^c = 1 + w at t = F^{-1}(v),
+        # so bc(t, 1 + c) = bc(w, k)/c with k = (1 + c)/c, and the premium
+        # is q (bc(w, k)/c - v/q): one power of the volume, or one log1p and
+        # one expm1, and no offset. The power where |log1p(w)| and
+        # |k log1p(w)| both reach 0.5, the expm1 form elsewhere: the power
+        # rounds its base, which k magnifies (near alpha = 1), and where
+        # k log1p(w) is small it cancels in its - 1 (near alpha = 2). Below
+        # the crossover the two terms cancel, and it is the composition;
+        # past the depth it raises as the offset does, inf where it overflows
+        a, q = self.alpha, self.q
+        if a == 0.0:  # the flat book's composition, q t^2/2 at t = v/q
+            t = v / q
+            return 0.5 * q * t * t
+        vcross, k, lo, hi = self._by_volume
+        if v < vcross:
+            return self._premium(self._offset(v))
+        z = v / q
+        try:
+            if a == 1.0:  # inf where the offset is, past exp(700), and at NaN
+                p = math.expm1(z) - z if z <= _EXP_CAP else math.inf
+            elif a == 2.0:  # log1p(t) - t/(1 + t) at t = v/(q - v), as the offset forms it
+                if not v < q:
+                    raise OutOfDomain(f"volume {v} exceeds the book's total depth {q}")
+                p = math.log1p(v / (q - v)) - z
+            else:
+                c = 1.0 - a
+                w = c * v / q  # as _bc_inv forms it
+                if c > 1.0 and math.isinf(w):
+                    w = c * z
+                if w <= -1.0:
+                    raise OutOfDomain(f"volume {v} exceeds the book's total depth {-q / c}")
+                if lo < w < hi:
+                    b = math.expm1(k * math.log1p(w))
+                else:
+                    b = (1.0 + w) ** k - 1.0
+                p = b / (2.0 - a) - z  # k c = 2 - alpha
+        except OverflowError:
+            return math.inf
+        if p != p and v == v:  # inf - inf, where v/q is inf
+            return math.inf
+        return q * p
 
     # the closed form already maps arrays, where numpy's ** gives inf
     _density_array = _density
@@ -561,6 +646,67 @@ class PowerLawShape(Shape):
         s *= qtt
         return s
 
+    def _premium_by_volume_array(self, v):
+        # _premium_by_volume's forms, each float in its order. A call whose
+        # volumes are all below the crossover (decayed pre-trade volumes)
+        # is the composition alone; any other runs the closed form on every
+        # volume and puts the composition over its few near ones
+        a, q = self.alpha, self.q
+        if a == 0.0:
+            t = v / q
+            p = (0.5 * q) * t
+            p *= t
+            return p
+        vcross, k, lo, hi = self._by_volume
+        near = np.flatnonzero(v < vcross)
+        if near.size == v.size:
+            return self._premium_array(self._offset_array(v))
+        z = v / q
+        if a == 1.0:
+            far = ~(z <= _EXP_CAP)
+            p = np.expm1(z)
+            p -= z
+            p[far] = np.inf
+        elif a == 2.0:
+            p = q - v
+            np.divide(v, p, out=p)
+            np.log1p(p, out=p)
+            p -= z
+            p[~(v < q)] = np.nan
+        else:
+            c = 1.0 - a
+            p = c * v
+            p /= q
+            if c > 1.0:
+                over = np.flatnonzero(np.isinf(p))
+                p.put(over, c * z.take(over))
+            band = np.flatnonzero((p > lo) & (p < hi))
+            if band.size == v.size:
+                np.log1p(p, out=p)
+                p *= k
+                np.expm1(p, out=p)
+            else:
+                b = np.log1p(p.take(band))
+                b *= k
+                np.expm1(b, out=b)
+                # past the depth (c < 0) the base is <= 0: NaN there
+                beyond = p <= -1.0 if c < 0.0 else None
+                p += 1.0
+                p **= k
+                p -= 1.0
+                if beyond is not None:
+                    p[beyond] = np.nan
+                p.put(band, b)
+            p /= 2.0 - a
+            p -= z
+            # inf - inf where v/q is inf (c > 0; where c < 0 it is past the depth)
+            if c > 0.0 and np.fmax.reduce(z) == np.inf:
+                p[z == np.inf] = np.inf
+        p *= q
+        if near.size:
+            p.put(near, self._premium_array(self._offset_array(v.take(near))))
+        return p
+
 
 @dataclass(frozen=True)
 class BlockShape(PowerLawShape):
@@ -578,7 +724,11 @@ class BlockShape(PowerLawShape):
 @dataclass(frozen=True)
 class SqrtShape(Shape):
     """f(x) = q / sqrt(1 + mu |x|), the family whose model-1 optimum has a
-    closed form (see solver.sqrt_shape_xi0). mu = 0 degenerates to Block."""
+    closed form (see solver.sqrt_shape_xi0). mu = 0 degenerates to Block.
+
+    Its offset is a polynomial in the volume, as sqrt(1 + mu t) =
+    1 + mu v/(2q) at t = F^{-1}(v), so premium_by_volume, the offset's
+    integral, is v^2 (1 + mu v/(6q))/(2q), with no square root."""
 
     q: float
     mu: float
@@ -617,6 +767,14 @@ class SqrtShape(Shape):
         # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f
         return (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
 
+    def _premium_by_volume(self, v):
+        # the integral of F^{-1}(u) = u/q + mu u^2/(4 q^2) from 0 to v,
+        # v^2 (1 + mu v/(6q))/(2q): no square root. At mu = 0 the bracket
+        # is 1, and 1 + 0 inf would be NaN at v = inf
+        z = v / self.q
+        p = 0.5 * v * z
+        return p * (1.0 + self.mu * z / 6.0) if self.mu else p
+
     def _density_array(self, t):
         return self.q / np.sqrt(1.0 + self.mu * t)
 
@@ -629,6 +787,17 @@ class SqrtShape(Shape):
         r = np.sqrt(1.0 + self.mu * t)
         w = self.mu * t / (1.0 + r)
         return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+
+    def _premium_by_volume_array(self, v):
+        z = v / self.q
+        p = 0.5 * v
+        p *= z
+        if self.mu:
+            s = self.mu * z
+            s /= 6.0
+            s += 1.0
+            p *= s
+        return p
 
 
 def _segment_volume(c, m, w):
@@ -892,8 +1061,10 @@ class ValidationReport:
 
 def _scan_range(branch: Shape, x0: float):
     """The ends (lo, top) of one branch's scan grid, out to _SCAN_COVERAGE
-    x0 or its covered mass, and whether top was clamped to that mass."""
-    hi = _SCAN_COVERAGE * x0
+    x0 or its covered mass, and whether top was clamped to that mass.
+    Where _SCAN_COVERAGE x0 overflows, top is the largest float: a range
+    out to inf would be a grid of NaN."""
+    hi = min(_SCAN_COVERAGE * x0, sys.float_info.max)
     lo = max(1e-9 * x0, 1e-300)
     top = min(hi, branch._depth * (1.0 - 1e-12))
     return lo, top, top < hi
@@ -902,9 +1073,11 @@ def _scan_range(branch: Shape, x0: float):
 def _scan_grid(branch: Shape, x0: float):
     """A log-spaced grid of positive volumes on one branch, from lo to top
     of _scan_range, and whether it was clamped. np.geomspace returns its
-    ends exactly, so a grid ends at top."""
+    ends exactly, so a grid ends at top; near the largest float its own
+    power overflows at the last point, which it then sets to top."""
     lo, top, clamped = _scan_range(branch, x0)
-    grid = np.geomspace(lo, top, _SCAN_POINTS).tolist() if top > lo else []
+    with np.errstate(over="ignore"):
+        grid = np.geomspace(lo, top, _SCAN_POINTS).tolist() if top > lo else []
     return grid, clamped
 
 

@@ -15,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import lobexec.cli as cli
@@ -494,6 +494,40 @@ def test_a_size_that_breaks_the_root_bracket_is_refused(tmp_path, capsys, argv):
     assert not (tmp_path / "schedule.json").exists()
 
 
+@pytest.mark.parametrize("x0", ["1e308", "1e200"])
+def test_solve_refuses_a_schedule_whose_cost_is_not_finite(tmp_path, capsys, x0):
+    # the block premium overflows: the cost read nan, and solve exited 0
+    # (at 1e308 the validator's scan first ran out to inf, and numpy warned)
+    assert run(["solve", "--x0", x0, "--out-dir", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "schedule.json").exists()
+
+
+def test_replay_refuses_a_schedule_whose_cost_is_not_finite(tmp_path, capsys):
+    # the report would carry NaN and Infinity, which is not JSON
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"trades": [1e200 / 11] * 11, "config": {"x0": 1e200}}))
+    report = tmp_path / "report.json"
+    assert run(["replay", "--schedule", schedule, "--report", report]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "not finite" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("x0", ["1e308", "1e200"])
+def test_sweep_marks_a_cost_that_is_not_finite_numeric(tmp_path, capsys, x0):
+    # the rows read "nan,ok"; power alpha = -2 still overflows nowhere at 1e200
+    assert run(["sweep", "--x0", x0, "--alphas", "-2,0", "--models", "1,2", "--out-dir", tmp_path]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    status = {tuple(row.split(",")[:2]): row.split(",")[-1] for row in rows}
+    assert status[("0.0", "1")] == status[("0.0", "2")] == "numeric"
+    if x0 == "1e200":
+        assert status[("-2.0", "1")] == status[("-2.0", "2")] == "ok"
+    assert not any("nan" in row or "inf" in row for row in rows)
+    assert "alpha=0.0 model=1: numeric failure: the cost is nan" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # generated flags and configs: a reason and an exit code, never a traceback
 # ---------------------------------------------------------------------------
@@ -566,8 +600,29 @@ def _promised_files(command, out: Path, argv):
     return []
 
 
+class _Draws:
+    """Stands in for st.data() in an @example: hands out the given draws
+    in the order the test makes them."""
+
+    def __init__(self, *draws):
+        self._draws = iter(draws)
+
+    def draw(self, strategy):
+        return next(self._draws)
+
+    def __repr__(self):
+        return "_Draws(...)"
+
+
+# draws that failed: a scan range out to 2 x0 = inf made numpy warn, and
+# an overflowing cost was a success. The draws are the flags, the extra
+# arguments, the replay trades and the no-stray-flag integer
 @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
 @given(command=st.sampled_from(list(EXTRAS)), config=st.one_of(st.none(), CONFIGS), data=st.data())
+@example(command="solve", config=None, data=_Draws([["--x0", "1e+308"]], [], [], 1))
+@example(command="sweep", config=None,
+         data=_Draws([["--x0", "1e+308"]], ["--alphas", "0", "--models", "1,2"], [], 1))
+@example(command="oracle-check", config=None, data=_Draws([["--x0", "1e+308"]], ["--starts", "1"], [], 1))
 def test_generated_flags_and_configs_end_in_an_exit_code(command, config, data):
     flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]).flatmap(
         lambda flag: FLAG_VALUES_DRAWN[flag].map(lambda value: [flag, value])), max_size=4))

@@ -37,6 +37,7 @@ from lobexec.dynamics import TrajectoryPoint, equal_run, expand, node_states, wa
 from lobexec.errors import OutOfDomain
 from lobexec.oracle import _safe_cost
 from lobexec.ow import ow_cost
+from lobexec.shapes import Shape
 from reference_models import SimplifiedState, apply_order, decay, impact_cost_gform, order_cost
 
 Q = 5000.0
@@ -241,17 +242,23 @@ def _summed_size(p, shape, row):
     )
 
 
-@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
-@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
-def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
+def _row_battery(shape, mode):
+    """(params, trades) at 1, 2 and 5 steps: 150 rows each, 30 of them far
+    off the book: past the alpha = 1.5 saturation, the table's mass, or
+    into overflow."""
     rng = np.random.default_rng(23)
     x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
     for steps in (1, 2, 5):
         p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
         x = rng.uniform(-0.5, 1.5, (150, steps + 1)) * x0
-        # rows far off the book: past the alpha = 1.5 saturation, the
-        # table's mass, or into overflow
         x[:30] *= 10.0 ** rng.uniform(0.0, 300.0, (30, 1))
+        yield p, x
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
+    for p, x in _row_battery(shape, mode):
         got = impact_costs(p, shape, x)
         want = np.array([_safe_cost(p, shape, row) for row in x])
         assert got.shape == (150,)
@@ -262,12 +269,72 @@ def test_impact_costs_match_impact_cost_row_by_row(shape, mode):
                 assert abs(g - w) <= 1e-14 * _summed_size(p, shape, row), row
 
 
+def _impact_costs_by_offset(p, shape, x):
+    """impact_costs as the batched walk ran under both models before it
+    priced model 1 by volume: each node's offsets through offset_array,
+    each priced by premium_array, the differences added in node order.
+    Kept as the reference of the spread-recovery walk, which still runs so."""
+    with np.errstate(all="ignore"):
+        _, d_pre, _, d_post, _ = node_states(p, x.T, shape.volume_array, shape.offset_array)
+        low = [shape.premium_array(d) for d in d_pre]
+        sums = None
+        for pre, post in zip(low, d_post):
+            step = shape.premium_array(post)
+            step -= pre
+            sums = np.add(np.zeros(x.shape[0]), step, out=step) if sums is None else sums + step
+    sums[~np.isfinite(sums)] = np.inf
+    return sums
+
+
+@pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
+def test_the_spread_recovery_batched_walk_prices_offsets_as_it_did(shape):
+    for p, x in _row_battery(shape, Resilience.SPREAD):
+        assert impact_costs(p, shape, x).tobytes() == _impact_costs_by_offset(p, shape, x).tobytes()
+
+
+BY_VOLUME_SHAPES = [BlockShape(Q), PowerLawShape(Q, -2.0), PowerLawShape(Q, 0.5),
+                    PowerLawShape(Q, 1.0), SqrtShape(Q, 1.0)]
+BY_VOLUME_IDS = ["block", "power-2.0", "power0.5", "power1.0", "sqrt"]
+
+
+def _refuse_offset_array_and_premium_array(monkeypatch):
+    """Make the signed offset and premium array maps raise, and return the
+    list that each premium_by_volume_array call appends its size to."""
+    def refuse(self, arg):
+        raise AssertionError("the walk formed an offset array or priced one")
+
+    calls, by_volume = [], Shape.premium_by_volume_array
+
+    def count(self, y):
+        calls.append(np.size(y))
+        return by_volume(self, y)
+
+    monkeypatch.setattr(Shape, "offset_array", refuse)
+    monkeypatch.setattr(Shape, "premium_array", refuse)
+    monkeypatch.setattr(Shape, "premium_by_volume_array", count)
+    return calls
+
+
+@pytest.mark.parametrize("shape", BY_VOLUME_SHAPES, ids=BY_VOLUME_IDS)
+def test_the_volume_recovery_walk_prices_each_node_by_its_volume(shape, monkeypatch):
+    # one premium_by_volume_array call per walked state: each node's
+    # post-trade volume and each pre-trade volume after the first, which
+    # decays from the one before. No offset array is formed or priced
+    want = [impact_costs(p, shape, x) for p, x in _row_battery(shape, Resilience.VOLUME)]
+    calls = _refuse_offset_array_and_premium_array(monkeypatch)
+    for (p, x), w in zip(_row_battery(shape, Resilience.VOLUME), want):
+        calls.clear()
+        assert impact_costs(p, shape, x).tobytes() == w.tobytes()
+        assert calls == [len(x)] * (2 * p.steps + 1)
+
+
 @pytest.mark.parametrize("shape", BATCH_SHAPES, ids=BATCH_IDS)
 @pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
 def test_a_batched_walk_split_at_a_pre_trade_state_adds_the_same_floats(shape, mode):
     # the lattice walks the first trades once per prefix, on into the next
     # node's pre-trade state and the premium there, and each point goes on
-    # from that state: its costs are impact_costs', bit for bit
+    # from that state: its costs are impact_costs', bit for bit. The state
+    # is (E, premium) under volume recovery, (E, D, premium) under spread
     rng = np.random.default_rng(31)
     x0 = 4.0 if isinstance(shape, CounterexampleShape) else 1e5
     for steps in (1, 2, 3):
@@ -276,7 +343,7 @@ def test_a_batched_walk_split_at_a_pre_trade_state_adds_the_same_floats(shape, m
         want = impact_costs(p, shape, x)
         for cut in range(steps + 2):
             head, state = premium_steps(p, shape, [*x[:, :cut].T, None], np.zeros(64))
-            assert len(state) == 3
+            assert len(state) == (2 if mode is Resilience.VOLUME else 3)
             got, _ = premium_steps(p, shape, x[:, cut:].T, head, state)
             got = np.where(np.isfinite(got), got, np.inf)
             assert [v.hex() for v in got] == [v.hex() for v in want], cut

@@ -446,6 +446,26 @@ def test_grid_search_on_the_certify_books_is_pinned(label, model):
     assert got.best_cost.hex() == CERTIFY_LATTICE_COSTS[label, model]
 
 
+@pytest.mark.parametrize("shape", [BlockShape(Q), PowerLawShape(Q, -2.0), PowerLawShape(Q, 0.5),
+                                   PowerLawShape(Q, 1.0), SqrtShape(Q, 1.0)],
+                         ids=["block", "power-2.0", "power0.5", "power1.0", "sqrt"])
+def test_the_volume_recovery_lattice_forms_no_offset_array(shape, monkeypatch):
+    # under volume recovery the lattice's walk prices each node by its
+    # volume: with the signed offset and premium array maps refused, it
+    # finds the same point, rescored by the scalar impact_cost
+    p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0, mode=Resilience.VOLUME)
+    want = grid_search(p, shape, X0 / 30)
+
+    def refuse(self, arg):
+        raise AssertionError("the lattice formed an offset array or priced one")
+
+    monkeypatch.setattr(lobexec.shapes.Shape, "offset_array", refuse)
+    monkeypatch.setattr(lobexec.shapes.Shape, "premium_array", refuse)
+    got = grid_search(p, shape, X0 / 30)
+    assert got.best_strategy.trades == want.best_strategy.trades
+    assert got.best_cost.hex() == want.best_cost.hex()
+
+
 def _count_walks(monkeypatch):
     """The lattice's premium_steps calls, in order: the number of prefixes
     of each prefix walk (its columns end with None), "points" for a block."""

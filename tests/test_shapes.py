@@ -9,6 +9,7 @@ import decimal
 import io
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -416,6 +417,23 @@ def test_validation_report_scan_covers_requested_range():
     assert rep.scan_hi >= 2 * 1000.0 * 0.999  # the scan covers twice the working size
 
 
+@pytest.mark.parametrize("validate", [validate_model1, validate_model2])
+@pytest.mark.parametrize("shape", [BlockShape(Q), PowerLawShape(Q, 1.0), SqrtShape(Q, 1.0)],
+                         ids=["block", "power1.0", "sqrt"])
+def test_a_scan_range_past_the_float_limit_ends_at_the_largest_float(validate, shape):
+    # past x0 = DBL_MAX/2 the range's top 2 x0 overflowed, and np.geomspace
+    # out to inf warned and gave NaN. It ends at the largest float now,
+    # and a size up to DBL_MAX/2 keeps its top 2 x0
+    top = sys.float_info.max
+    for x0 in (1e308, top, top / 2.0, 1e300):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = validate(shape, 0.5, x0)
+        want = min(2.0 * x0, top)
+        assert rep.scan_hi == (shape.offset(want) if validate is validate_model2 else want) or (
+            not rep.ok and rep.reason == "offset_not_finite"), (x0, rep)
+
+
 # ---------------------------------------------------------------------------
 # the piecewise-linear books near the quote and against their old forms
 # ---------------------------------------------------------------------------
@@ -620,7 +638,7 @@ ARRAY_IDS = [f"{s.name}{s.alpha if s.name == 'power' else getattr(s, 'mu', '')}"
 
 # the closed forms are written in 1 + |x|, so they round relative to their
 # size at unit offset: q for density, volume and premium, 1 for offset
-MAP_SCALE = {"density": Q, "volume": Q, "premium": Q, "offset": 1.0}
+MAP_SCALE = {"density": Q, "volume": Q, "premium": Q, "offset": 1.0, "premium_by_volume": Q}
 # +-0 and the counterexample knees at 1/n and 1, in offset and in volume
 SPECIAL_OFFSETS = [0.0, -0.0, 1.0 / 3.0, -1.0 / 3.0, 1.0, -1.0]
 SPECIAL_VOLUMES = [0.0, -0.0, 4.0 / 3.0, -4.0 / 3.0, 3.0, -3.0]
@@ -657,7 +675,8 @@ def assert_array_map_matches_scalar(shape, name, args):
 def test_array_maps_match_scalar_maps(shape, xs, ys):
     for name in ("density", "volume", "premium"):
         assert_array_map_matches_scalar(shape, name, SPECIAL_OFFSETS + xs)
-    assert_array_map_matches_scalar(shape, "offset", SPECIAL_VOLUMES + ys)
+    for name in ("offset", "premium_by_volume"):
+        assert_array_map_matches_scalar(shape, name, SPECIAL_VOLUMES + ys)
 
 
 def test_array_maps_out_of_domain():
@@ -707,7 +726,7 @@ def test_a_premium_that_overflows_is_inf_in_both_maps():
 # an uneven table: its bid branch is a ramp of its own, so an argument with
 # no negative element goes to the ask branch's map as it is
 UNEVEN_TABLE = TabulatedShape([-3.0, -1.0, 2.0, 5.0], [1.0, 4.0, 2.0, 7.0])
-ARRAY_MAPS = ("density", "volume", "offset", "premium")
+ARRAY_MAPS = ("density", "volume", "offset", "premium", "premium_by_volume")
 
 
 def _read_only(values):
@@ -725,8 +744,10 @@ def _distances(shape):
     args = [grid, grid[grid < 1e-3], [0.0, np.nan, np.inf, 1e300]]
     if isinstance(shape, PowerLawShape):
         # the premium's crossover, the expm1 edges of its terms, and the
-        # volumes at them, about where the offset changes its form
-        edges = [shape._crossover, *shape._expm1_below, *map(shape.volume, shape._expm1_below)]
+        # volumes at them, about where the offset changes its form; the
+        # volume at the crossover, where premium_by_volume does
+        edges = [shape._crossover, *shape._expm1_below, *map(shape.volume, shape._expm1_below),
+                 shape._by_volume[0]]
         args.append([v * f for v in edges for f in (0.5, 1.0, 1.5)])
     if math.isfinite(shape._depth):
         args.append([0.5 * shape._depth, shape._depth, 2.0 * shape._depth])
@@ -771,6 +792,127 @@ def test_a_0d_argument_maps_to_a_0d_array(shape, name):
             got = array_map(arg)
             assert type(got) is np.ndarray and got.shape == (), (name, v, type(arg))
             assert got.tobytes() == one.tobytes(), (name, v, type(arg))
+
+
+# ---------------------------------------------------------------------------
+# premium_by_volume in closed form, against 50 digits
+# ---------------------------------------------------------------------------
+
+
+def _premium_by_volume_50_digits(shape, v):
+    """premium(offset(v)) on a power-law or sqrt branch at a float volume
+    v >= 0, to 50 digits, from the composition itself rather than the
+    closed forms in v that the library takes: the offset t, then the
+    premium at t, as q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) or the sqrt
+    book's q/mu^2 ((2/3)(r^3 - 1) - 2(r - 1)), r = sqrt(1 + mu t). inf past
+    the float range."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+        q, z = Decimal(shape.q), Decimal(v) / Decimal(shape.q)
+        if isinstance(shape, SqrtShape):
+            mu = Decimal(shape.mu)
+            t = z + mu * z * z / 4
+            if mu == 0:
+                return float(q * t * t / 2)
+            r = (1 + mu * t).sqrt()
+            return float(q / (mu * mu) * (Decimal(2) / 3 * (r ** 3 - 1) - 2 * (r - 1)))
+        c = 1 - Decimal(shape.alpha)
+
+        def bc(t, m):
+            return (1 + t).ln() if m == 0 else ((m * (1 + t).ln()).exp() - 1) / m
+
+        t = z.exp() - 1 if c == 0 else ((1 + c * z).ln() / c).exp() - 1
+        return float(q * (bc(t, c + 1) - bc(t, c)))
+
+
+BY_VOLUME_BOOKS = (
+    [PowerLawShape(Q, al) for al in (-50.0, -2.0, -0.5, 0.0, 0.25, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9,
+                                     1.5, 2.0 - 1e-9, 2.0, 2.0 + 1e-9, 3.0, 50.0)]
+    + [SqrtShape(Q, mu) for mu in (0.0, 1.0, 50.0)]
+)
+BY_VOLUME_IDS = [f"{s.name}{s.alpha if s.name == 'power' else s.mu}" for s in BY_VOLUME_BOOKS]
+
+
+def _composition(shape, y):
+    try:
+        return shape.premium(shape.offset(y))
+    except OutOfDomain:
+        return math.nan
+
+
+@pytest.mark.parametrize("shape", BY_VOLUME_BOOKS, ids=BY_VOLUME_IDS)
+def test_premium_by_volume_is_as_accurate_as_the_composition(shape):
+    # 300 volumes, log-spaced from 1e-12 q out to 1e9 q or just short of
+    # the depth, on both sides. Near the power law's crossover the closed
+    # form and the composition each subtract two terms of about v/q (at
+    # |alpha| = 50 each reads up to 9e-14 relative there), and where one
+    # happens to round well the other need not: so each volume's bound is
+    # 4x the composition's worst error on it and its two neighbours each
+    # side, or 1e-14
+    top = min(1e9 * Q, shape._depth * (1.0 - 1e-9))
+    vs = np.geomspace(1e-12 * Q, top, 300)
+    want = np.array([_premium_by_volume_50_digits(shape, v) for v in vs.tolist()])
+    for side in (1.0, -1.0):
+        comp = np.array([_composition(shape, side * v) for v in vs.tolist()])
+        fin = np.isfinite(comp)
+        comp_err = np.zeros(vs.size)
+        comp_err[fin] = np.abs(comp[fin] - want[fin]) / want[fin]
+        padded = np.pad(comp_err, 2)
+        near = np.max([padded[k:k + vs.size] for k in range(5)], axis=0)
+        bound = np.maximum(4.0 * near, 1e-14)
+        scalar = np.array([shape.premium_by_volume(side * v) for v in vs.tolist()])
+        array = shape.premium_by_volume_array(side * vs)
+        for got in (scalar, array):
+            err = np.abs(got[fin] - want[fin]) / want[fin]
+            assert np.all(err <= bound[fin]), (side, vs[fin][np.argmax(err / bound[fin])])
+
+
+@pytest.mark.parametrize("shape", BY_VOLUME_BOOKS, ids=BY_VOLUME_IDS)
+def test_premium_by_volume_at_zero_nan_inf_and_past_the_depth(shape):
+    # +0 at +-0; NaN or OutOfDomain where the offset gives them (at NaN,
+    # and past a finite depth), inf at +-inf on a book of infinite depth;
+    # the array map NaN exactly where the scalar one raises. The power law
+    # at alpha = 1 is inf at NaN and past exp(700) q, as its offset is
+    deep = math.isinf(shape._depth)
+    args = [0.0, -0.0, math.nan, math.inf, -math.inf]
+    if not deep:
+        args += [shape._depth, -shape._depth, 2.0 * shape._depth, float(np.nextafter(shape._depth, 0.0))]
+    for y in args:
+        try:
+            want = shape.premium_by_volume(y)
+        except OutOfDomain:
+            want = math.nan
+            assert not deep or math.isnan(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = shape.premium_by_volume_array(y)
+        assert got.shape == () and np.array_equal(got, want, equal_nan=True), (y, got, want)
+        if y == 0.0:
+            assert want == 0.0 and not math.copysign(1.0, want) < 0.0
+        elif math.isnan(y):
+            alpha_one = getattr(shape, "alpha", None) == 1.0
+            assert math.isinf(want) if alpha_one else math.isnan(want), want
+        elif math.isinf(y) or abs(y) >= shape._depth:
+            assert want == math.inf if deep else math.isnan(want), (y, want)
+        else:  # a float short of the depth: as the composition, which may round past it
+            assert want == pytest.approx(_composition(shape, y), rel=1e-9, nan_ok=True), y
+    alpha_one = PowerLawShape(Q, 1.0)
+    for v in (700.5 * Q, 709.0 * Q):
+        assert alpha_one.premium_by_volume(v) == math.inf == alpha_one.premium_by_volume_array(v)
+
+
+@pytest.mark.parametrize("shape", BY_VOLUME_BOOKS, ids=BY_VOLUME_IDS)
+def test_the_premium_by_volume_array_raises_no_warning(shape):
+    # the closed forms overflow, cancel to NaN and divide by zero in
+    # places; the array map answers with inf and NaN, and warns of none
+    grid = 10.0 ** np.linspace(-15.0, 308.0, 200)
+    args = np.concatenate([grid, -grid, [0.0, -0.0, np.nan, np.inf, -np.inf, 1.7e308]])
+    if math.isfinite(shape._depth):
+        args = np.concatenate([args, shape._depth * np.array([1.0 - 1e-16, 1.0, 1.5, -1.0])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = shape.premium_by_volume_array(args)
+    assert got.shape == args.shape and not (got < 0.0).any()
 
 
 # ---------------------------------------------------------------------------
@@ -1115,8 +1257,8 @@ def test_power_premium_curvature_far_from_the_quote():
 # ---------------------------------------------------------------------------
 
 SIGNED_MAPS = ("density", "volume", "offset", "premium", "premium_by_volume",
-               "relative_curvature", "density_array",
-               "volume_array", "offset_array", "premium_array", "volume_bounds")
+               "relative_curvature", "density_array", "volume_array", "offset_array",
+               "premium_array", "premium_by_volume_array", "volume_bounds")
 
 
 def test_no_family_overrides_a_signed_map():
