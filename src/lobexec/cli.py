@@ -191,10 +191,15 @@ def _write_schedule(out_dir: Path, sched: solver.OptimalSchedule, cfg: dict) -> 
         json.dump(payload, fh, indent=2)
 
 
-def _finite_cost(report: costs.CostReport) -> costs.CostReport:
-    """The report, where its total cost is finite. A premium that
+def _cost_report(params: MarketParams, shape: shapes.Shape, trades, a0: float) -> costs.CostReport:
+    """costs.cost_report, where the total cost is finite. A premium that
     overflows leaves the cost inf or NaN, which no schedule file or report
-    may carry: that is a numerical failure."""
+    may carry, and where one node's difference is inf and another's -inf
+    math.fsum raises ValueError: each is a numerical failure."""
+    try:
+        report = costs.cost_report(params, shape, trades, a0=a0)
+    except ValueError as exc:
+        raise OverflowError(f"the schedule's cost is not finite: {exc}") from None
     if not math.isfinite(report.total):
         raise OverflowError(f"the schedule's cost is {report.total}, not finite")
     return report
@@ -205,7 +210,7 @@ def cmd_solve(args) -> int:
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
     sched = solver.solve(params, shape)
-    report = _finite_cost(costs.cost_report(params, shape, sched.strategy, a0=_number(cfg, "a0")))
+    report = _cost_report(params, shape, sched.strategy, _number(cfg, "a0"))
     _write_schedule(args.out_dir, sched, cfg)
     print(f"model {int(sched.model)} schedule over {params.steps + 1} trades")
     print(f"xi0   = {sched.xi0:.6g}")
@@ -277,7 +282,7 @@ def cmd_replay(args) -> int:
     cfg = _resolve_config(args, payload.get("config", {}))
     shape = make_shape(cfg["shape"])
     params = make_params(cfg)
-    report = _finite_cost(costs.cost_report(params, shape, trades, a0=_number(cfg, "a0")))
+    report = _cost_report(params, shape, trades, _number(cfg, "a0"))
     print(f"replayed {len(trades)} trades under model {int(params.mode)}")
     print(f"cost  = {report.total:.6g}")
     print(f"impact = {report.impact_term:.6g}")

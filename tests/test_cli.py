@@ -504,10 +504,15 @@ def test_solve_refuses_a_schedule_whose_cost_is_not_finite(tmp_path, capsys, x0)
     assert not (tmp_path / "schedule.json").exists()
 
 
-def test_replay_refuses_a_schedule_whose_cost_is_not_finite(tmp_path, capsys):
-    # the report would carry NaN and Infinity, which is not JSON
+@pytest.mark.parametrize("trades,n", [([1e200 / 11] * 11, 10), ([1e200, -math.exp(-20.0) * 1e200], 1)],
+                         ids=["nan", "inf - inf"])
+def test_replay_refuses_a_schedule_whose_cost_is_not_finite(tmp_path, capsys, trades, n):
+    # the report would carry NaN and Infinity, which is not JSON; selling
+    # back what decayed from an overflowed buy leaves one node's premium
+    # difference inf and the next one's -inf, where math.fsum raised
+    # ValueError, a traceback
     schedule = tmp_path / "schedule.json"
-    schedule.write_text(json.dumps({"trades": [1e200 / 11] * 11, "config": {"x0": 1e200}}))
+    schedule.write_text(json.dumps({"trades": trades, "config": {"x0": math.fsum(trades), "n": n}}))
     report = tmp_path / "report.json"
     assert run(["replay", "--schedule", schedule, "--report", report]) == 3
     err = capsys.readouterr().err
