@@ -13,17 +13,19 @@ its gradient only; none of the solver's characteristic maps appear here,
 so agreement between the two routes is evidence, not circularity.
 
 grid_search exhaustively enumerates a lattice of feasible schedules for
-very small N. It scores the lattice in blocks of consecutive points with
-the batched walk of impact_costs. Each prefix of N - 1 trades is walked
-once per search, before the blocks that score its points, on into the
-last free trade's node: its pre-trade state and the premium there. Under
-volume recovery that state is the volume and its premium, as the walk
-prices each node by its volume and forms no offset; under spread
-recovery it is the volume, the offset and the premium. Each point goes
-on from that state with its last two trades. Only the points whose
-batched cost lies in a narrow band above the least cost seen are
-rescored with the scalar impact_cost, so its answer is still the scalar
-lattice minimum, bit for bit.
+very small N, by branch and bound (Land & Doig, Econometrica 28, 1960).
+Each prefix of N - 1 trades is walked once per search with the batched
+walk of impact_costs, on into the last free trade's node: its pre-trade
+state and the premium there. Under volume recovery that state is the
+volume and its premium, as the walk prices each node by its volume and
+forms no offset; under spread recovery it is the volume, the offset and
+the premium. A tile, one prefix and a run of values of the last free
+trade, gets a lower bound on its points' costs from that state; only the
+tiles whose bound does not rule them out are scored, each point going on
+from the state with its last two trades. Only the points whose batched
+cost lies in a narrow band above the least cost seen are rescored with
+the scalar impact_cost, so its answer is still the scalar lattice
+minimum, bit for bit.
 gradient_check compares the analytic gradient against central finite
 differences. Together the three give the certification triangle used by
 the acceptance suite.
@@ -44,7 +46,7 @@ from .costs import (
     impact_cost,
     premium_steps,
 )
-from .dynamics import MarketParams, whole_number
+from .dynamics import MarketParams, Resilience, node_states, whole_number
 from .errors import BudgetExceeded, InvalidParam, OutOfDomain
 from .shapes import Shape
 
@@ -66,16 +68,19 @@ _FIRST_STEP = 0.01
 # relative width of the band of batched lattice costs that are rescored
 # with impact_cost; the two differ by about 1e-15 relative near a minimum
 _RESCORE_BAND = 1e-9
-# lattice points per batched block, and prefixes per chunk of the prefix
-# walk: each array of a block or a chunk stays near 128 kB, so the
-# search's memory does not grow with the lattice (a whole 301^2 plane at
-# once peaked at 8-11 MB). glibc gives the heap back after a block and
-# grows it again for the next: a search at N = 2 on the certify books
-# takes 280-720 minor page faults, since the array maps work in arrays
-# of their own (970-1500 when each made three or four temporaries per
-# result). Blocks of 2^12 points took none, but the search 13.1 ms
-# against 10.5 with those maps, in Python's overhead per block
+# lattice points per batched block, prefixes per chunk of the prefix
+# walk, and tiles per block of bounds (half as many, as the bound walks
+# both ends of each): each array stays near 128 kB, so the search's
+# memory does not grow with the lattice (a whole 301^2 plane at once
+# peaked at 8-11 MB). Scoring every point, a search at N = 2 on the
+# certify books took 280-720 minor page faults, as glibc gave the heap
+# back after each block and grew it again for the next; with the tiles
+# that the bound rules out skipped, its arrays are small enough to stay
+# on the heap, and a search takes none
 _SLAB_POINTS = 1 << 14
+# lattice values of the last free trade per tile, the unit the lattice's
+# lower bound rules out; 8, 32 and 64 ran as fast within a factor of 1.5
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -161,8 +166,14 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0, max_iter: i
     hg = h0(g)
     size = float(np.max(np.abs(hg)))
     gamma = _FIRST_STEP * x0 / size if size > 0.0 else 0.0
+    # on a book so deep that h0(g) is subnormal gamma overflows: the step
+    # is then formed from h0(g) / size until gamma is rescaled, and hg
+    # keeps its own scale for y'h0(y)
+    scale = None
+    if gamma == math.inf:
+        gamma, scale = _FIRST_STEP * x0, size
     for _ in range(max_iter):
-        p = -gamma * hg
+        p = -gamma * (hg if scale is None else hg / scale)
         slope = float(g @ p)
         # Armijo backtracking from the unit step. Along a convex line the
         # cost falls by at most -step * slope, so once that is within the
@@ -187,7 +198,7 @@ def _descend(params: MarketParams, shape: Shape, z0: np.ndarray, h0, max_iter: i
         sy, yhy = float(s @ y), float(y @ (hg_new - hg))
         hg = hg_new
         if sy > 0.0 and yhy > 0.0:
-            gamma = sy / yhy
+            gamma, scale = sy / yhy, None
     converged = float(np.max(np.abs(g))) <= _GRAD_TOL * float(np.max(np.abs(g_full)))
     return full(z), f, converged
 
@@ -246,6 +257,50 @@ def minimize_cost(
     )
 
 
+def _tile_bounds(params: MarketParams, shape: Shape, walked, state, x_lo, x_hi, t_lo, t_hi):
+    """A lower bound on the cost of each tile's points: its prefix's
+    walked cost plus interval bounds on the last two nodes.
+
+    A tile's last free trades x lie in [x_lo, x_hi] and its tails t in
+    [t_lo, t_hi]; walked and state are its prefix's sums and pre-trade
+    state (E, ..., G(E)) at node N - 1, as premium_steps returns them.
+    With G = premium o F^-1 the premium as a function of the volume, the
+    last two nodes cost G(E + x) - G(E) + G(E' + t) - G(E'), where E' =
+    R(E + x) is the next pre-trade volume: a v under volume recovery,
+    F(a F^-1(v)) under spread recovery. G' = F^-1 has the sign of v, so G
+    falls to 0 at 0 and rises on both sides: over an interval it is least
+    at the point nearest 0 and largest at an end. R is nondecreasing, as
+    F and F^-1 are. So
+
+        G(E + x) - G(E) >= G(clamp(0; E + x_lo, E + x_hi)) - G(E),
+        G(E' + t) - G(E') >= G(clamp(0; E'_lo + t_lo, E'_hi + t_hi))
+                             - max(G(E'_lo), G(E'_hi)),
+
+    with E'_lo = R(E + x_lo) and E'_hi = R(E + x_hi). This needs only a
+    positive density, which every Shape has, and no map of the solver.
+    Both ends of x go on through node_states, one trade and the decay
+    after it, priced as the walk prices them, so rounding moves a bound
+    by a few ulps of the premiums. A NaN bound, as past a finite book's
+    depth, never prunes.
+    """
+    volume_mode = params.mode is Resilience.VOLUME
+    # under volume recovery the walk's second variable is the premium itself
+    price = (lambda d: d) if volume_mode else shape.premium_array
+    with np.errstate(all="ignore"):
+        e_pre, d_pre, e_post, d_post, _ = node_states(
+            params, (np.concatenate((x_lo, x_hi)), None), shape.volume_array,
+            shape.premium_by_volume_array if volume_mode else shape.offset_array,
+            (np.tile(state[0], 2), None))
+        u, e_next = e_post[0].reshape(2, -1), e_pre[1].reshape(2, -1)
+        g_u, g_next = (price(d).reshape(2, -1) for d in (d_post[0], d_pre[1]))
+        # node N - 1: G at the post-trade volume nearest 0, less G(E)
+        node = np.where((u[0] <= 0.0) & (u[1] >= 0.0), 0.0, g_u.min(axis=0)) - state[-1]
+        # node N: G at the post-trade volume nearest 0, less G at the
+        # higher of its two pre-trade ends
+        near = np.clip(0.0, e_next[0] + t_lo, e_next[1] + t_hi)
+        return walked + node + (shape.premium_by_volume_array(near) - g_next.max(axis=0))
+
+
 def grid_search(params: MarketParams, shape: Shape, resolution: float) -> OracleResult:
     """Exhaustive lattice search over feasible schedules, N <= 3.
 
@@ -259,22 +314,33 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
     volume recovery and three (E, D, premium) under spread recovery (see
     premium_steps). They are walked in lattice order, in chunks of at
     most 2^14 prefixes (one chunk for N <= 2), so the memory stays
-    bounded at N = 3. The lattice is then scored in
-    lattice order, in blocks of at most 2^14 consecutive points: whole
-    rows of the last free trade's values after a run of a chunk's
-    prefixes, each taking its prefixes' walked sums and states. Each
-    point goes on from that state by its last two trades, so its batched
-    cost is the sum impact_costs forms, node by node in the same order.
-    The blocks' arrays are allocated afresh, and the heap that glibc
-    trims after each block is grown again: at N = 2 (301^2 points on the
-    benchmark's books) a search takes 280-720 minor page faults.
-    A point is rescored with impact_cost, its tail recomputed as x0 -
-    fsum(head), when its batched cost lies within a relative band of 1e-9
-    above the lower of the block's least batched cost and the best
-    rescored cost so far; the first strict improvement wins. The two
-    costs differ by a few ulps, far less than the band, so the answer is
-    the first lattice point of least impact_cost, bit for bit, as a
-    point-by-point scan finds it, however the blocks and chunks fall.
+    bounded at N = 3. N = 1 has no prefix: its state is the flat book's.
+
+    A tile is one prefix and a run of _TILE consecutive lattice values of
+    the last free trade. Its lower bound (see _tile_bounds) is the
+    prefix's walked cost plus interval bounds on the last two nodes; a
+    chunk's tiles are bounded in lattice order, 2^13 at a time. The cut
+    starts at the scalar impact_cost of the lattice point nearest the
+    uniform split x0/(N + 1), a point of the lattice, so it bounds the
+    lattice minimum from above (where that cost is not finite nothing is
+    pruned until a finite point has been rescored), and it falls to each
+    better point rescored. Cut and band are both best + 1e-9 |best|. A
+    tile whose bound lies above the cut is never scored: each of its
+    points costs more than the lattice minimum by far more than
+    rounding, so none of them can be the answer.
+
+    The tiles that remain are scored in lattice order, in blocks of at
+    most 2^14 points: each point goes on from its prefix's state by its
+    last two trades, so its batched cost is the sum impact_costs forms,
+    node by node in the same order. A point is rescored with impact_cost,
+    its tail recomputed as x0 - fsum(head), when its batched cost lies
+    within the band above the lower of the block's least batched cost and
+    the best rescored cost so far; the first strict improvement wins. The
+    two costs differ by a few ulps, far less than the band, so the answer
+    is the first lattice point of least impact_cost, bit for bit, as a
+    point-by-point scan finds it, however the tiles, blocks and chunks
+    fall. On the benchmark's books at N = 2 (301^2 points, rho = 20) a
+    search scores 544-6400 points.
     """
     if params.steps > 3:
         raise InvalidParam(f"grid search is for N <= 3, got N = {params.steps}")
@@ -293,46 +359,70 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
         )
     slack = 1e-9 * max(1.0, abs(x0))
     size = len(pts)
-    # a block is rows prefixes (the first N - 1 trades, in lattice order)
-    # by width values of the last free trade; past 2^14 values a side, a
-    # block is one prefix and 2^14 of its values
-    rows = max(1, _SLAB_POINTS // size)
-    width = min(size, _SLAB_POINTS)
+    # the lattice point nearest the uniform split, where its tail lies in
+    # the box (formed as the blocks form it): its cost bounds the lattice
+    # minimum from above, so it seeds the cut
+    h = float(pts[min(max(round((x0 / (params.steps + 1) - lo) / resolution), 0), size - 1)])
+    seed = [h] * params.steps
+    tail = x0 - ((params.steps - 1) * h + h)
+    f = _safe_cost(params, shape, seed + [x0 - math.fsum(seed)]) if lo - slack <= tail <= hi + slack else math.inf
+    cut = f + _RESCORE_BAND * abs(f)
+    # the tiles of a row: runs of _TILE lattice values of the last free
+    # trade, the last run padded with NaN, whose tails fall outside the box
+    starts = np.arange(0, size, _TILE)
+    x_lo, x_hi = pts[starts], pts[np.minimum(starts + _TILE, size) - 1]
+    last = np.append(pts, np.full(-size % _TILE, np.nan))
+    per_row = len(starts)
+    # tiles bounded at a time (the bound walks both ends of each) and
+    # tiles scored at a time, so that no array exceeds _SLAB_POINTS
+    span, group = max(1, _SLAB_POINTS // 2), max(1, _SLAB_POINTS // _TILE)
     prefixes = size ** (params.steps - 1)
     best_x, best_f = None, math.inf
     for first in range(0, prefixes, _SLAB_POINTS):
         chunk = np.arange(first, min(first + _SLAB_POINTS, prefixes))
         at = np.unravel_index(chunk, (size,) * (params.steps - 1)) if params.steps > 1 else ()
         heads = pts[np.array(at, dtype=np.intp).reshape(params.steps - 1, chunk.size)]
-        # each prefix of the chunk walked once for all its blocks, into the
+        # each prefix of the chunk walked once for all its tiles, into the
         # last free trade's node: its pre-trade state and the premium
         # there (N = 1 has no prefix: the state is the flat book's floats)
         walked, state = premium_steps(params, shape, [*heads, None], np.zeros(chunk.size))
         state = tuple(np.broadcast_to(v, chunk.size) for v in state)
         # a tail is x0 less its head summed in order: the prefix, then the last free trade
         psum = heads.sum(axis=0)
-        for r0 in range(0, chunk.size, rows):
-            for v0 in range(0, size, width):
-                last = pts[v0:v0 + width]
+        tiles = chunk.size * per_row
+        for t0 in range(0, tiles, span):
+            row, col = np.divmod(np.arange(t0, min(t0 + span, tiles)), per_row)
+            t_lo = np.maximum(x0 - (psum[row] + x_hi[col]), lo - slack)
+            t_hi = np.minimum(x0 - (psum[row] + x_lo[col]), hi + slack)
+            bound = _tile_bounds(params, shape, walked[row], tuple(v[row] for v in state),
+                                 x_lo[col], x_hi[col], t_lo, t_hi)
+            bound[t_lo > t_hi] = np.inf  # no tail of the tile lies in the box
+            # each pass drops the tiles that the cut, as it falls, rules out
+            live = np.arange(bound.size)
+            while (live := live[~(bound[live] > cut)]).size:
+                take, live = live[:group], live[group:]
+                # the points of the tiles taken, in lattice order
+                rows = np.repeat(row[take], _TILE)
+                cols = (starts[col[take], None] + np.arange(_TILE)).ravel()
                 # exact for N <= 2; at N = 3 within an ulp of fsum, far inside the slack
-                tails = (x0 - (psum[r0:r0 + rows, None] + last)).ravel()
+                tails = x0 - (psum[rows] + last[cols])
                 keep = np.flatnonzero((tails >= lo - slack) & (tails <= hi + slack))
-                row, col = np.divmod(keep, last.size)
-                row += r0
-                cost, _ = premium_steps(params, shape, (last[col], tails[keep]),
-                                        walked[row], tuple(v[row] for v in state))
+                rows, cols = rows[keep], cols[keep]
+                cost, _ = premium_steps(params, shape, (last[cols], tails[keep]),
+                                        walked[rows], tuple(v[rows] for v in state))
                 cost[~np.isfinite(cost)] = np.inf
                 # a point more than the band above this can be neither the
                 # block's least scalar cost nor better than the best so far
-                bound = min(cost.min(initial=math.inf), best_f)
-                if bound == math.inf:
+                least = min(cost.min(initial=math.inf), best_f)
+                if least == math.inf:
                     continue
-                for i in np.flatnonzero(cost <= bound + _RESCORE_BAND * abs(bound)):
-                    head = [*heads[:, row[i]], last[col[i]]]
+                for i in np.flatnonzero(cost <= least + _RESCORE_BAND * abs(least)):
+                    head = [*heads[:, rows[i]], last[cols[i]]]
                     x = head + [x0 - math.fsum(head)]
                     f = _safe_cost(params, shape, x)
                     if f < best_f:
                         best_x, best_f = x, f
+                        cut = min(cut, f + _RESCORE_BAND * abs(f))
     if best_x is None:
         raise InvalidParam("no feasible lattice point in the search box")
     return OracleResult(

@@ -1172,6 +1172,13 @@ def _least_density(branch: Shape, a: float, x: float) -> float:
     return min(map(branch.density, np.linspace(a * x, x, _GROWTH_SAMPLES).tolist()))
 
 
+def _not_injective(x: float, v: float):
+    """A failure of h2 at offset x, volume v: where the offset overflowed
+    the scan says nothing about the shape, and the volume is the witness
+    of a numeric failure, as in _h1_failure."""
+    return ("h2_not_injective", x) if math.isfinite(x) else ("offset_not_finite", v)
+
+
 def _h2_failure(branch: Shape, a: float, grid: list):
     """The first offset on the grid where a spread-recovery check fails,
     with its reason; the growth proxy is checked last, at the grid's edge."""
@@ -1183,11 +1190,11 @@ def _h2_failure(branch: Shape, a: float, grid: list):
         fx, fax = density(x), density(a * x)
         den = fx - a * fax
         if not den > 0.0:
-            return "h2_not_injective", x
+            return _not_injective(x, v)
         h2 = x * (fx - a * a * fax) / den
         # finite, of the offset's sign, and strictly increasing where the offset grew
         if not math.isfinite(h2) or h2 * x < 0.0 or (x > prev_x and not h2 > prev_h2):
-            return "h2_not_injective", x
+            return _not_injective(x, v)
         prev_h2, prev_x = h2, x
     if len(grid) >= 4:
         x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])

@@ -533,6 +533,25 @@ def test_sweep_marks_a_cost_that_is_not_finite_numeric(tmp_path, capsys, x0):
     assert "alpha=0.0 model=1: numeric failure: the cost is nan" in capsys.readouterr().err
 
 
+# the log law's offset overflows inside model 2's scan at x0 = 1e200: the
+# scan read it as h2_not_injective at offset inf, a refused precondition
+# (exit 2), where model 1 on the same book says offset_not_finite (exit 3)
+
+
+def test_solve_calls_an_offset_overflow_under_model_2_numeric(tmp_path, capsys):
+    argv = ["solve", "--shape", "power", "--alpha", "1", "--model", "2", "--x0", "1e200"]
+    assert run(argv + ["--out-dir", tmp_path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: offset overflows at volume ") and "Traceback" not in err
+    assert not (tmp_path / "schedule.json").exists()
+
+
+def test_sweep_marks_an_offset_overflow_under_model_2_numeric(tmp_path):
+    assert run(["sweep", "--x0", "1e200", "--alphas", "1", "--models", "2", "--out-dir", tmp_path]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+    assert rows[1].split(",") == ["1.0", "2", "", "", "", "", "numeric"]
+
+
 # ---------------------------------------------------------------------------
 # generated flags and configs: a reason and an exit code, never a traceback
 # ---------------------------------------------------------------------------
@@ -619,15 +638,19 @@ class _Draws:
         return "_Draws(...)"
 
 
-# draws that failed: a scan range out to 2 x0 = inf made numpy warn, and
-# an overflowing cost was a success. The draws are the flags, the extra
-# arguments, the replay trades and the no-stray-flag integer
+# draws that failed: a scan range out to 2 x0 = inf made numpy warn, an
+# overflowing cost was a success, and on a book so deep that its gradient
+# is subnormal the descent's first step overflowed to inf. The draws are
+# the flags, the extra arguments, the replay trades and the no-stray-flag
+# integer
 @settings(max_examples=200, deadline=None, suppress_health_check=list(HealthCheck))
 @given(command=st.sampled_from(list(EXTRAS)), config=st.one_of(st.none(), CONFIGS), data=st.data())
 @example(command="solve", config=None, data=_Draws([["--x0", "1e+308"]], [], [], 1))
 @example(command="sweep", config=None,
          data=_Draws([["--x0", "1e+308"]], ["--alphas", "0", "--models", "1,2"], [], 1))
 @example(command="oracle-check", config=None, data=_Draws([["--x0", "1e+308"]], ["--starts", "1"], [], 1))
+@example(command="oracle-check", config=None,
+         data=_Draws([["--q", "1e+308"], ["--n", "3"]], ["--starts", "1"], [], 1))
 def test_generated_flags_and_configs_end_in_an_exit_code(command, config, data):
     flags = data.draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]).flatmap(
         lambda flag: FLAG_VALUES_DRAWN[flag].map(lambda value: [flag, value])), max_size=4))

@@ -377,20 +377,68 @@ LATTICE_IDS = [f"{s.name}{s.alpha if s.name == 'power' else ''}" for s, _ in LAT
 LATTICE_STEPS = {1: 600, 2: 30, 3: 9}
 
 
-@pytest.mark.parametrize("steps", sorted(LATTICE_STEPS))
-@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
-@pytest.mark.parametrize("shape,x0", LATTICE_BOOKS, ids=LATTICE_IDS)
-def test_grid_search_equals_the_point_by_point_scan(shape, x0, mode, steps, monkeypatch):
-    p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=20.0, mode=mode)
+def _assert_grid_search_is_the_scan(shape, x0, mode, steps, rho, monkeypatch):
+    p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=rho, mode=mode)
     res = x0 / LATTICE_STEPS[steps]
     want_x, want_f = _lattice_point_by_point(p, shape, res)
-    # one block, then blocks of at most 97 points: whole rows of the last
-    # free trade, or, where a row holds more (N = 1), pieces of 97 of it
+    # one block, then blocks of at most 97 tiles bounded and 6 tiles (96
+    # points) scored at a time
     for slab in (lobexec.oracle._SLAB_POINTS, 97):
         monkeypatch.setattr(lobexec.oracle, "_SLAB_POINTS", slab)
         got = grid_search(p, shape, res)
         assert [v.hex() for v in got.best_strategy.trades] == [float(v).hex() for v in want_x]
         assert got.best_cost.hex() == want_f.hex()
+
+
+@pytest.mark.parametrize("steps", sorted(LATTICE_STEPS))
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+@pytest.mark.parametrize("shape,x0", LATTICE_BOOKS, ids=LATTICE_IDS)
+def test_grid_search_equals_the_point_by_point_scan(shape, x0, mode, steps, monkeypatch):
+    _assert_grid_search_is_the_scan(shape, x0, mode, steps, 20.0, monkeypatch)
+
+
+# the bound prunes least where the cost is flat (rho tau -> 0) and most
+# where the nodes decouple (rho tau -> infinity, a = exp(-1000) = 0)
+@pytest.mark.parametrize("rho", [1e-6, 2.0, 2000.0], ids=repr)
+@pytest.mark.parametrize("steps", sorted(LATTICE_STEPS))
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+@pytest.mark.parametrize("shape,x0", LATTICE_BOOKS, ids=LATTICE_IDS)
+def test_grid_search_equals_the_point_by_point_scan_at_any_rate(shape, x0, mode, steps, rho, monkeypatch):
+    _assert_grid_search_is_the_scan(shape, x0, mode, steps, rho, monkeypatch)
+
+
+@pytest.mark.parametrize("rho", [1e-6, 2.0, 20.0, 2000.0], ids=repr)
+@pytest.mark.parametrize("steps", [1, 2, 3])
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+@pytest.mark.parametrize("shape,x0", LATTICE_BOOKS, ids=LATTICE_IDS)
+def test_a_tile_bound_is_at_most_the_cost_of_its_points(shape, x0, mode, steps, rho):
+    # random tiles of 16 last free trades after random prefixes, on a
+    # lattice of spacing x0/200: the bound on each tile's box of trades
+    # and tails is at most the least batched cost of its points
+    p = MarketParams(x0=x0, horizon=1.0, steps=steps, rho=rho, mode=mode)
+    pts = -0.25 * x0 + (x0 / 200) * np.arange(301)
+    rng = np.random.default_rng(26)
+    tiles = 200
+    heads = pts[rng.integers(0, 301, size=(steps - 1, tiles))]
+    walked, state = lobexec.costs.premium_steps(p, shape, [*heads, None], np.zeros(tiles))
+    state = tuple(np.broadcast_to(v, tiles) for v in state)
+    x = pts[rng.integers(0, 301 - 16, size=tiles)[:, None] + np.arange(16)]
+    t = x0 - (heads.sum(axis=0)[:, None] + x)
+    # the tails of the box only, as the lattice takes them: others are NaN
+    t[(t < -0.25 * x0) | (t > 1.25 * x0)] = np.nan
+    x_in = np.where(np.isnan(t), np.nan, x)
+    rows = np.repeat(np.arange(tiles), 16)
+    with np.errstate(invalid="ignore"):
+        cost, _ = lobexec.costs.premium_steps(p, shape, (x.ravel(), t.ravel()), walked[rows],
+                                              tuple(v[rows] for v in state))
+    cost = np.where(np.isfinite(cost), cost, np.inf).reshape(tiles, 16)
+    bound = lobexec.oracle._tile_bounds(p, shape, walked, state, np.nanmin(x_in, axis=1, initial=np.inf),
+                                        np.nanmax(x_in, axis=1, initial=-np.inf),
+                                        np.nanmin(t, axis=1, initial=np.inf), np.nanmax(t, axis=1, initial=-np.inf))
+    least = cost.min(axis=1)
+    finite = np.isfinite(least)
+    assert finite.sum() >= 20
+    assert not np.any(bound[finite] > least[finite] + 1e-12 * np.abs(least[finite]))
 
 
 def test_grid_search_keeps_the_first_of_tied_points():
@@ -466,14 +514,18 @@ def test_the_volume_recovery_lattice_forms_no_offset_array(shape, monkeypatch):
     assert got.best_cost.hex() == want.best_cost.hex()
 
 
-def _count_walks(monkeypatch):
+def _count_walks(monkeypatch, points=None):
     """The lattice's premium_steps calls, in order: the number of prefixes
-    of each prefix walk (its columns end with None), "points" for a block."""
+    of each prefix walk (its columns end with None), "points" for a block;
+    where a list points is given, each block's number of points goes
+    into it."""
     walks = []
     counted = lobexec.oracle.premium_steps
 
     def count(params, shape, columns, *rest):
         walks.append(len(columns[0]) if columns[-1] is None else "points")
+        if points is not None and columns[-1] is not None:
+            points.append(len(columns[0]))
         return counted(params, shape, columns, *rest)
 
     monkeypatch.setattr(lobexec.oracle, "premium_steps", count)
@@ -497,15 +549,22 @@ def test_grid_search_at_n_3_walks_its_prefixes_in_chunks(monkeypatch):
 
 
 def test_grid_search_walks_the_prefixes_once_per_search(monkeypatch):
-    # at N = 2 the 301 prefixes are walked by one call, before the six
-    # blocks of 54 rows that score their points
-    walks = _count_walks(monkeypatch)
-    for shape in (BlockShape(Q), PowerLawShape(Q, 0.5)):
-        for mode in (Resilience.VOLUME, Resilience.SPREAD):
+    # at N = 2 the 301 prefixes are walked by one call. The tiles whose
+    # lower bound lies above the cut are never scored, which leaves at
+    # most 15 % of the 301^2 points on the certify books (544 to 6400 of
+    # them), the same count each time
+    points = []
+    walks = _count_walks(monkeypatch, points)
+    for label, model in sorted(CERTIFY_LATTICE_COSTS):
+        p = MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0, mode=Resilience(model))
+        counts = []
+        for _ in range(2):
             walks.clear()
-            grid_search(MarketParams(x0=X0, horizon=1.0, steps=2, rho=20.0, mode=mode),
-                        shape, X0 / 200)
-            assert walks == [301] + ["points"] * 6
+            points.clear()
+            grid_search(p, _certify_book(label), X0 / 200)
+            assert walks[0] == 301 and walks.count("points") == len(walks) - 1
+            counts.append(sum(points))
+        assert counts[0] == counts[1] <= 0.15 * 301 ** 2, (label, model, counts)
 
 
 @pytest.mark.parametrize("x0", [1e-150, 1e-158, 1e-170, 0.0], ids=repr)

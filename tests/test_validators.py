@@ -262,6 +262,16 @@ def _h2_failure_point_by_point(branch, a, grid):
     return None
 
 
+def _h2_failure_reference(branch, a, grid):
+    """The point-by-point loop, with a witness that is not finite read as
+    the offset's overflow: "offset_not_finite" at the first volume of the
+    grid whose offset is not finite, where the loop stopped."""
+    failure = _h2_failure_point_by_point(branch, a, grid)
+    if failure is not None and not math.isfinite(failure[1]):
+        return "offset_not_finite", next(v for v in grid if not math.isfinite(branch.offset(v)))
+    return failure
+
+
 def _report_key(rep):
     witness = None if rep.witness is None else rep.witness.hex()
     return rep.ok, rep.reason, witness, rep.scan_lo.hex(), rep.scan_hi.hex(), rep.detail
@@ -285,14 +295,14 @@ def test_validate_model2_gives_the_point_by_point_reports(shape):
     for a in REFERENCE_DECAYS:
         for x0 in REFERENCE_SIZES:
             got = _report_key(validate_model2(shape, a, x0))
-            want = _report_key(shapes._scan(shape, a, x0, _h2_failure_point_by_point, in_offsets=True))
+            want = _report_key(shapes._scan(shape, a, x0, _h2_failure_reference, in_offsets=True))
             assert got == want, (a, x0)
 
 
 def test_the_reference_battery_meets_every_verdict():
     verdicts = {validate_model2(shape, a, x0).reason for shape in REFERENCE_BOOKS
                 for a in REFERENCE_DECAYS for x0 in REFERENCE_SIZES}
-    assert verdicts == {None, "h2_not_injective", "explosion_violated"}
+    assert verdicts == {None, "h2_not_injective", "explosion_violated", "offset_not_finite"}
     # the known false refusal (power alpha = 1 at N = 100, rho = 20) stays
     rep = validate_model2(PowerLawShape(Q, 1.0), math.exp(-0.2), 1e5)
     assert (rep.ok, rep.reason) == (False, "h2_not_injective")
