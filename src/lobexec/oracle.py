@@ -363,16 +363,16 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
     # the box (formed as the blocks form it): its cost bounds the lattice
     # minimum from above, so it seeds the cut
     h = float(pts[min(max(round((x0 / (params.steps + 1) - lo) / resolution), 0), size - 1)])
-    seed = [h] * params.steps
-    tail = x0 - ((params.steps - 1) * h + h)
-    f = _safe_cost(params, shape, seed + [x0 - math.fsum(seed)]) if lo - slack <= tail <= hi + slack else math.inf
+    seed, tail = [h] * params.steps, x0 - ((params.steps - 1) * h + h)
+    f = math.inf
+    if lo - slack <= tail <= hi + slack:
+        f = _safe_cost(params, shape, seed + [x0 - math.fsum(seed)])
     cut = f + _RESCORE_BAND * abs(f)
     # the tiles of a row: runs of _TILE lattice values of the last free
     # trade, the last run padded with NaN, whose tails fall outside the box
-    starts = np.arange(0, size, _TILE)
-    x_lo, x_hi = pts[starts], pts[np.minimum(starts + _TILE, size) - 1]
-    last = np.append(pts, np.full(-size % _TILE, np.nan))
-    per_row = len(starts)
+    tiled = np.append(pts, np.full(-size % _TILE, np.nan)).reshape(-1, _TILE)
+    per_row = len(tiled)
+    x_lo, x_hi = tiled[:, 0], np.nanmax(tiled, axis=1)
     # tiles bounded at a time (the bound walks both ends of each) and
     # tiles scored at a time, so that no array exceeds _SLAB_POINTS
     span, group = max(1, _SLAB_POINTS // 2), max(1, _SLAB_POINTS // _TILE)
@@ -402,13 +402,12 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
             while (live := live[~(bound[live] > cut)]).size:
                 take, live = live[:group], live[group:]
                 # the points of the tiles taken, in lattice order
-                rows = np.repeat(row[take], _TILE)
-                cols = (starts[col[take], None] + np.arange(_TILE)).ravel()
+                block = tiled[col[take]]
                 # exact for N <= 2; at N = 3 within an ulp of fsum, far inside the slack
-                tails = x0 - (psum[rows] + last[cols])
+                tails = (x0 - (psum[row[take], None] + block)).ravel()
                 keep = np.flatnonzero((tails >= lo - slack) & (tails <= hi + slack))
-                rows, cols = rows[keep], cols[keep]
-                cost, _ = premium_steps(params, shape, (last[cols], tails[keep]),
+                rows, last = row[take][keep // _TILE], block.ravel()[keep]
+                cost, _ = premium_steps(params, shape, (last, tails[keep]),
                                         walked[rows], tuple(v[rows] for v in state))
                 cost[~np.isfinite(cost)] = np.inf
                 # a point more than the band above this can be neither the
@@ -417,7 +416,7 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
                 if least == math.inf:
                     continue
                 for i in np.flatnonzero(cost <= least + _RESCORE_BAND * abs(least)):
-                    head = [*heads[:, rows[i]], last[cols[i]]]
+                    head = [*heads[:, rows[i]], last[i]]
                     x = head + [x0 - math.fsum(head)]
                     f = _safe_cost(params, shape, x)
                     if f < best_f:

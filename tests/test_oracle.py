@@ -428,14 +428,13 @@ def test_a_tile_bound_is_at_most_the_cost_of_its_points(shape, x0, mode, steps, 
     t[(t < -0.25 * x0) | (t > 1.25 * x0)] = np.nan
     x_in = np.where(np.isnan(t), np.nan, x)
     rows = np.repeat(np.arange(tiles), 16)
-    with np.errstate(invalid="ignore"):
-        cost, _ = lobexec.costs.premium_steps(p, shape, (x.ravel(), t.ravel()), walked[rows],
-                                              tuple(v[rows] for v in state))
-    cost = np.where(np.isfinite(cost), cost, np.inf).reshape(tiles, 16)
-    bound = lobexec.oracle._tile_bounds(p, shape, walked, state, np.nanmin(x_in, axis=1, initial=np.inf),
-                                        np.nanmax(x_in, axis=1, initial=-np.inf),
-                                        np.nanmin(t, axis=1, initial=np.inf), np.nanmax(t, axis=1, initial=-np.inf))
-    least = cost.min(axis=1)
+    cost, _ = lobexec.costs.premium_steps(p, shape, (x.ravel(), t.ravel()), walked[rows],
+                                          tuple(v[rows] for v in state))
+    least = np.where(np.isfinite(cost), cost, np.inf).reshape(tiles, 16).min(axis=1)
+    # x_lo, x_hi, t_lo and t_hi of each tile's points
+    ends = [least_or_most(v, axis=1, initial=start) for v in (x_in, t)
+            for least_or_most, start in ((np.nanmin, np.inf), (np.nanmax, -np.inf))]
+    bound = lobexec.oracle._tile_bounds(p, shape, walked, state, *ends)
     finite = np.isfinite(least)
     assert finite.sum() >= 20
     assert not np.any(bound[finite] > least[finite] + 1e-12 * np.abs(least[finite]))
