@@ -72,14 +72,15 @@ _RESCORE_BAND = 1e-9
 # walk, and tiles per block of bounds (half as many, as the bound walks
 # both ends of each): each array stays near 128 kB, so the search's
 # memory does not grow with the lattice (a whole 301^2 plane at once
-# peaked at 8-11 MB). Scoring every point, a search at N = 2 on the
-# certify books took 280-720 minor page faults, as glibc gave the heap
-# back after each block and grew it again for the next; with the tiles
-# that the bound rules out skipped, its arrays are small enough to stay
-# on the heap, and a search takes none
+# peaked at 8-11 MB). glibc gives the heap back after a block and grows
+# it again for the next: scoring every point, a search at N = 2 on the
+# certify books took 280-720 minor page faults; with the tiles that the
+# bound rules out skipped it takes 150-330 (0-80 in some runs: the count
+# follows the allocator's history)
 _SLAB_POINTS = 1 << 14
 # lattice values of the last free trade per tile, the unit the lattice's
-# lower bound rules out; 8, 32 and 64 ran as fast within a factor of 1.5
+# lower bound rules out: on the certify books 32 ran about as fast, and 8
+# and 64 up to twice as slow
 _TILE = 16
 
 
@@ -319,15 +320,14 @@ def grid_search(params: MarketParams, shape: Shape, resolution: float) -> Oracle
     A tile is one prefix and a run of _TILE consecutive lattice values of
     the last free trade. Its lower bound (see _tile_bounds) is the
     prefix's walked cost plus interval bounds on the last two nodes; a
-    chunk's tiles are bounded in lattice order, 2^13 at a time. The cut
-    starts at the scalar impact_cost of the lattice point nearest the
-    uniform split x0/(N + 1), a point of the lattice, so it bounds the
-    lattice minimum from above (where that cost is not finite nothing is
-    pruned until a finite point has been rescored), and it falls to each
-    better point rescored. Cut and band are both best + 1e-9 |best|. A
-    tile whose bound lies above the cut is never scored: each of its
-    points costs more than the lattice minimum by far more than
-    rounding, so none of them can be the answer.
+    chunk's tiles are bounded in lattice order, 2^13 at a time. A tile is
+    never scored where its bound lies above the cut, best + 1e-9 |best|:
+    each of its points then costs more than the lattice minimum by far
+    more than rounding. best starts at the scalar impact_cost of the
+    lattice point nearest the uniform split x0/(N + 1), which, being a
+    point of the lattice, bounds its minimum from above (where that cost
+    is not finite nothing is pruned until a finite point has been
+    rescored), and falls to each better point rescored.
 
     The tiles that remain are scored in lattice order, in blocks of at
     most 2^14 points: each point goes on from its prefix's state by its
