@@ -237,19 +237,16 @@ def cmd_sweep(args) -> int:
                 params = make_params({**cfg, "model": model})
                 try:
                     sched = solver.solve(params, shape)
-                except PreconditionFailed as exc:
-                    print(f"alpha={alpha} model={model}: precondition failed: {exc}", file=sys.stderr)
-                    writer.writerow([alpha, model, "", "", "", "", "precondition"])
-                    continue
-                except (NoRootInBracket, OutOfDomain) as exc:
-                    print(f"alpha={alpha} model={model}: numeric failure: {exc}", file=sys.stderr)
-                    writer.writerow([alpha, model, "", "", "", "", "numeric"])
-                    continue
-                cost = costs.impact_cost(params, shape, sched.strategy)
-                if not math.isfinite(cost):
-                    print(f"alpha={alpha} model={model}: numeric failure: the cost is {cost}",
-                          file=sys.stderr)
-                    writer.writerow([alpha, model, "", "", "", "", "numeric"])
+                    # a cost that is not finite, or whose fsum overflows
+                    # (OverflowError), is a numerical failure, as in _cost_report
+                    cost = costs.impact_cost(params, shape, sched.strategy)
+                    if not math.isfinite(cost):
+                        raise OverflowError(f"the cost is {cost}")
+                except (PreconditionFailed, NoRootInBracket, OutOfDomain, OverflowError) as exc:
+                    refused = isinstance(exc, PreconditionFailed)
+                    what = "precondition failed" if refused else "numeric failure"
+                    print(f"alpha={alpha} model={model}: {what}: {exc}", file=sys.stderr)
+                    writer.writerow([alpha, model, "", "", "", "", "precondition" if refused else "numeric"])
                     continue
                 solved[alpha, model] = sched.trades
                 values = (sched.xi0, sched.trades[1], sched.trades[-1], cost)

@@ -24,24 +24,15 @@ argument to its branch, with volumes negated on the bid side, so they
 work for signed arguments throughout. A mirrored book's bid branch is
 its ask branch: its density is even and its volume odd in the offset.
 The built-in families carry closed forms and are mirrored. The flat
-block book is the power law at alpha = 0, not a family of its own.
+block book is the power law at alpha = 0, not a family of its own, and
+the power law's maps are compositions of one Box-Cox transform (see
+PowerLawShape).
 
-The power law's maps are compositions of one transform, the Box-Cox
-bc(t, c) = ((1 + t)^c - 1)/c, with bc(t, 0) = log1p(t): the volume is
-q bc(t, 1 - alpha), the offset its inverse, and the premium
-q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover near the quote,
-below which it is a Taylor series. Private primitives carry each form of
-bc, and c = 1 is t itself, so the flat book's maps stay exact. Its
-premium stays q t^2/2, because bc(t, 2) - bc(t, 1) subtracts t from
-t + t^2/2 and cancels.
-
-premium_by_volume and its array form premium_by_volume_array are signed
-maps of their own, over a branch primitive whose default is the
-composition premium(offset(v)). The closed forms skip the offset: on the
-power law (1 + t)^c = 1 + c v/q at t = F^{-1}(v) (the Box-Cox identity),
-so the premium is one power of the volume, and on sqrt the integral of
-the offset, a polynomial in v. The batched walk under volume recovery
-prices every node through it (see costs.premium_steps).
+The scalar premium_by_volume is the composition itself. Its array form,
+premium_by_volume_array, has one closed form per family, which skips the
+offset: on the power law one power of the volume, on sqrt a polynomial
+in it (see each class). The batched walk under volume recovery prices
+every node through it (see costs.premium_steps).
 
 The piecewise-linear books are one private ramp: a one-sided
 piecewise-linear density on knots from the quote outward, whose volume
@@ -104,6 +95,14 @@ def _quiet(array_map):
     return wrapper
 
 
+def _inf_at_inf(t, p):
+    """p, with inf where t is inf, where a map's formula forms inf/inf or
+    inf - inf; one reduction finds any inf t, so finite t pay no more."""
+    if np.fmax.reduce(t, axis=None, initial=0.0) == np.inf:
+        p[t == np.inf] = np.inf
+    return p
+
+
 def _sides(x, ask_map, bid_map):
     """An array map with each element on its own branch: ask_map at x
     where x >= 0 (and at NaN), bid_map at -x elsewhere. On a mirrored
@@ -124,9 +123,8 @@ def _sides(x, ask_map, bid_map):
     return out
 
 
-# The power law's maps are compositions of the Box-Cox transform
-#   bc(t, c) = ((1 + t)^c - 1)/c,   bc(t, 0) = log1p(t),
-# and its inverse; these primitives carry every regime split. Where
+# The primitives of the power law's Box-Cox transform bc (see
+# PowerLawShape) and its inverse carry every regime split. Where
 # c log1p(t) is small the power is near 1, so (1 + t)^c - 1 cancels,
 # and the 1/c in front magnifies the loss as c nears 0 (1.4e-12
 # relative in the premium at alpha = 0.99). There bc is
@@ -329,11 +327,6 @@ class Shape:
     def _relative_curvature(self, t: float) -> float:
         raise NotImplementedError
 
-    def _premium_by_volume(self, v: float) -> float:
-        """The premium at the offset where the volume v is eaten: the
-        composition, unless the family has a closed form in v."""
-        return self._premium(self._offset(v))
-
     # the same maps on float arrays, elementwise, with numpy ufuncs: NaN
     # where the scalar map raises OutOfDomain, inf where it overflows
 
@@ -350,6 +343,7 @@ class Shape:
         raise NotImplementedError
 
     def _premium_by_volume_array(self, v: np.ndarray) -> np.ndarray:
+        """premium(offset(v)): the composition, or a family's closed form."""
         return self._premium_array(self._offset_array(v))
 
     # signed API: each argument on its own branch ----------------------
@@ -375,8 +369,9 @@ class Shape:
 
     def premium_by_volume(self, y: float) -> float:
         """premium(offset(y)), the premium as a function of the volume
-        eaten; even in y on a mirrored book."""
-        return self._bid._premium_by_volume(-y) if y < 0.0 else self._premium_by_volume(y)
+        eaten; even in y on a mirrored book. Past a finite depth it
+        raises OutOfDomain, as the offset does."""
+        return self.premium(self.offset(y))
 
     def relative_curvature(self, x: float) -> float:
         """(f(x) + x f'(x)) / f(x), the premium's second derivative over
@@ -436,17 +431,17 @@ class PowerLawShape(Shape):
     guarantees hold at every alpha (see validate_model1); under spread
     recovery they need alpha <= 1.
 
-    Each map is a composition of the Box-Cox transform bc (see _bc):
-    the volume is q bc(t, 1 - alpha), the offset its inverse, and the
-    premium q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover and
-    its Taylor series below it. The flat book (alpha = 0) keeps its
-    premium q t^2/2, where bc(t, 2) - bc(t, 1) = (t + t^2/2) - t cancels.
+    Each map is a composition of the Box-Cox transform
+    bc(t, c) = ((1 + t)^c - 1)/c, bc(t, 0) = log1p(t) (see _bc): the
+    volume is q bc(t, 1 - alpha), the offset its inverse, and the premium
+    q (bc(t, 2 - alpha) - bc(t, 1 - alpha)) past a crossover and its
+    Taylor series below it. bc(t, 1) is t itself, so the flat book
+    (alpha = 0) stays exact, and it keeps its premium q t^2/2, where
+    bc(t, 2) - bc(t, 1) = (t + t^2/2) - t cancels.
 
-    With c = 1 - alpha and z = v/q, the offset t of a volume v has
-    (1 + t)^c = 1 + c z, so bc(t, 2 - alpha) = bc(c z, (1 + c)/c)/c and
-    premium_by_volume is q (bc(c z, (1 + c)/c)/c - z): one power of the
-    volume, q (expm1(z) - z) at alpha = 1 and q (log1p(v/(q - v)) - z)
-    at alpha = 2. Below the volume at the crossover it is the composition.
+    premium_by_volume_array is one power of the volume past the volume at
+    the crossover, and the composition below it, as the scalar
+    premium_by_volume is everywhere (see _premium_by_volume_array).
     """
 
     q: float
@@ -487,10 +482,9 @@ class PowerLawShape(Shape):
         object.__setattr__(self, "_expm1_below", below)
         if self.alpha > 1.0:  # the volume saturates
             object.__setattr__(self, "_depth", self.q / (self.alpha - 1.0))
-        # premium_by_volume: the volume at the crossover, below which it is
-        # the composition, and past it, for c = 1 - alpha not 1, 0 or -1,
-        # the exponent k = (1 + c)/c of bc(c v/q, k) and the band of c v/q
-        # where that takes its expm1 form (see _premium_by_volume)
+        # _premium_by_volume_array: the volume at the crossover, below which
+        # it is the composition, and past it, for c = 1 - alpha not 1, 0 or
+        # -1, the exponent k = (1 + c)/c of bc(c v/q, k) and its expm1 band
         c = 1.0 - self.alpha
         k = lo = hi = None
         if c not in (1.0, 0.0, -1.0):
@@ -538,49 +532,6 @@ class PowerLawShape(Shape):
         # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
-    def _premium_by_volume(self, v):
-        # with c = 1 - alpha and w = c v/q, (1 + t)^c = 1 + w at t = F^{-1}(v),
-        # so bc(t, 1 + c) = bc(w, k)/c with k = (1 + c)/c, and the premium
-        # is q (bc(w, k)/c - v/q): one power of the volume, or one log1p and
-        # one expm1, and no offset. The power where |log1p(w)| and
-        # |k log1p(w)| both reach 0.5, the expm1 form elsewhere: the power
-        # rounds its base, which k magnifies (near alpha = 1), and where
-        # k log1p(w) is small it cancels in its - 1 (near alpha = 2). Below
-        # the crossover the two terms cancel, and it is the composition;
-        # past the depth it raises as the offset does, inf where it overflows
-        a, q = self.alpha, self.q
-        if a == 0.0:  # the flat book's composition, q t^2/2 at t = v/q
-            t = v / q
-            return 0.5 * q * t * t
-        vcross, k, lo, hi = self._by_volume
-        if v < vcross:
-            return self._premium(self._offset(v))
-        z = v / q
-        try:
-            if a == 1.0:  # inf where the offset is, past exp(700), and at NaN
-                p = math.expm1(z) - z if z <= _EXP_CAP else math.inf
-            elif a == 2.0:  # log1p(t) - t/(1 + t) at t = v/(q - v), as the offset forms it
-                if not v < q:
-                    raise OutOfDomain(f"volume {v} exceeds the book's total depth {q}")
-                p = math.log1p(v / (q - v)) - z
-            else:
-                c = 1.0 - a
-                w = c * v / q  # as _bc_inv forms it
-                if c > 1.0 and math.isinf(w):
-                    w = c * z
-                if w <= -1.0:
-                    raise OutOfDomain(f"volume {v} exceeds the book's total depth {-q / c}")
-                if lo < w < hi:
-                    b = math.expm1(k * math.log1p(w))
-                else:
-                    b = (1.0 + w) ** k - 1.0
-                p = b / (2.0 - a) - z  # k c = 2 - alpha
-        except OverflowError:
-            return math.inf
-        if p != p and v == v:  # inf - inf, where v/q is inf
-            return math.inf
-        return q * p
-
     # the closed form already maps arrays, where numpy's ** gives inf
     _density_array = _density
 
@@ -614,15 +565,12 @@ class PowerLawShape(Shape):
         tb, tc = self._expm1_below
         p = _bc_array(t, 2.0 - a, tb)
         pc = _bc_array(t, c, tc)
+        p -= pc
         # where c >= 0 both terms reach inf at t = inf, and where c > 1
         # they overflow at finite offsets too; the scalar map returns inf
-        # there, where inf - inf would be NaN here
-        over = None
-        if c >= 0.0 and np.fmax.reduce(pc) == np.inf:
-            over = pc == np.inf
-        p -= pc
-        if over is not None:
-            p[over] = np.inf
+        # there, where inf - inf is NaN here
+        if c >= 0.0:
+            _inf_at_inf(pc, p)
         p *= q
         if near.size:
             p.put(near, self._series_array(t.take(near)))
@@ -647,27 +595,31 @@ class PowerLawShape(Shape):
         return s
 
     def _premium_by_volume_array(self, v):
-        # _premium_by_volume's forms, each float in its order. A call whose
-        # volumes are all below the crossover (decayed pre-trade volumes)
-        # is the composition alone; any other runs the closed form on every
-        # volume and puts the composition over its few near ones
+        # with c = 1 - alpha and w = c v/q, (1 + t)^c = 1 + w at t = F^{-1}(v),
+        # so bc(t, 1 + c) = bc(w, k)/c with k = (1 + c)/c, and the premium
+        # is q (bc(w, k)/c - v/q): one power of the volume, or one log1p and
+        # one expm1, and no offset. The power where |log1p(w)| and
+        # |k log1p(w)| both reach 0.5, the expm1 form elsewhere: the power
+        # rounds its base, which k magnifies (near alpha = 1), and where
+        # k log1p(w) is small it cancels in its - 1 (near alpha = 2). NaN
+        # past the depth, as the offset, and inf where it overflows. Below
+        # the crossover the two terms cancel, and it is the composition: a
+        # call of decayed pre-trade volumes, all below it, is the
+        # composition alone; any other puts it over its few near volumes
         a, q = self.alpha, self.q
-        if a == 0.0:
-            t = v / q
-            p = (0.5 * q) * t
-            p *= t
-            return p
+        if a == 0.0:  # the flat book's composition, at its offset t = v/q
+            return self._premium_array(v / q)
         vcross, k, lo, hi = self._by_volume
         near = np.flatnonzero(v < vcross)
         if near.size == v.size:
             return self._premium_array(self._offset_array(v))
         z = v / q
-        if a == 1.0:
+        if a == 1.0:  # inf where the offset is, past exp(700), and at NaN
             far = ~(z <= _EXP_CAP)
             p = np.expm1(z)
             p -= z
             p[far] = np.inf
-        elif a == 2.0:
+        elif a == 2.0:  # log1p(t) - t/(1 + t) at t = v/(q - v), as the offset forms it
             p = q - v
             np.divide(v, p, out=p)
             np.log1p(p, out=p)
@@ -675,7 +627,7 @@ class PowerLawShape(Shape):
             p[~(v < q)] = np.nan
         else:
             c = 1.0 - a
-            p = c * v
+            p = c * v  # w, as _bc_inv_array forms it
             p /= q
             if c > 1.0:
                 over = np.flatnonzero(np.isinf(p))
@@ -700,8 +652,8 @@ class PowerLawShape(Shape):
             p /= 2.0 - a
             p -= z
             # inf - inf where v/q is inf (c > 0; where c < 0 it is past the depth)
-            if c > 0.0 and np.fmax.reduce(z) == np.inf:
-                p[z == np.inf] = np.inf
+            if c > 0.0:
+                _inf_at_inf(z, p)
         p *= q
         if near.size:
             p.put(near, self._premium_array(self._offset_array(v.take(near))))
@@ -727,8 +679,10 @@ class SqrtShape(Shape):
     closed form (see solver.sqrt_shape_xi0). mu = 0 degenerates to Block.
 
     Its offset is a polynomial in the volume, as sqrt(1 + mu t) =
-    1 + mu v/(2q) at t = F^{-1}(v), so premium_by_volume, the offset's
-    integral, is v^2 (1 + mu v/(6q))/(2q), with no square root."""
+    1 + mu v/(2q) at t = F^{-1}(v), so premium_by_volume_array takes the
+    offset's integral, v^2 (1 + mu v/(6q))/(2q), with no square root. At
+    t = inf, where the formulas form inf/inf or 0 inf, the maps take their
+    limits."""
 
     q: float
     mu: float
@@ -741,15 +695,20 @@ class SqrtShape(Shape):
             raise InvalidParam(f"sqrt-shape curvature must be finite and >= 0, got {self.mu}")
 
     def _density(self, t):
-        return self.q / math.sqrt(1.0 + self.mu * t)
+        # the root is 1 at mu = 0, where 0 inf would make it NaN at t = inf
+        return self.q / (math.sqrt(1.0 + self.mu * t) if self.mu else 1.0)
 
     def _volume(self, t):
         # 2q/mu (sqrt(1+mu t) - 1) rationalized; exact at mu = 0 and stable
-        # for mu*t near zero
-        return 2.0 * self.q * t / (1.0 + math.sqrt(1.0 + self.mu * t))
+        # for mu*t near zero. inf/inf at t = inf, where it diverges
+        v = 2.0 * self.q * t / (1.0 + math.sqrt(1.0 + self.mu * t))
+        return math.inf if v != v and t == math.inf else v
 
     def _offset(self, v):
-        # exact inverse: F^{-1}(v) = v/q + mu v^2 / (4 q^2), any mu >= 0
+        # exact inverse: F^{-1}(v) = v/q + mu v^2 / (4 q^2), any mu >= 0;
+        # v/q alone at mu = 0, where 0 inf would be NaN at v = inf
+        if not self.mu:
+            return v / self.q
         return v / self.q + self.mu * v * v / (4.0 * self.q * self.q)
 
     def _premium(self, t):
@@ -759,44 +718,40 @@ class SqrtShape(Shape):
         r = math.sqrt(1.0 + self.mu * t)
         w = self.mu * t / (1.0 + r)
         try:
-            return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+            p = 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
         except OverflowError:  # as the power law's maps, and numpy's **
             return math.inf
+        # inf/inf at t = inf, where the integral diverges
+        return math.inf if p != p and t == math.inf else p
 
     def _relative_curvature(self, t):
         # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f
         return (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
 
-    def _premium_by_volume(self, v):
-        # the integral of F^{-1}(u) = u/q + mu u^2/(4 q^2) from 0 to v,
-        # v^2 (1 + mu v/(6q))/(2q): no square root. At mu = 0 the bracket
-        # is 1, and 1 + 0 inf would be NaN at v = inf
-        z = v / self.q
-        p = 0.5 * v * z
-        return p * (1.0 + self.mu * z / 6.0) if self.mu else p
-
     def _density_array(self, t):
-        return self.q / np.sqrt(1.0 + self.mu * t)
+        return self.q / (np.sqrt(1.0 + self.mu * t) if self.mu else np.ones(t.shape))
 
     def _volume_array(self, t):
-        return 2.0 * self.q * t / (1.0 + np.sqrt(1.0 + self.mu * t))
+        v = 2.0 * self.q * t
+        v /= 1.0 + np.sqrt(1.0 + self.mu * t)
+        return _inf_at_inf(t, v)
 
     _offset_array = _offset
 
     def _premium_array(self, t):
         r = np.sqrt(1.0 + self.mu * t)
         w = self.mu * t / (1.0 + r)
-        return 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+        return _inf_at_inf(t, 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0))
 
     def _premium_by_volume_array(self, v):
+        # the integral of F^{-1}(u) = u/q + mu u^2/(4 q^2) from 0 to v,
+        # v^2 (1 + mu v/(6q))/(2q): no square root. At mu = 0 the bracket
+        # is 1, and 1 + 0 inf would be NaN at v = inf
         z = v / self.q
         p = 0.5 * v
         p *= z
         if self.mu:
-            s = self.mu * z
-            s /= 6.0
-            s += 1.0
-            p *= s
+            p *= 1.0 + self.mu * z / 6.0
         return p
 
 

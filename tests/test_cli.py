@@ -533,6 +533,18 @@ def test_sweep_marks_a_cost_that_is_not_finite_numeric(tmp_path, capsys, x0):
     assert "alpha=0.0 model=1: numeric failure: the cost is nan" in capsys.readouterr().err
 
 
+def test_sweep_marks_a_cost_whose_fsum_overflows_numeric(tmp_path, capsys):
+    # on a book this thin the block rows' premiums are finite, but their
+    # fsum overflows: OverflowError stopped the sweep after 6 of 12 rows
+    # (exit 3); the rows read numeric and the sweep finishes
+    assert run(["sweep", "--q", "1e-300", "--out-dir", tmp_path]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 12
+    status = {tuple(row.split(",")[:2]): row.split(",")[-1] for row in rows}
+    assert status[("0.0", "1")] == status[("0.0", "2")] == "numeric"
+    assert "alpha=0.0 model=1: numeric failure: intermediate overflow in fsum" in capsys.readouterr().err
+
+
 # the log law's offset overflows inside model 2's scan at x0 = 1e200: the
 # scan read it as h2_not_injective at offset inf, a refused precondition
 # (exit 2), where model 1 on the same book says offset_not_finite (exit 3)

@@ -673,10 +673,11 @@ def assert_array_map_matches_scalar(shape, name, args):
        ys=st.lists(st.floats(min_value=-1e7, max_value=1e7), max_size=40))
 @settings(max_examples=40, deadline=None)
 def test_array_maps_match_scalar_maps(shape, xs, ys):
+    # premium_by_volume has one transcription, its array form: the scalar
+    # map is the composition, which test_premium_by_volume_* compare it to
     for name in ("density", "volume", "premium"):
         assert_array_map_matches_scalar(shape, name, SPECIAL_OFFSETS + xs)
-    for name in ("offset", "premium_by_volume"):
-        assert_array_map_matches_scalar(shape, name, SPECIAL_VOLUMES + ys)
+    assert_array_map_matches_scalar(shape, "offset", SPECIAL_VOLUMES + ys)
 
 
 def test_array_maps_out_of_domain():
@@ -794,6 +795,22 @@ def test_a_0d_argument_maps_to_a_0d_array(shape, name):
             assert got.tobytes() == one.tobytes(), (name, v, type(arg))
 
 
+@pytest.mark.parametrize("shape", ARRAY_FAMILIES + [UNEVEN_TABLE], ids=ARRAY_IDS + ["uneven"])
+@pytest.mark.parametrize("name", ARRAY_MAPS)
+def test_a_2d_argument_maps_as_its_raveled_elements(shape, name):
+    # each array map returns an array of its argument's shape, element by
+    # element: on a (2, 3) argument and on its transpose, a view that is
+    # not C-contiguous, it gives the map of the raveled argument, reshaped,
+    # bit for bit. Near the quote and far from it, on both sides, past a
+    # finite depth or the table's edge, and at inf and NaN
+    args = np.array([[0.05, 1e4, -3.0], [np.inf, -2e5, np.nan]])
+    array_map = getattr(shape, name + "_array")
+    for arg in (args, args.T):
+        got = array_map(arg)
+        want = array_map(arg.ravel()).reshape(arg.shape)
+        assert got.shape == arg.shape and got.tobytes() == want.tobytes(), arg.shape
+
+
 # ---------------------------------------------------------------------------
 # premium_by_volume in closed form, against 50 digits
 # ---------------------------------------------------------------------------
@@ -871,8 +888,10 @@ def test_premium_by_volume_is_as_accurate_as_the_composition(shape):
 def test_premium_by_volume_at_zero_nan_inf_and_past_the_depth(shape):
     # +0 at +-0; NaN or OutOfDomain where the offset gives them (at NaN,
     # and past a finite depth), inf at +-inf on a book of infinite depth;
-    # the array map NaN exactly where the scalar one raises. The power law
-    # at alpha = 1 is inf at NaN and past exp(700) q, as its offset is
+    # the array map NaN and inf exactly where the scalar one, the
+    # composition, raises or is inf, and elsewhere within the composition's
+    # tolerance. The power law at alpha = 1 is inf at NaN and past
+    # exp(700) q, as its offset is
     deep = math.isinf(shape._depth)
     args = [0.0, -0.0, math.nan, math.inf, -math.inf]
     if not deep:
@@ -886,16 +905,17 @@ def test_premium_by_volume_at_zero_nan_inf_and_past_the_depth(shape):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = shape.premium_by_volume_array(y)
-        assert got.shape == () and np.array_equal(got, want, equal_nan=True), (y, got, want)
+        assert got.shape == (), y
+        assert np.isnan(got) == math.isnan(want) and np.isinf(got) == math.isinf(want), (y, got, want)
+        # a float short of the depth: the composition may round past it
+        assert got == pytest.approx(want, rel=1e-9, nan_ok=True), (y, got, want)
         if y == 0.0:
-            assert want == 0.0 and not math.copysign(1.0, want) < 0.0
+            assert want == 0.0 == got and not (math.copysign(1.0, want) < 0.0 or np.signbit(got))
         elif math.isnan(y):
             alpha_one = getattr(shape, "alpha", None) == 1.0
             assert math.isinf(want) if alpha_one else math.isnan(want), want
         elif math.isinf(y) or abs(y) >= shape._depth:
             assert want == math.inf if deep else math.isnan(want), (y, want)
-        else:  # a float short of the depth: as the composition, which may round past it
-            assert want == pytest.approx(_composition(shape, y), rel=1e-9, nan_ok=True), y
     alpha_one = PowerLawShape(Q, 1.0)
     for v in (700.5 * Q, 709.0 * Q):
         assert alpha_one.premium_by_volume(v) == math.inf == alpha_one.premium_by_volume_array(v)
@@ -1100,13 +1120,26 @@ def test_the_power_maps_take_their_limits_at_inf():
             assert sh.premium(x) == premium == sh.premium_array([x])[0]
 
 
-@pytest.mark.parametrize("alpha", [-2.0, 0.5, 1.0])
-def test_the_power_premium_diverges_to_inf_at_inf(alpha):
+DIVERGING_BOOKS = {"-2.0": PowerLawShape(Q, -2.0), "0.5": PowerLawShape(Q, 0.5),
+                   "1.0": PowerLawShape(Q, 1.0), "sqrt0.0": SqrtShape(Q, 0.0),
+                   "sqrt1.0": SqrtShape(Q, 1.0)}
+
+
+@pytest.mark.parametrize("sh", DIVERGING_BOOKS.values(), ids=DIVERGING_BOOKS.keys())
+def test_the_power_premium_diverges_to_inf_at_inf(sh):
     # for alpha <= 1 both of the closed premium's terms reach inf at inf,
-    # where inf - inf was NaN; the integral diverges. NaN stays NaN
-    sh = PowerLawShape(Q, alpha)
+    # where inf - inf was NaN; the sqrt book's volume and premium formed
+    # inf/inf there, and at mu = 0 its offset and density 0 inf. The
+    # volume, the offset and the premium diverge, and the flat density is
+    # q. NaN stays NaN
     for x in (math.inf, -math.inf):
         assert sh.premium(x) == math.inf == sh.premium_array([x])[0]
+        assert sh.premium_by_volume(x) == math.inf == sh.premium_by_volume_array([x])[0]
+        for name in ("volume", "offset"):
+            assert getattr(sh, name)(x) == x == getattr(sh, name + "_array")([x])[0], name
+        if isinstance(sh, SqrtShape):
+            flat = Q if sh.mu == 0.0 else 0.0
+            assert sh.density(x) == flat == sh.density_array([x])[0]
     assert math.isnan(sh.premium(math.nan))
     got = sh.premium_array([math.inf, -math.inf, math.nan, 2.0])
     want = [math.inf, math.inf, math.nan, sh.premium_array([2.0])[0]]
