@@ -529,7 +529,10 @@ class PowerLawShape(Shape):
         return self.q * p
 
     def _relative_curvature(self, t):
-        # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f
+        # f + t f' = q (1 + (1-alpha) t) / (1+t)^(alpha+1), over f; at inf,
+        # where it forms inf/inf, its limit 1 - alpha
+        if t == math.inf:
+            return 1.0 - self.alpha
         return (1.0 + (1.0 - self.alpha) * t) / (t + 1.0)
 
     # the closed form already maps arrays, where numpy's ** gives inf
@@ -725,7 +728,10 @@ class SqrtShape(Shape):
         return math.inf if p != p and t == math.inf else p
 
     def _relative_curvature(self, t):
-        # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f
+        # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f; at inf,
+        # where it forms inf/inf (0 inf at mu = 0), its limit
+        if t == math.inf:
+            return 0.5 if self.mu else 1.0
         return (1.0 + 0.5 * self.mu * t) / (1.0 + self.mu * t)
 
     def _density_array(self, t):
@@ -882,6 +888,96 @@ class _Ramp(Shape):
         prem = self._pa[i] + _segment_premium(self._ta[i], self._ca[i], self._ma[i], w)
         return self._upto(t, self._end, prem)
 
+    # the validators' exact decisions on a range (see validate_model1 and
+    # validate_model2): between breaks each condition is a polynomial that
+    # is affine or keeps its slope's sign, so its values at the breaks and
+    # the range's ends decide it. Each returns (True, None) where it holds,
+    # (False, w) where it fails beyond roundoff, first at w, and
+    # (None, None) where a value that decides is within roundoff of 0
+
+    def _density_and_scale(self, t):
+        """f at offsets t inside the cover, and the scale of its roundoff,
+        f + |m| t: c + m w loses at most a few ulps of that."""
+        i, w = self._locate_array(t)
+        m = self._ma[i]
+        f = self._ca[i] + m * w
+        return f, f + np.abs(m) * t
+
+    def _squared_density_by_volume(self, y):
+        """g(y)^2 = f(F^{-1}(y))^2 at volumes y inside the cover, and its
+        roundoff scale. On a segment of density c + m w, f^2 = c^2 +
+        2 m (F - V_i): g^2 is affine in the volume, with no offset to find."""
+        i = np.searchsorted(self._va, y, side="right") - 1
+        c, m, v = self._ca[i], self._ma[i], self._va[i]
+        return c * c + 2.0 * m * (y - v), c * c + 2.0 * np.abs(m) * (y + v)
+
+    def _h1_decision(self, a, lo, top):
+        """Decide l(y) > 0 on the volumes [lo, top]. l has the sign of
+        phi(y) = g(ay)^2 - a^4 g(y)^2, which is affine between the knot
+        volumes V_k and V_k/a; the witness is the first of those, or of
+        the ends, where phi < 0. At a = 0, l = f(0) > 0."""
+        if a == 0.0:
+            return True, None
+        v = self._va[1:]
+        y = np.concatenate(([lo, top], v, v / a))
+        y = np.unique(y[(y >= lo) & (y <= top)])
+        ga, sa = self._squared_density_by_volume(a * y)
+        g, s = self._squared_density_by_volume(y)
+        a4 = a ** 4
+        phi, tol = ga - a4 * g, _ROUNDOFF * (sa + a4 * s)
+        fails = np.flatnonzero(phi < -tol)
+        if fails.size:
+            return False, float(y[fails[0]])
+        return (True, None) if np.all(phi > tol) else (None, None)
+
+    def _h2_decision(self, a, x_lo, x_hi):
+        """Decide, on the offsets [x_lo, x_hi], that D = f(x) - a f(ax) > 0
+        and that h2 = x N/D, N = f(x) - a^2 f(ax), strictly increases.
+
+        Between the breaks t_k and t_k/a, f(x) and f(ax) are affine, so D
+        and N are: D > 0 at a piece's ends keeps it positive on the piece,
+        and N - D = (1 - a) a f(ax) >= 0 then gives h2 x >= 0. h2' is
+        Q/D^2, Q = N D + x W, where W = N' D - N D' is constant on the
+        piece; Q' = 2 N' D keeps one sign where D > 0 (Q's vertex is D's
+        root), so Q's values at the piece's ends, one-sided at each break,
+        decide it. The witness is the first break or end where D < 0, or
+        the first offset where Q turns negative. At a = 0, h2 = x."""
+        if a == 0.0:
+            return True, None
+        t = self._ta[1:]
+        x = np.concatenate(([x_lo, x_hi], t, t / a))
+        x = np.unique(x[(x >= x_lo) & (x <= x_hi)])
+        f, sf = self._density_and_scale(x)
+        fa, sfa = self._density_and_scale(a * x)
+        d, n, sd = f - a * fa, f - a * a * fa, sf + a * sfa
+        # each piece's slopes of f(x) and f(ax), at its middle
+        mid = 0.5 * (x[:-1] + x[1:])
+        m, ma = self._ma[self._locate_array(mid)[0]], self._ma[self._locate_array(a * mid)[0]]
+        dd, dn = m - a * a * ma, m - a ** 3 * ma
+        w = dn * d[:-1] - n[:-1] * dd
+        q0, q1 = n[:-1] * d[:-1] + x[:-1] * w, n[1:] * d[1:] + x[1:] * w
+        sw = 2.0 * (np.abs(m) + np.abs(ma)) * sd[:-1]
+        tol0, tol1 = _ROUNDOFF * (sd[:-1] ** 2 + x[:-1] * sw), _ROUNDOFF * (sd[1:] ** 2 + x[1:] * sw)
+        tol = _ROUNDOFF * sd
+        # Q decides only a piece where D is positive at both ends
+        positive = d > tol
+        pieces = positive[:-1] & positive[1:]
+        d_fails = np.flatnonzero(d < -tol)
+        q_fails = np.flatnonzero(pieces & ((q0 < -tol0) | (q1 < -tol1)))
+        witnesses = [float(x[d_fails[0]])] if d_fails.size else []
+        if q_fails.size:
+            k = q_fails[0]
+            s = 0.0
+            if q0[k] > 0.0 and dn[k] < 0.0:
+                # Q falls through 0 inside the piece: Q = Q0 + N' s (2 D0 + D' s)
+                r = q0[k] / -dn[k]
+                s = r / (d[k] + math.sqrt(max(d[k] * d[k] + dd[k] * r, 0.0)))
+            witnesses.append(min(float(x[k] + s), float(x[k + 1])))
+        if witnesses:
+            return False, min(witnesses)
+        ok = positive.all() and (q0 > tol0).all() and (q1 > tol1).all()
+        return (True, None) if ok else (None, None)
+
 
 @dataclass(frozen=True)
 class CounterexampleShape(_Ramp):
@@ -973,6 +1069,9 @@ def load_tabulated_csv(path) -> TabulatedShape:
 _SCAN_COVERAGE = 2.0
 _SCAN_POINTS = 512
 _GROWTH_SAMPLES = 33
+# a ramp's decision takes a value within this fraction of its roundoff
+# scale for roundoff, and leaves the branch to the scan
+_ROUNDOFF = 2.0 ** -40
 
 
 def volume_recovery_gap(shape: Shape, a: float, y: float) -> float:
@@ -1036,18 +1135,33 @@ def _scan_grid(branch: Shape, x0: float):
     return grid, clamped
 
 
+def _grid_middle(lo: float, top: float) -> float:
+    """The middle volume of the grid from lo to top, _scan_grid's
+    [_SCAN_POINTS // 2], without the grid: np.geomspace forms each point
+    as 10 ** (log10(lo) + k step), with step its linspace's, and so does
+    this, with the same ufuncs."""
+    ends = np.log10(np.array([lo, top]))
+    step = (ends[1] - ends[0]) / (_SCAN_POINTS - 1)
+    return float(np.power(10.0, np.array([_SCAN_POINTS // 2 * step + ends[0]]))[0])
+
+
 def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool,
-          proven=None) -> ValidationReport:
+          decide=None) -> ValidationReport:
     """The validators' shared scan of each distinct branch of the book: the
     shape alone where it is its own bid branch, else the shape and _bid.
 
     branch_failure(branch, a, grid) checks one branch on its volume grid,
     in the branch's own coordinates (distances from the quote), and
     returns its first failure as (reason, witness) or None. Where given,
-    proven(branch, a, top) says that a branch passes by proof up to its
-    grid's last volume top; its grid is then not built. The report's scan
-    ends are each grid's last volume, or with in_offsets its offset; on
-    the bid branch they and the witness are negated.
+    decide(branch, a, lo, top) decides a branch on its whole range, lo to
+    top of _scan_range, and returns (how, failure), or None where it
+    leaves the branch to the scan. Where it passes every branch it decides
+    (failure None), those are not scanned, and their grids are not built.
+    Where it refuses one, every branch is scanned in turn, so that a
+    refusal the scan finds keeps its witness; only where the scan finds
+    none is the book refused at the first decided failure. The report's
+    scan ends are each grid's last volume, or with in_offsets its offset;
+    on the bid branch they and the witness are negated.
     """
     if not (0.0 <= a < 1.0):
         raise InvalidParam(f"decay factor must lie in [0,1), got {a}")
@@ -1061,22 +1175,33 @@ def _scan(shape: Shape, a: float, x0: float, branch_failure, in_offsets: bool,
     lo, top, _ = ranges[-1]
     scan_lo, scan_hi = (-ends[-1] if top > lo else 0.0), ends[0]
     notes = ["scan clamped to covered mass"] if any(r[2] for r in ranges) else []
-    decided = 0
-    for sign, branch, (_, top, _) in zip((1.0, -1.0), branches, ranges):
-        if proven is not None and proven(branch, a, top):
-            decided += 1
+    signs = (1.0, -1.0)
+    decisions = [decide(branch, a, lo, top) if decide is not None else None
+                 for branch, (lo, top, _) in zip(branches, ranges)]
+    refusals = [(sign, d) for sign, d in zip(signs, decisions) if d is not None and d[1] is not None]
+    for sign, branch, decision in zip(signs, branches, decisions):
+        if decision is not None and not refusals:
             continue
         failure = branch_failure(branch, a, _scan_grid(branch, x0)[0])
         if failure is not None:
-            reason, witness = failure
-            return ValidationReport(False, reason, sign * witness, scan_lo, scan_hi, "; ".join(notes))
-    if decided == len(branches):
-        notes.insert(0, "model 1 decided by the lemma, no scan")
+            if refusals:
+                notes.insert(0, f"{refusals[0][1][0]}: refused, witness from the scan")
+            return ValidationReport(False, failure[0], sign * failure[1], scan_lo, scan_hi, "; ".join(notes))
+    if refusals:
+        sign, (how, (reason, witness)) = refusals[0]
+        notes.insert(0, f"{how}: refused where the scan found no failure")
+        return ValidationReport(False, reason, sign * witness, scan_lo, scan_hi, "; ".join(notes))
+    if all(d is not None for d in decisions):
+        notes.insert(0, f"{decisions[0][0]}, no scan")
     return ValidationReport(ok=True, scan_lo=scan_lo, scan_hi=scan_hi, detail="; ".join(notes))
 
 
 def _h1_failure(branch: Shape, a: float, grid: list):
-    """The first volume of the grid where l(y) > 0 fails, with its reason."""
+    """The first volume of the grid where l(y) > 0 fails, with its reason.
+    At a = 0, l(y) = f(0) > 0 wherever f(F^{-1}(y)) is finite, so there the
+    offsets' overflow is checked on its own."""
+    if a == 0.0:
+        return next((("offset_not_finite", y) for y in grid if not math.isfinite(branch.offset(y))), None)
     for y in grid:
         if not injectivity_margin(branch, a, y) > 0.0:
             finite = math.isfinite(branch.offset(y))
@@ -1084,11 +1209,19 @@ def _h1_failure(branch: Shape, a: float, grid: list):
     return None
 
 
-def _h1_proven(branch: Shape, a: float, top: float) -> bool:
-    """Whether l(y) > 0 holds by the lemma on volumes up to top: the
-    branch meets it, and its offset at top, the largest in the range, is
-    finite."""
-    return branch._h1_lemma and math.isfinite(branch.offset(top))
+def _h1_decided(branch: Shape, a: float, lo: float, top: float):
+    """How l(y) > 0 is decided on a branch without its scan (see _scan):
+    by the lemma, which passes, or exactly on a ramp. Either needs the
+    offset at top, the largest in the range, to be finite."""
+    if not math.isfinite(branch.offset(top)):
+        return None
+    if branch._h1_lemma:
+        return "model 1 decided by the lemma", None
+    if isinstance(branch, _Ramp):
+        ok, witness = branch._h1_decision(a, lo, top)
+        if ok is not None:
+            return "model 1 decided on the ramp's breaks", None if ok else ("h1_not_injective", witness)
+    return None
 
 
 def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
@@ -1114,12 +1247,24 @@ def validate_model1(shape: Shape, a: float, x0: float) -> ValidationReport:
 
     So only the offset's finiteness is left to evaluate, and the offset
     rises with the volume: where it is finite at the range's top, it is
-    finite on the whole range, and the branch passes. Elsewhere, on the
-    ramps and where the top offset overflows, the margin is scanned on the
-    grid as before, and an overflow is refused as "offset_not_finite" at
-    the first grid volume where the margin fails.
+    finite on the whole range, and the branch passes.
+
+    A ramp (a table's side, the counterexample) is decided exactly: g^2
+    is affine in the volume between the knot volumes V_k, so
+    g(ay)^2 - a^4 g(y)^2 is affine between V_k and V_k/a, and its values
+    there and at the range's ends decide l > 0 on the whole range (see
+    _Ramp._h1_decision). A ramp it passes is not scanned. One it refuses
+    is still scanned, so that a refusal keeps the scan's witness (until
+    the scan goes, ROADMAP item 18); only where the grid misses the
+    failure is the first failing break the witness. Where a decided
+    value is within roundoff of 0, the scan decides.
+
+    Elsewhere, where the top offset overflows, the margin is scanned on
+    the grid as before, and an overflow is refused as "offset_not_finite"
+    at the first grid volume where the margin fails, or at a = 0, where
+    the margin is f(0), where the offset overflows.
     """
-    return _scan(shape, a, x0, _h1_failure, in_offsets=False, proven=_h1_proven)
+    return _scan(shape, a, x0, _h1_failure, in_offsets=False, decide=_h1_decided)
 
 
 def _least_density(branch: Shape, a: float, x: float) -> float:
@@ -1132,6 +1277,18 @@ def _not_injective(x: float, v: float):
     the scan says nothing about the shape, and the volume is the witness
     of a numeric failure, as in _h1_failure."""
     return ("h2_not_injective", x) if math.isfinite(x) else ("offset_not_finite", v)
+
+
+def _growth_failure(branch: Shape, a: float, v_mid: float, v_edge: float):
+    """The growth proxy's failure at the grid's edge, or None: x^2 min f
+    over [ax, x] rises from the grid's middle volume to its edge. It is
+    compared as a ratio, since x^2 underflows to 0 at offsets below about
+    1e-162 (and on a deep book at a tiny size x_mid itself underflows to
+    0)."""
+    x_edge, x_mid = branch.offset(v_edge), branch.offset(v_mid)
+    grows = x_mid == 0.0 or (
+        (x_edge / x_mid) ** 2 * _least_density(branch, a, x_edge) > _least_density(branch, a, x_mid))
+    return None if grows else ("explosion_violated", x_edge)
 
 
 def _h2_failure(branch: Shape, a: float, grid: list):
@@ -1152,26 +1309,51 @@ def _h2_failure(branch: Shape, a: float, grid: list):
             return _not_injective(x, v)
         prev_h2, prev_x = h2, x
     if len(grid) >= 4:
-        x_edge, x_mid = offset(grid[-1]), offset(grid[len(grid) // 2])
-        # the growth proxy x^2 min f over [ax, x] rises from the grid's
-        # middle to its edge; compared as a ratio, since x^2 underflows to
-        # 0 at offsets below about 1e-162 (and on a deep book at a tiny
-        # size x_mid itself underflows to 0)
-        grows = x_mid == 0.0 or (
-            (x_edge / x_mid) ** 2 * _least_density(branch, a, x_edge) > _least_density(branch, a, x_mid))
-        if not grows:
-            return "explosion_violated", x_edge
+        return _growth_failure(branch, a, grid[len(grid) // 2], grid[-1])
     return None
 
 
+def _h2_decided(branch: Shape, a: float, lo: float, top: float):
+    """How the h2 checks are decided on a ramp without its scan (see
+    _scan), where its offset at top is finite; then the growth proxy at
+    the grid's middle volume and edge, as the scan checks it."""
+    if not isinstance(branch, _Ramp):
+        return None
+    how = "model 2 decided on the ramp's breaks"
+    if not top > lo:  # the scan's grid is empty
+        return how, None
+    x_hi = branch.offset(top)
+    if not math.isfinite(x_hi):
+        return None
+    ok, witness = branch._h2_decision(a, branch.offset(lo), x_hi)
+    if ok is None:
+        return None
+    if not ok:
+        return how, ("h2_not_injective", witness)
+    return how, _growth_failure(branch, a, _grid_middle(lo, top), top)
+
+
 def validate_model2(shape: Shape, a: float, x0: float) -> ValidationReport:
-    """Scan for failures of the spread-recovery assumptions.
+    """Check the spread-recovery assumptions over the working range.
 
     Checks, in offset space over the working range of each distinct
     branch of the book: the one-sided gap f(x) - a f(ax) stays positive,
-    h2 has the sign of x and is strictly increasing along the grid, and
-    the growth proxy x^2 inf f over [ax,x] keeps rising toward the scan
+    h2 has the sign of x and is strictly increasing, and the growth proxy
+    x^2 inf f over [ax,x] rises from the middle of the scan's grid to its
     edge (a necessary sample of the explosion condition, not a proof of
     it).
+
+    A ramp is decided exactly: between the breaks t_k and t_k/a both
+    f(x) and f(ax) are affine, so the gap's values at the breaks and the
+    range's ends decide its sign, and h2' has the sign of a quadratic
+    that is monotone on each piece where the gap is positive, so its
+    one-sided values at the same points decide the rise (see
+    _Ramp._h2_decision). The growth proxy is then taken at the grid's
+    two volumes without the grid. As under validate_model1, a ramp it
+    passes is not scanned; one it refuses is scanned, and keeps the
+    scan's witness where the scan finds one (until ROADMAP item 18), or
+    else the first failing break or turning offset; a decided value
+    within roundoff of 0 leaves it to the scan. Every other branch is
+    checked on the grid, where h2 must rise from one point to the next.
     """
-    return _scan(shape, a, x0, _h2_failure, in_offsets=True)
+    return _scan(shape, a, x0, _h2_failure, in_offsets=True, decide=_h2_decided)
