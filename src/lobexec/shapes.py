@@ -788,7 +788,7 @@ def _breaks(lo, hi, *points):
     3.11, numpy 2.4)."""
     p = np.sort(np.concatenate(([lo, hi], *points)))
     p = p[(p >= lo) & (p <= hi)]
-    return p[np.concatenate(([True], p[1:] != p[:-1]))]
+    return p[np.diff(p, prepend=-np.inf) > 0.0]
 
 
 def _running_sums(terms):
