@@ -1276,6 +1276,21 @@ def test_power_relative_curvature_stays_finite_far_from_the_quote():
     assert sh.relative_curvature(-2.1) == sh.relative_curvature(2.1)
 
 
+@pytest.mark.parametrize("shape", [PowerLawShape(Q, alpha) for alpha in (-2.0, 0.0, 0.5, 1.0, 1.5, 3.0)]
+                         + [SqrtShape(Q, mu) for mu in (0.0, 1.0, 50.0)], ids=lambda s: repr(s))
+def test_relative_curvature_at_inf_is_its_limit(shape):
+    # (1 + (1-alpha) t)/(t + 1) and (1 + mu t/2)/(1 + mu t) form inf/inf
+    # (0 inf at alpha = 1 and mu = 0) at t = inf, where each has a limit
+    power = isinstance(shape, PowerLawShape)
+    want = 1.0 - shape.alpha if power else 0.5 if shape.mu else 1.0
+    assert shape.relative_curvature(math.inf) == want == shape.relative_curvature(-math.inf)
+    # every finite offset keeps the closed form's bits
+    for t in (0.0, 0.5, 7.0, 1e12, 1e300):
+        closed = ((1.0 + (1.0 - shape.alpha) * t) / (t + 1.0) if power
+                  else (1.0 + 0.5 * shape.mu * t) / (1.0 + shape.mu * t))
+        assert shape.relative_curvature(t).hex() == closed.hex() == shape.relative_curvature(-t).hex()
+
+
 def test_power_premium_curvature_far_from_the_quote():
     # f + x f' = q/(1+x)^2 at alpha = 1; formed as f + x f' it cancelled to
     # 0 at x = 6.4e24, and alpha = 1.5 turns concave past x = 2
