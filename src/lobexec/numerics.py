@@ -73,14 +73,17 @@ def _brent(value, xpre: float, xcur: float, fpre: float, fcur: float, xtol: floa
 def bracketed_root(fn, lo: float, hi: float) -> float:
     """Root of fn on (lo, hi), 0 < lo < hi.
 
-    Tries the full bracket first; if the endpoint signs agree, scans a
-    geometric subdivision of the interval for the first sign change and
-    solves inside it by Brent's method. Nonfinite evaluations break a
-    candidate bracket rather than aborting the scan, and an OutOfDomain
-    raised by fn counts as NaN: shapes with finite covered mass have no
-    value at some probe points. Raises NoRootInBracket if no sign change
-    exists on the grid, or if Brent's method meets a NaN or does not
-    converge inside the bracket.
+    Where the end values are finite and of opposite signs, solves on the
+    full bracket by Brent's method. Only where they agree in sign, or
+    one is not finite, does it scan a geometric subdivision of the
+    interval for the first sign change and solve inside it. The solver
+    brackets each gap where it is defined (see solver._root_window), so
+    on valid shapes the scan is not reached; the spread-recovery
+    continuous limit on a finite depth still takes it. Nonfinite
+    evaluations break a candidate bracket rather than aborting the scan,
+    and an OutOfDomain raised by fn counts as NaN. Raises
+    NoRootInBracket if no sign change exists on the grid, or if Brent's
+    method meets a NaN or does not converge inside the bracket.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")

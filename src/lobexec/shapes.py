@@ -40,13 +40,14 @@ and premium are the exact integrals of its interpolant, summed from the
 quote, so near it they stay exact relative to their size. The
 counterexample is one ramp, mirrored like the closed forms. A table is
 the ramp of its ask side, with the ramp of its bid side as its bid
-branch, so its two sides may differ.
+branch, so its two sides may differ; where they are one ramp, the table
+is mirrored too, and its validators and array maps take one branch.
 
 The module also hosts the preflight validators for the two resilience
 models. They check the injectivity of the characteristic maps and the
 growth condition that makes the schedule characterization sound, on
 every distinct branch of the book once, a mirrored book's one branch or
-a table's two, at distances from the quote. Under volume recovery a
+an asymmetric table's two, at distances from the quote. Under volume recovery a
 lemma decides the power-law (so the block) and sqrt branches, from one
 offset at the top of the working range (see validate_model1). A ramp is
 decided exactly under both models: each condition is a polynomial of
@@ -692,7 +693,9 @@ class SqrtShape(Shape):
     1 + mu v/(2q) at t = F^{-1}(v), so premium_by_volume_array takes the
     offset's integral, v^2 (1 + mu v/(6q))/(2q), with no square root. At
     t = inf, where the formulas form inf/inf or 0 inf, the maps take their
-    limits."""
+    limits. Where 2q t or mu t overflows at a finite t, the volume and
+    premium are formed again from _far, and every other value keeps its
+    bits."""
 
     q: float
     mu: float
@@ -708,11 +711,25 @@ class SqrtShape(Shape):
         # the root is 1 at mu = 0, where 0 inf would make it NaN at t = inf
         return self.q / (math.sqrt(1.0 + self.mu * t) if self.mu else 1.0)
 
+    def _far(self, t):
+        """t/(1 + r), r = sqrt(1 + mu t), at a t where 2q t or mu t
+        overflows: where mu t does, r is sqrt(mu) sqrt(t), as the 1 is far
+        below its last bit. It is about sqrt(t/mu), so finite; inf at
+        t = inf."""
+        if t == math.inf:
+            return t
+        r = math.sqrt(1.0 + self.mu * t)
+        if r == math.inf:
+            r = math.sqrt(self.mu) * math.sqrt(t)
+        return t / (1.0 + r)
+
     def _volume(self, t):
         # 2q/mu (sqrt(1+mu t) - 1) rationalized; exact at mu = 0 and stable
-        # for mu*t near zero. inf/inf at t = inf, where it diverges
-        v = 2.0 * self.q * t / (1.0 + math.sqrt(1.0 + self.mu * t))
-        return math.inf if v != v and t == math.inf else v
+        # for mu*t near zero. Where it is not finite, or the root
+        # overflowed (and v reads 0), see _far
+        r = math.sqrt(1.0 + self.mu * t)
+        v = 2.0 * self.q * t / (1.0 + r)
+        return v if math.isfinite(v) and r < math.inf else 2.0 * self.q * self._far(t)
 
     def _offset(self, v):
         # exact inverse: F^{-1}(v) = v/q + mu v^2 / (4 q^2), any mu >= 0;
@@ -731,8 +748,12 @@ class SqrtShape(Shape):
             p = 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
         except OverflowError:  # as the power law's maps, and numpy's **
             return math.inf
-        # inf/inf at t = inf, where the integral diverges
-        return math.inf if p != p and t == math.inf else p
+        if p == p or t != t:
+            return p
+        # w is inf/inf where mu t overflows, and at t = inf, where the
+        # integral diverges; w = mu (t/(1 + r))
+        s = self._far(t)
+        return math.inf if t == math.inf else 2.0 * self.q * s * s * (1.0 + self.mu * s / 3.0)
 
     def _relative_curvature(self, t):
         # f + t f' = q (1 + mu t/2) / (1 + mu t)^(3/2), over f; at inf,
@@ -744,17 +765,36 @@ class SqrtShape(Shape):
     def _density_array(self, t):
         return self.q / (np.sqrt(1.0 + self.mu * t) if self.mu else np.ones(t.shape))
 
+    def _far_array(self, t, r, p, form):
+        """p, with form(_far(t)) put where p is not finite or the root r =
+        sqrt(1 + mu t) overflowed: inf where t is inf, NaN where it is NaN.
+        A reduction over each of p and r finds any such element, so where
+        there is none the map pays no more."""
+        if np.maximum.reduce(p, axis=None, initial=0.0) < np.inf > np.maximum.reduce(
+                r, axis=None, initial=0.0):
+            return p
+        bad = np.flatnonzero(~np.isfinite(p) | (r == np.inf))
+        t, r = t.take(bad), r.take(bad)
+        over = r == np.inf
+        r[over] = np.sqrt(self.mu) * np.sqrt(t[over])
+        z = form(t / (1.0 + r))
+        z[t == np.inf] = np.inf
+        p.put(bad, z)
+        return p
+
     def _volume_array(self, t):
+        r = np.sqrt(1.0 + self.mu * t)
         v = 2.0 * self.q * t
-        v /= 1.0 + np.sqrt(1.0 + self.mu * t)
-        return _inf_at_inf(t, v)
+        v /= 1.0 + r
+        return self._far_array(t, r, v, lambda s: 2.0 * self.q * s)
 
     _offset_array = _offset
 
     def _premium_array(self, t):
         r = np.sqrt(1.0 + self.mu * t)
         w = self.mu * t / (1.0 + r)
-        return _inf_at_inf(t, 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0))
+        p = 2.0 * self.q * (t / (1.0 + r)) ** 2 * (1.0 + w / 3.0)
+        return self._far_array(t, r, p, lambda s: 2.0 * self.q * s * s * (1.0 + self.mu * s / 3.0))
 
     def _premium_by_volume_array(self, v):
         # the integral of F^{-1}(u) = u/q + mu u^2/(4 q^2) from 0 to v,
@@ -872,10 +912,11 @@ class _Ramp(Shape):
         return self._p[i] + _segment_premium(self._t[i], self._c[i], self._m[i], w)
 
     def _relative_curvature(self, t):
-        # f + t f' = c + m w + t m on the segment, over f = c + m w
+        # f + t f' = c + m w + t m on the segment, over f = c + m w; 1 on a
+        # flat segment, also on a flat tail at t = inf, where m (t + w) is 0 inf
         i, w = self._locate(t)
         c, m = self._c[i], self._m[i]
-        return (c + m * (t + w)) / (c + m * w)
+        return (c + m * (t + w)) / (c + m * w) if m else 1.0
 
     def _locate_array(self, t):
         i = np.searchsorted(self._ta, t, side="right") - 1
@@ -1025,7 +1066,8 @@ class TabulatedShape(_Ramp):
     its hull, and carry positive densities. Each side of the quote is a
     ramp measured outward from it, with the quote as a knot (at its
     interpolated density if the table has no knot there): the table is
-    the ramp of its ask side, with the bid side's ramp as its bid branch.
+    the ramp of its ask side, with the bid side's ramp as its bid branch,
+    or mirrored, its own bid branch, where the two ramps are equal.
     Volume and premium are the exact integrals of the interpolant, so a
     constant table reproduces BlockShape to roundoff. Evaluation outside
     the covered offsets (or volume beyond the covered mass) raises
@@ -1049,9 +1091,12 @@ class TabulatedShape(_Ramp):
         if not (x[0] <= 0.0 <= x[-1]):
             raise InvalidParam("tabulated offsets must straddle 0")
         f0 = [float(np.interp(0.0, x, f))]
-        self._build([0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist())
-        self._bid = _Ramp([0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist())
-        self._bid.name = self.name  # a call on either side is a call on the table
+        ask = [0.0, *x[x > 0.0]], f0 + f[x > 0.0].tolist()
+        bid = [0.0, *-x[x < 0.0][::-1]], f0 + f[x < 0.0][::-1].tolist()
+        self._build(*ask)
+        if bid != ask:  # else mirrored: the bid branch is the table itself
+            self._bid = _Ramp(*bid)
+            self._bid.name = self.name  # a call on either side is a call on the table
 
 
 def load_tabulated_csv(path) -> TabulatedShape:

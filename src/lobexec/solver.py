@@ -20,9 +20,15 @@ can cost real money (the counterexample shape demonstrates it). solve
 is one driver for both: the mode's validator, the root of its gap, and
 the schedule built from that root.
 
-The scalar equations are solved by Brent's method on (eps, X0 - eps)
-with a geometric subdivision fallback; both endpoints have provably
-opposite signs for valid shapes.
+Each scalar equation is solved by Brent's method on the part of
+(eps, X0 - eps), eps = 1e-12 X0, where its gap is defined: where y and
+the rest X0 - N m(y) lie inside the book's volume bounds (-F_bid, F_ask),
+m(y) the intermediate trade. On a book of infinite depth that is the
+whole interval; on a finite depth it is the window between the two
+volumes where the rest reaches a bound, and where it is empty the book
+is refused as too shallow for X0. The gap's ends have opposite signs on
+valid shapes, so the geometric subdivision fallback of bracketed_root is
+not reached there.
 
 The block book admits closed forms for everything, including the
 continuous-trading limit, and the square-root family admits a closed
@@ -94,6 +100,61 @@ def _root_bracket(x0: float) -> tuple[float, float]:
     return eps, x0 - eps
 
 
+# a finite depth is pulled this far inside, relative, as the validators'
+# scan range pulls it (see shapes._scan_range)
+_INSIDE = 1.0 - 1e-12
+# bracketed_root stops within its xtol, 1e-13 of the bracket's top, of the
+# root, on either side: an end it finds is moved inside by twice that
+_END_TOL = 2e-13
+
+
+def _root_window(shape: Shape, x0: float, lo: float, hi: float, scale: float,
+                 trade=None) -> tuple[float, float]:
+    """The part of the root bracket (lo, hi) where the gap is defined.
+
+    The gap at y takes the offsets of y and of the rest
+    x0 - scale trade(y), so both must lie inside the book's volume bounds
+    (-F_bid, F_ask), each pulled 1e-12 relative inside. trade(y) is the
+    intermediate trade, increasing in y where the validator passed; None
+    is y itself (under volume recovery, with scale N (1 - a)). On a book
+    of infinite depth that holds everywhere, and (lo, hi) comes back as
+    it is. Otherwise y < F_ask, and the window's ends are where the rest
+    reaches a bound:
+
+        (x0 - F_ask)/scale < trade(y) < (x0 + F_bid)/scale,
+
+    in closed form where trade is None, else each by a root of trade,
+    moved inside by _END_TOL of the bracket's top. Where that leaves no
+    interval, x0 is past what the book holds over the schedule, its
+    capacity F_ask + scale trade(F_ask) (with hi in place of F_ask where
+    hi is lower), and the book is refused as book_too_shallow with the
+    capacity as witness.
+    """
+    bid, ask = shape.volume_bounds()
+    if bid == -math.inf and ask == math.inf:
+        return lo, hi
+    bid, ask = _INSIDE * bid, _INSIDE * ask
+    hi = min(hi, ask)
+    top = hi if trade is None else trade(hi)
+    capacity = ask + scale * top
+    low, high = (x0 - ask) / scale, (x0 - bid) / scale
+    if low < top:
+        if trade is None:
+            lo, hi = max(lo, low), min(hi, high)
+        else:
+            if low > trade(lo):
+                lo = bracketed_root(lambda y: trade(y) - low, lo, hi) + _END_TOL * hi
+            if high < top:
+                hi = bracketed_root(lambda y: trade(y) - high, lo, hi) - _END_TOL * hi
+    if not (low < top and lo < hi):
+        raise PreconditionFailed(
+            f"x0 = {x0:.6g} is past the {capacity:.6g} shares the book holds over this schedule",
+            ValidationReport(False, "book_too_shallow", capacity,
+                             detail=f"the book's volume bounds are ({bid:.6g}, {ask:.6g})"),
+        )
+    return lo, hi
+
+
 def _build_schedule(params: MarketParams, shape: Shape, xi0: float,
                     intermediate: float, residual: float,
                     report: ValidationReport | None) -> OptimalSchedule:
@@ -152,11 +213,18 @@ def solve(
             raise PreconditionFailed(what, report)
 
     if volume:
+        lo, hi = _root_window(shape, x0, lo, hi, n * (1.0 - a))
+
         def gap(y: float) -> float:
             return volume_recovery_gap(shape, a, y) - (1.0 - a) * shape.offset(
                 x0 - n * y * (1.0 - a)
             )
     else:
+        def trade(y: float) -> float:
+            return y - shape.volume(a * shape.offset(y))
+
+        lo, hi = _root_window(shape, x0, lo, hi, n, trade)
+
         def gap(y: float) -> float:
             x = shape.offset(y)
             return spread_recovery_gap(shape, a, x) - shape.offset(
@@ -164,7 +232,7 @@ def solve(
             )
 
     xi0 = bracketed_root(gap, lo, hi)
-    intermediate = xi0 * (1.0 - a) if volume else xi0 - shape.volume(a * shape.offset(xi0))
+    intermediate = xi0 * (1.0 - a) if volume else trade(xi0)
     return _build_schedule(params, shape, xi0, intermediate, abs(gap(xi0)), report)
 
 
@@ -242,6 +310,15 @@ def continuous_limit(
     Spread recovery: with x* = F^{-1}(y*) solving
     F^{-1}(X0 - rho T x f(x)) = x (1 + f(x)/(f(x) + x f'(x))),
     the rate is rho x* f(x*).
+
+    Under volume recovery the root is bracketed on its window, as in
+    solve, with scale rho T. Under spread recovery it keeps the whole
+    bracket, and on a finite depth bracketed_root's fallback scan finds
+    the part where the gap is defined: x f(x) increases only where the
+    premium is convex, which the gap checks at each point it takes, so
+    inverting it for the window's ends on a premium that is concave
+    further out (the power law at alpha > 1) could miss the root and
+    hide that refusal.
     """
     if not rho > 0.0 or not horizon > 0.0:
         raise InvalidParam("need rho > 0, horizon > 0")
@@ -250,6 +327,7 @@ def continuous_limit(
     rt = rho * horizon
 
     if mode is Resilience.VOLUME:
+        lo, hi = _root_window(shape, x0, lo, hi, rt)
 
         def gap(y: float) -> float:
             x = shape.offset(y)

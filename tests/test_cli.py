@@ -348,10 +348,18 @@ def test_a_value_that_is_not_finite_is_an_invalid_parameter(tmp_path, capsys, ar
     assert not (tmp_path / "schedule.json").exists()
 
 
-def test_numeric_failure_is_exit_3(tmp_path):
-    # alpha=3 book holds only q/2 = 2500 shares on the ask side
-    assert run(["solve", "--shape", "power", "--alpha", 3.0, "--x0", 1e5,
-                "--out-dir", tmp_path]) == 3
+def test_a_book_too_shallow_for_x0_is_exit_2(tmp_path, capsys):
+    # alpha = 3 holds q/2 = 2500 shares a side, 24117 over the schedule
+    # (N = 10, rho = 20), and alpha = 1.5 holds 1e4, 96466 over it; x0 past
+    # that was a numeric failure (exit 3) of the root's fallback scan
+    for alpha, x0, capacity in ((3.0, 1e5, "24116.6"), (1.5, 2e5, "96466.5")):
+        assert run(["solve", "--shape", "power", "--alpha", alpha, "--x0", x0,
+                    "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert f"reason: book_too_shallow, witness: {capacity}" in err
+    assert not (tmp_path / "schedule.json").exists()
+    # inside the capacity alpha = 1.5 solves
+    assert run(["solve", "--shape", "power", "--alpha", 1.5, "--x0", 5e4, "--out-dir", tmp_path]) == 0
 
 
 def test_a_sqrt_depth_whose_square_underflows_is_exit_3(tmp_path, capsys):

@@ -88,7 +88,8 @@ def test_solver_gaps_match_scipy(mode, brackets):
             continuous_limit(mode, shape, X0, 20.0, 1.0)
     p = MarketParams(x0=3.0, horizon=1.0, steps=10, rho=6.9, mode=mode)
     solve(p, CounterexampleShape(2), skip_validation=True)
-    # the table's full bracket reaches past its mass, so the scan runs
+    # the table's bracket is its window, which stops short of x0 where the
+    # rest would pass the bid side's mass
     assert any(hi - lo < 0.5 * X0 for _, lo, hi, _ in brackets if hi > 1e3)
     for value, lo, hi, xtol in brackets:
         assert port_root(value, lo, hi, xtol) == scipy_root(value, lo, hi, xtol)

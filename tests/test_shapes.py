@@ -35,7 +35,7 @@ from lobexec import (
     validate_model2,
     volume_recovery_gap,
 )
-from lobexec.shapes import Shape, _bc, _bc_array, _bc_inv, _bc_inv_array, _expm1_edge
+from lobexec.shapes import Shape, _Ramp, _bc, _bc_array, _bc_inv, _bc_inv_array, _expm1_edge
 
 Q = 5000.0
 
@@ -1321,8 +1321,15 @@ def test_no_family_overrides_a_signed_map():
         assert not set(SIGNED_MAPS) & set(vars(cls)), cls
 
 
+def _table_of_401_knots():
+    offsets = np.arange(-200.0, 201.0)
+    return TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+
+
 def test_the_bid_branch_is_the_book_itself_unless_a_table_sets_its_own():
-    for shape in (BlockShape(Q), PowerLawShape(Q, 1.5), SqrtShape(Q, 1.0), CounterexampleShape(3)):
+    # a table whose two sides are one ramp is mirrored, as the closed forms are
+    for shape in (BlockShape(Q), PowerLawShape(Q, 1.5), SqrtShape(Q, 1.0), CounterexampleShape(3),
+                  _table_of_401_knots()):
         assert shape._bid is shape
     table = TabulatedShape([-3.0, -1.0, 2.0, 5.0], [1.0, 4.0, 2.0, 7.0])
     assert table._bid is not table and table._bid._bid is table._bid
@@ -1331,6 +1338,101 @@ def test_the_bid_branch_is_the_book_itself_unless_a_table_sets_its_own():
         assert table.density(-t) == table._bid._density(t)
         assert table.volume(-t) == -table._bid._volume(t)
     assert table.volume_bounds() == (-table._bid._depth, table._depth)
+
+
+def test_a_mirrored_table_maps_as_its_two_ramp_build_bit_for_bit():
+    # the same table with its bid side built as a ramp of its own, as every
+    # table was: each scalar and array map agrees bit for bit, past the
+    # cover (OutOfDomain, NaN) and at +-0, +-inf and NaN included
+    table, two = _table_of_401_knots(), _table_of_401_knots()
+    two._bid = _Ramp(two._t + (two._end,), two._c + (two._c[-1] + two._m[-1] * (two._end - two._t[-1]),))
+    two._bid.name = two.name
+    assert table._bid is table and two._bid is not two
+    depth = table.volume_bounds()[1]
+    rng = np.random.default_rng(29)
+    special = [0.0, -0.0, 1e-300, 0.5, 1.0, 7.25, 199.0, 200.0, 200.5, math.inf, math.nan]
+    xs = [s * x for s in (1.0, -1.0) for x in special] + rng.uniform(-210.0, 210.0, 300).tolist()
+    special = [0.0, 1e-300, 1.0, 5000.0, float(np.nextafter(depth, 0.0)), depth, 2.0 * depth, math.inf]
+    vs = [s * v for s in (1.0, -1.0) for v in special] + [math.nan]
+    vs += rng.uniform(-1.1 * depth, 1.1 * depth, 300).tolist()
+
+    def value(shape, name, arg):
+        try:
+            return getattr(shape, name)(arg).hex()
+        except OutOfDomain:
+            return "OutOfDomain"
+
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("relative_curvature", xs),
+                       ("offset", vs), ("premium_by_volume", vs)):
+        assert [value(table, name, a) for a in args] == [value(two, name, a) for a in args], name
+    for name, args in (("density", xs), ("volume", xs), ("premium", xs), ("offset", vs),
+                       ("premium_by_volume", vs)):
+        got, want = getattr(table, name + "_array")(args), getattr(two, name + "_array")(args)
+        assert got.tobytes() == want.tobytes(), name
+    assert table.volume_bounds() == two.volume_bounds()
+
+
+def test_a_flat_ramp_tails_relative_curvature_at_inf_is_1():
+    # (c + m (t + w))/(c + m w) formed 0 inf on the counterexample's flat
+    # tail at t = inf, where the limit is 1, as at every finite t there
+    ce = CounterexampleShape(3)
+    assert ce.relative_curvature(math.inf) == 1.0 == ce.relative_curvature(-math.inf)
+    assert ce.relative_curvature(2.0) == 1.0 == ce.relative_curvature(0.1)
+    # on the sloped segment from 1/3, the closed form's bits
+    t, c, m = 0.5, ce._c[1], ce._m[1]
+    w = t - ce._t[1]
+    assert m < 0.0
+    want = (c + m * (t + w)) / (c + m * w)
+    assert ce.relative_curvature(t).hex() == want.hex() == ce.relative_curvature(-t).hex()
+
+
+def _sqrt_decimal(q, mu, t):
+    """The sqrt book's volume and premium at t, to 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        q, mu, t = Decimal(q), Decimal(mu), Decimal(t)
+        r = (1 + mu * t).sqrt()
+        s = t / (1 + r)
+        return 2 * q * s, 2 * q * s * s * (1 + mu * s / 3)
+
+
+@pytest.mark.parametrize("mu, t", [(1.0, 1e306), (1.0, 1e308), (5.0, 1e308), (1e-300, 1e306),
+                                   (1e300, 1e10)])
+def test_a_sqrt_volume_or_premium_that_overflows_inside_is_formed_again(mu, t):
+    # 2 q t overflowed to inf (mu = 1, t = 1e306), and mu t to inf, where
+    # the volume read NaN (or 0, as 2 q t/inf) and the premium NaN
+    sh = SqrtShape(Q, mu)
+    volume, premium = _sqrt_decimal(Q, mu, t)
+    want = [float(volume), float(premium) if premium < Decimal(sys.float_info.max) else math.inf]
+    for sign in (1.0, -1.0):
+        got = [sign * sh.volume(sign * t), sh.premium(sign * t)]
+        assert got[0] == pytest.approx(want[0], rel=1e-15) and got[0] > 0.0
+        assert got[1] == (pytest.approx(want[1], rel=1e-15) if math.isfinite(want[1]) else math.inf)
+        arrays = [sign * sh.volume_array([sign * t])[0], sh.premium_array([sign * t])[0]]
+        assert [v.hex() for v in arrays] == [v.hex() for v in got]
+
+
+def test_the_sqrt_maps_keep_their_bits_where_they_were_finite():
+    # the maps are formed again only where 2 q t or mu t overflowed
+    for mu in (0.0, 1e-300, 1.0, 5.0, 1e300):
+        sh = SqrtShape(Q, mu)
+        for t in (0.0, 1e-300, 0.5, 7.0, 1e12, 1e100, 1e300):
+            r = math.sqrt(1.0 + mu * t)
+            if r == math.inf:
+                continue
+            volume = 2.0 * Q * t / (1.0 + r)
+            try:
+                premium = 2.0 * Q * (t / (1.0 + r)) ** 2 * (1.0 + mu * t / (1.0 + r) / 3.0)
+            except OverflowError:
+                premium = math.inf
+            for got, want in ((sh.volume(t), volume), (sh.volume_array([t])[0], volume),
+                              (sh.premium(t), premium), (sh.premium_array([t])[0], premium)):
+                if math.isfinite(want):
+                    assert float(got).hex() == want.hex(), (mu, t)
+        assert np.isnan(sh.volume(math.nan)) and np.isnan(sh.premium_array([math.nan])[0])
+        assert sh.volume(math.inf) == sh.premium(math.inf) == math.inf
+        assert (sh.volume_array([math.inf]) == math.inf).all()
+        assert (sh.premium_array([math.inf]) == math.inf).all()
 
 
 def _counterexample_table(n):

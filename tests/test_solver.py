@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import lobexec.solver as solver
 from lobexec import (
     BlockShape,
     CounterexampleShape,
@@ -14,8 +15,10 @@ from lobexec import (
     PreconditionFailed,
     Resilience,
     SqrtShape,
+    TabulatedShape,
     continuous_limit,
     impact_cost,
+    minimize_cost,
     solve,
     solve_block,
     sqrt_shape_xi0,
@@ -286,3 +289,82 @@ def test_schedule_dict_keeps_its_key_order(fig3_params, block):
     assert list(d["diagnostics"]["validation"]) == [
         "ok", "reason", "witness", "scan_lo", "scan_hi", "detail"]
     assert solve_block(fig3_params, Q).to_dict()["diagnostics"]["validation"] is None
+
+
+# --- finite depth: each root is bracketed where its gap is defined -----------
+
+# PowerLawShape(Q, 1.5) holds q/(alpha - 1) = 1e4 shares a side; under
+# model 1 at N = 10 and rho = 20 the book holds at most its capacity
+# 1e4 (1 + N (1 - a)) over the schedule
+SHALLOW = PowerLawShape(Q, 1.5)
+SHALLOW_CAPACITY = 1e4 * (1.0 + 10.0 * (1.0 - math.exp(-2.0)))
+
+
+@pytest.mark.parametrize("x0", [3e4, 5e4, 9e4])
+def test_a_finite_depth_book_solves_on_its_window_and_agrees_with_the_descent(x0):
+    # the gap is finite only on a window y in (4626, 6939) at x0 = 5e4, which
+    # the 64-point fallback scan on (eps, x0) missed: NoRootInBracket
+    p = MarketParams(x0=x0, horizon=1.0, steps=10, rho=20.0)
+    trades = solve(p, SHALLOW).trades
+    descent = minimize_cost(p, SHALLOW, starts=8, seed=0).best_strategy.trades
+    assert max(abs(a - b) for a, b in zip(trades, descent)) <= 1e-8 * x0
+
+
+def test_a_book_too_shallow_for_x0_is_refused_at_its_capacity():
+    p = MarketParams(x0=2e5, horizon=1.0, steps=10, rho=20.0)
+    with pytest.raises(PreconditionFailed, match="past the 96466.* shares the book holds") as info:
+        solve(p, SHALLOW)
+    report = info.value.report
+    assert (report.ok, report.reason) == (False, "book_too_shallow")
+    assert report.witness == pytest.approx(SHALLOW_CAPACITY, rel=1e-11)
+    # the window's edge: just inside the capacity the book still solves
+    solve(MarketParams(x0=0.999 * SHALLOW_CAPACITY, horizon=1.0, steps=10, rho=20.0), SHALLOW)
+    # model 2's capacity F_ask + N m(F_ask), on a table of 1 share a side
+    table = TabulatedShape([-1.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+    p2 = MarketParams(x0=100.0, horizon=1.0, steps=10, rho=20.0, mode=Resilience.SPREAD)
+    with pytest.raises(PreconditionFailed) as info:
+        solve(p2, table)
+    a, ask = math.exp(-2.0), 1.0 - 1e-12
+    assert info.value.report.reason == "book_too_shallow"
+    assert info.value.report.witness == pytest.approx(ask + 10.0 * (ask - a * ask), rel=1e-12)
+
+
+def test_the_continuous_limit_brackets_on_the_window_under_volume_recovery():
+    # its window is (x0 - F)/(rho T) < y < min(F, (x0 + F)/(rho T))
+    lim = continuous_limit(Resilience.VOLUME, SHALLOW, X0, 20.0, 1.0)
+    assert abs(lim.initial_block + lim.rate + lim.final_block - X0) <= 1e-9 * X0
+    assert (X0 - 1e4) / 20.0 < lim.initial_block < 1e4
+    with pytest.raises(PreconditionFailed) as info:
+        continuous_limit(Resilience.VOLUME, SHALLOW, 3e5, 20.0, 1.0)
+    assert info.value.report.reason == "book_too_shallow"
+    assert info.value.report.witness == pytest.approx(1e4 * 21.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("mode", [Resilience.VOLUME, Resilience.SPREAD])
+def test_a_table_solve_takes_few_gap_evaluations_and_no_fallback_scan(mode, monkeypatch):
+    # the 401-knot table covers 1.32e5 shares a side: from (eps, x0 - eps),
+    # whose top is out of its domain, the fallback scan took 66-67 values
+    offsets = np.arange(-200.0, 201.0)
+    table = TabulatedShape(offsets, Q / np.sqrt(1.0 + np.abs(offsets)))
+    roots = []
+
+    def counted(fn, lo, hi):
+        values = []
+
+        def value(y):
+            values.append(fn(y))
+            return values[-1]
+
+        root = bracketed_root(value, lo, hi)
+        roots.append(values)
+        return root
+
+    bracketed_root = solver.bracketed_root
+    monkeypatch.setattr(solver, "bracketed_root", counted)
+    solve(MarketParams(x0=X0, horizon=1.0, steps=10, rho=20.0, mode=mode), table)
+    # model 2 finds its window's top by an inner root through the same call
+    assert len(roots) == (1 if mode is Resilience.VOLUME else 2)
+    assert sum(map(len, roots)) <= 25
+    for values in roots:
+        assert math.isfinite(values[0]) and math.isfinite(values[1])
+        assert (values[0] < 0.0) != (values[1] < 0.0)
