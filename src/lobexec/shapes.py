@@ -47,14 +47,14 @@ The module also hosts the preflight validators for the two resilience
 models. They check the injectivity of the characteristic maps and the
 growth condition that makes the schedule characterization sound, on
 every distinct branch of the book once, a mirrored book's one branch or
-an asymmetric table's two, at distances from the quote. Under volume recovery a
-lemma decides the power-law (so the block) and sqrt branches, from one
-offset at the top of the working range (see validate_model1). A ramp is
-decided exactly under both models: each condition is a polynomial of
-low degree between the ramp's breaks, so its values at the breaks
-decide it on the whole range, in O(K) for K knots and with no grid to
-miss a failure between its points. A ramp the decision passes is not
-scanned. One it refuses is still scanned, so that the refusal names the
+an asymmetric table's two, at distances from the quote. Under volume
+recovery a lemma decides the power-law (so the block) and sqrt branches,
+from one offset at the top of the working range (see validate_model1).
+A ramp is decided exactly under both models: each condition is a
+polynomial of low degree between the ramp's breaks, so its values at
+the breaks decide it on the whole range, in O(K) for K knots and with no
+grid to miss a failure between its points. A ramp the decision passes is
+not scanned. One it refuses is still scanned, so that the refusal names the
 scan's witness while the scan remains (ROADMAP item 18), and the
 decision's own witness only where the grid missed the failure. The
 closed-form branches under spread recovery are scanned on a grid.
@@ -768,10 +768,10 @@ class SqrtShape(Shape):
     def _far_array(self, t, r, p, form):
         """p, with form(_far(t)) put where p is not finite or the root r =
         sqrt(1 + mu t) overflowed: inf where t is inf, NaN where it is NaN.
-        A reduction over each of p and r finds any such element, so where
-        there is none the map pays no more."""
-        if np.maximum.reduce(p, axis=None, initial=0.0) < np.inf > np.maximum.reduce(
-                r, axis=None, initial=0.0):
+        Only where 2q t or mu t overflows is there such an element (an
+        inf premium elsewhere is its value), so one reduction over t
+        decides whether to look, and finite arguments pay no more."""
+        if np.fmax.reduce(t, axis=None, initial=0.0) * max(2.0 * self.q, self.mu) < np.inf:
             return p
         bad = np.flatnonzero(~np.isfinite(p) | (r == np.inf))
         t, r = t.take(bad), r.take(bad)
