@@ -315,10 +315,10 @@ def continuous_limit(
     solve, with scale rho T. Under spread recovery it keeps the whole
     bracket, and on a finite depth bracketed_root's fallback scan finds
     the part where the gap is defined: x f(x) increases only where the
-    premium is convex, which the gap checks at each point it takes, so
-    inverting it for the window's ends on a premium that is concave
-    further out (the power law at alpha > 1) could miss the root and
-    hide that refusal.
+    premium is convex, which the gap checks at each point it takes. On a
+    premium that is concave further out (the power law at alpha > 1) a
+    window from inverting x f(x) would stop short of the concave part, so
+    the gap would never see it and the limit would not be refused.
     """
     if not rho > 0.0 or not horizon > 0.0:
         raise InvalidParam("need rho > 0, horizon > 0")

@@ -352,7 +352,9 @@ def test_a_table_solve_takes_few_gap_evaluations_and_no_fallback_scan(mode, monk
         values = []
 
         def value(y):
-            values.append(fn(y))
+            # an evaluation past the cover counts, as the NaN it becomes
+            values.append(math.nan)
+            values[-1] = fn(y)
             return values[-1]
 
         root = bracketed_root(value, lo, hi)
