@@ -78,12 +78,12 @@ def bracketed_root(fn, lo: float, hi: float) -> float:
     one is not finite, does it scan a geometric subdivision of the
     interval for the first sign change and solve inside it. The solver
     brackets each gap where it is defined (see solver._root_window), so
-    on valid shapes the scan is not reached; the spread-recovery
-    continuous limit on a finite depth still takes it. Nonfinite
-    evaluations break a candidate bracket rather than aborting the scan,
-    and an OutOfDomain raised by fn counts as NaN. Raises
-    NoRootInBracket if no sign change exists on the grid, or if Brent's
-    method meets a NaN or does not converge inside the bracket.
+    on valid shapes the scan is reached only where the gap has no root;
+    the spread-recovery continuous limit on a finite depth still takes
+    it. Nonfinite evaluations break a candidate bracket rather than
+    aborting the scan, and an OutOfDomain raised by fn counts as NaN.
+    Raises NoRootInBracket if no sign change exists on the grid, or if
+    Brent's method meets a NaN or does not converge inside the bracket.
     """
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")

@@ -26,9 +26,9 @@ the rest X0 - N m(y) lie inside the book's volume bounds (-F_bid, F_ask),
 m(y) the intermediate trade. On a book of infinite depth that is the
 whole interval; on a finite depth it is the window between the two
 volumes where the rest reaches a bound, and where it is empty the book
-is refused as too shallow for X0. The gap's ends have opposite signs on
-valid shapes, so the geometric subdivision fallback of bracketed_root is
-not reached there.
+is refused as too shallow for X0. On valid shapes the gap increases, so
+wherever it has a root its ends differ in sign, and bracketed_root goes
+straight to Brent's method without its geometric subdivision fallback.
 
 The block book admits closed forms for everything, including the
 continuous-trading limit, and the square-root family admits a closed
